@@ -63,7 +63,8 @@ DEFAULT_CONFIG = {
     "vo": {"rot_drift_sigma_deg": 0.0, "transl_drift_sigma": 0.0, "seed": 0},
     "tracker": {"mode": "multi_view", "loose_reproj_threshold": 2.0,
                 "failure_threshold_m": 4.0, "occlusion_aperture_deg": 10.0,
-                "occlusion_window": 7, "consist_point_cap": 2000},
+                "occlusion_window": 7, "consist_point_cap": 2000,
+                "reproj_point_cap": 1500},
     "init_perturb": {"max_transl_per_axis": 0.0, "max_rot_per_axis_deg": 0.0,
                      "seed": 0},
     "map_resolution": 0.1,

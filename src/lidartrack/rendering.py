@@ -114,33 +114,41 @@ def remove_occlusions(d: DepthMap,
     subtends it: the depth gap exceeds the gap a cone of the given
     half-aperture allows at that pixel distance,
     (z - z_n) * tan(aperture) > dist_px * z_n / focal.
-    Never adds valid pixels; single parallel pass, so the result does not
-    depend on scan order.
+    Never adds valid pixels.  Every pixel is tested against the input map
+    alone, so the result does not depend on scan order.
+
+    Neighbors are gathered only at valid pixels, from a NaN-padded copy of
+    the depths (NaN marks an invalid or out-of-image neighbor and fails
+    every comparison), so the cost of the window loop grows with the
+    number of valid pixels, not with the image area.  Only the padded
+    grid, the outputs and one ``np.nonzero`` pass are image-sized.
     """
-    out = d.copy()
-    if not d.valid.any() or cone_aperture_deg <= 0:
-        return out
+    rows, cols = np.nonzero(d.valid)
+    if len(rows) == 0 or cone_aperture_deg <= 0:
+        return d.copy()
     scale = 1.0 / (d.focal * math.tan(math.radians(cone_aperture_deg)))
-    half = window // 2
+    half = max(window // 2, 0)
     h, w = d.depth.shape
-    z = d.depth
-    v = d.valid
-    kill = np.zeros((h, w), dtype=bool)
+    z = d.depth[rows, cols]
+    wp = w + 2 * half
+    zpad = np.full((h + 2 * half) * wp, np.nan, dtype=z.dtype)
+    at = (rows + half) * wp + (cols + half)
+    zpad[at] = z
+    kill = np.zeros(len(z), dtype=bool)
     for di in range(-half, half + 1):
         for dj in range(-half, half + 1):
             if di == 0 and dj == 0:
                 continue
             c = math.hypot(di, dj) * scale
-            src_i = slice(max(0, -di), min(h, h - di))
-            src_j = slice(max(0, -dj), min(w, w - dj))
-            dst_i = slice(max(0, di), min(h, h + di))
-            dst_j = slice(max(0, dj), min(w, w + dj))
-            zn = z[src_i, src_j]
-            kill[dst_i, dst_j] |= (v[dst_i, dst_j] & v[src_i, src_j]
-                                   & (z[dst_i, dst_j] - zn > c * zn))
-    out.valid &= ~kill
-    out.depth[~out.valid] = 0.0
-    out.source[~out.valid] = -1
+            zn = zpad[at - (di * wp + dj)]
+            kill |= z - zn > c * zn
+    keep = ~kill
+    rows, cols = rows[keep], cols[keep]
+    out = DepthMap(np.zeros_like(d.depth), np.zeros_like(d.valid),
+                   np.full_like(d.source, -1), d.focal)
+    out.depth[rows, cols] = z[keep]
+    out.valid[rows, cols] = True
+    out.source[rows, cols] = d.source[rows, cols]
     return out
 
 

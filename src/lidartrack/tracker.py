@@ -55,6 +55,9 @@ class TrackerConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.loose_reproj_threshold < 0 or self.failure_threshold_m <= 0:
             raise ValueError("thresholds must be positive")
+        for name in ("consist_point_cap", "reproj_point_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +54,26 @@ class TestSynth:
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"not_a_field": 1}))
+        assert main(["synth", "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_ERROR
+
+    def test_reproj_point_cap_accepted(self, tmp_path):
+        assert cli.DEFAULT_CONFIG["tracker"]["reproj_point_cap"] == 1500
+        cfg = write_config(tmp_path / "cfg.json", tracker={"reproj_point_cap": 1500})
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["tracker"]["reproj_point_cap"] == 1500
+
+    def test_readme_config_block_is_the_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        documented = json.loads(re.sub(r"//[^\n]*", "", block))
+        assert documented == cli.DEFAULT_CONFIG
+
+    def test_zero_point_cap_rejected(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", tracker={"consist_point_cap": 0})
         assert main(["synth", "--config", str(cfg), "--out",
                      str(tmp_path / "o"), "--quiet"]) == EXIT_ERROR
 

@@ -1,9 +1,60 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidartrack.geometry import PerturbBounds, PoseSE3, perturb_pose, project_points
-from lidartrack.rendering import (FlowField, gt_depth_flow, remove_occlusions,
-                                  render_depth)
+from lidartrack.rendering import (DepthMap, FlowField, gt_depth_flow,
+                                  remove_occlusions, render_depth)
+
+
+def _remove_occlusions_reference(d, cone_aperture_deg=10.0, window=7):
+    """The dense form of ``remove_occlusions``: one full-image pass per
+    window offset.  Kept as the reference the gather form must match bit
+    for bit.  Its negative slice stops wrap around once ``window // 2``
+    exceeds an image side, so it only takes maps at least that large."""
+    out = d.copy()
+    if not d.valid.any() or cone_aperture_deg <= 0:
+        return out
+    scale = 1.0 / (d.focal * math.tan(math.radians(cone_aperture_deg)))
+    half = window // 2
+    h, w = d.depth.shape
+    z = d.depth
+    v = d.valid
+    kill = np.zeros((h, w), dtype=bool)
+    for di in range(-half, half + 1):
+        for dj in range(-half, half + 1):
+            if di == 0 and dj == 0:
+                continue
+            c = math.hypot(di, dj) * scale
+            src_i = slice(max(0, -di), min(h, h - di))
+            src_j = slice(max(0, -dj), min(w, w - dj))
+            dst_i = slice(max(0, di), min(h, h + di))
+            dst_j = slice(max(0, dj), min(w, w + dj))
+            zn = z[src_i, src_j]
+            kill[dst_i, dst_j] |= (v[dst_i, dst_j] & v[src_i, src_j]
+                                   & (z[dst_i, dst_j] - zn > c * zn))
+    out.valid &= ~kill
+    out.depth[~out.valid] = 0.0
+    out.source[~out.valid] = -1
+    return out
+
+
+def _assert_same_depth_map(a, b):
+    for name in ("depth", "valid", "source"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
+    assert a.focal == b.focal
+
+
+def _all_valid(depth, focal=100.0):
+    depth = np.asarray(depth, dtype=float)
+    return DepthMap(depth, np.ones(depth.shape, dtype=bool),
+                    np.arange(depth.size, dtype=np.int64).reshape(depth.shape),
+                    focal)
 
 
 class TestRenderDepth:
@@ -114,6 +165,57 @@ class TestRemoveOcclusions:
         d = render_depth(gmap.points, K, traj[0])
         out = remove_occlusions(d, 0.0)
         assert np.array_equal(out.valid, d.valid)
+
+    def test_window_wider_than_tiny_image(self):
+        # window // 2 exceeds both image sides: every pixel neighbors
+        # every other, and out-of-image neighbors count as invalid
+        d = _all_valid([[1.0, 1.0], [1.0, 5.0]])
+        out = remove_occlusions(d, 10.0, window=7)
+        assert out.valid.tolist() == [[True, True], [True, False]]
+        assert out.depth.tolist() == [[1.0, 1.0], [1.0, 0.0]]
+        assert out.source.tolist() == [[0, 1], [2, -1]]
+
+        far = np.full((4, 4), 10.0)
+        far[0, 0] = 2.0  # the one near pixel hides the whole map
+        out = remove_occlusions(_all_valid(far), 10.0, window=11)
+        expected = np.zeros((4, 4), dtype=bool)
+        expected[0, 0] = True
+        assert np.array_equal(out.valid, expected)
+        assert out.source[0, 0] == 0 and (out.source[~expected] == -1).all()
+
+        flat = _all_valid(np.full((4, 4), 10.0))
+        out = remove_occlusions(flat, 10.0, window=11)
+        _assert_same_depth_map(out, flat)
+
+    @pytest.mark.parametrize("window,aperture", [(3, 10.0), (5, 10.0),
+                                                 (7, 10.0), (7, 30.0), (9, 2.0)])
+    def test_matches_dense_reference_on_corridor(self, K, K_small, corridor,
+                                                 window, aperture):
+        gmap, traj = corridor
+        for cam in (K, K_small):
+            for pose in traj[::2]:
+                d = render_depth(gmap.points, cam, pose)
+                _assert_same_depth_map(
+                    remove_occlusions(d, aperture, window),
+                    _remove_occlusions_reference(d, aperture, window))
+
+    @settings(max_examples=300, deadline=None)
+    @given(h=st.integers(4, 40), w=st.integers(4, 60),
+           density=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1),
+           window=st.integers(1, 9), aperture=st.floats(0.5, 89.0),
+           focal=st.floats(10.0, 1000.0))
+    def test_matches_dense_reference(self, h, w, density, seed, window,
+                                     aperture, focal):
+        # integer depths make exact ties common; invalid pixels carry
+        # stale depths and sources that the filter must clear
+        rng = np.random.default_rng(seed)
+        d = DepthMap(np.rint(rng.uniform(1.0, 30.0, (h, w))),
+                     rng.random((h, w)) < density,
+                     np.arange(h * w, dtype=np.int64).reshape(h, w), focal)
+        before = d.copy()
+        _assert_same_depth_map(remove_occlusions(d, aperture, window),
+                               _remove_occlusions_reference(d, aperture, window))
+        _assert_same_depth_map(d, before)
 
 
 class TestGtDepthFlow:

@@ -220,3 +220,10 @@ class TestScenarioBuilder:
     def test_mode_validation(self, K_small):
         with pytest.raises(ValueError):
             TrackerConfig(camera=K_small, mode="warp_drive")
+
+    @pytest.mark.parametrize("field", ["consist_point_cap", "reproj_point_cap"])
+    def test_point_cap_below_one_rejected(self, K_small, field):
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match=field):
+                TrackerConfig(camera=K_small, **{field: bad})
+        assert getattr(TrackerConfig(camera=K_small, **{field: 1}), field) == 1
