@@ -49,8 +49,11 @@ class FlowNoiseModel:
             raise ValueError("outlier_fraction must be in [0, 1]")
         if not (0.0 <= self.dropout_fraction <= 1.0):
             raise ValueError("dropout_fraction must be in [0, 1]")
-        if self.gaussian_sigma < 0 or self.outlier_magnitude < 0:
-            raise ValueError("sigma and magnitude must be non-negative")
+        for name in ("gaussian_sigma", "outlier_magnitude"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be finite and non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def warp(field: FlowField, base: FlowField) -> FlowField:

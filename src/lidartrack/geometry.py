@@ -100,18 +100,19 @@ def _matrix_to_quat(R):
     return _quat_normalize(q)
 
 
-def _quat_from_rotvec(rv):
-    rv = np.asarray(rv, dtype=float)
-    angle = np.linalg.norm(rv)
+def _rotvec_quat_scalars(angle):
+    """(w, s) of the quaternion (w, s * rv) of a rotation vector of this angle."""
     if angle < SMALL_ANGLE:
         # sin(a/2)/a ~ 1/2 - a^2/48
-        s = 0.5 - angle * angle / 48.0
-        q = np.array([1.0 - angle * angle / 8.0, rv[0] * s, rv[1] * s, rv[2] * s])
-    else:
-        half = 0.5 * angle
-        s = math.sin(half) / angle
-        q = np.array([math.cos(half), rv[0] * s, rv[1] * s, rv[2] * s])
-    return _quat_normalize(q)
+        return 1.0 - angle * angle / 8.0, 0.5 - angle * angle / 48.0
+    half = 0.5 * angle
+    return math.cos(half), math.sin(half) / angle
+
+
+def _quat_from_rotvec(rv):
+    rv = np.asarray(rv, dtype=float)
+    w, s = _rotvec_quat_scalars(np.linalg.norm(rv))
+    return _quat_normalize(np.array([w, rv[0] * s, rv[1] * s, rv[2] * s]))
 
 
 def _rotvec_from_quat(q):
@@ -128,9 +129,16 @@ def _rotvec_from_quat(q):
 
 
 def _skew(v):
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
+    """Cross-product matrix [v]x of a vector (3,), or of each row of (..., 3)."""
+    v = np.asarray(v, dtype=float)
+    W = np.zeros(v.shape[:-1] + (3, 3))
+    W[..., 0, 1] = -v[..., 2]
+    W[..., 0, 2] = v[..., 1]
+    W[..., 1, 0] = v[..., 2]
+    W[..., 1, 2] = -v[..., 0]
+    W[..., 2, 0] = -v[..., 1]
+    W[..., 2, 1] = v[..., 0]
+    return W
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +308,80 @@ def project_points(K: CameraIntrinsics, pts_cam):
     return uv, in_front
 
 
+def _exp_v_scalars(theta):
+    """(A, B) of V = I + A [w]x + B [w]x^2 for a rotation of angle theta."""
+    if theta < SMALL_ANGLE:
+        return 0.5, 1.0 / 6.0
+    return ((1.0 - math.cos(theta)) / theta ** 2,
+            (theta - math.sin(theta)) / theta ** 3)
+
+
 def se3_exp(xi) -> PoseSE3:
     """Exponential map; xi = (rotation block, translation block)."""
     xi = np.asarray(xi, dtype=float).reshape(6)
     omega, rho = xi[:3], xi[3:]
     theta = np.linalg.norm(omega)
     W = _skew(omega)
-    if theta < SMALL_ANGLE:
-        V = np.eye(3) + 0.5 * W + (1.0 / 6.0) * (W @ W)
-    else:
-        A = (1.0 - math.cos(theta)) / theta ** 2
-        B = (theta - math.sin(theta)) / theta ** 3
-        V = np.eye(3) + A * W + B * (W @ W)
+    A, B = _exp_v_scalars(theta)
+    V = np.eye(3) + A * W + B * (W @ W)
     return PoseSE3(_quat_from_rotvec(omega), V @ rho)
+
+
+# ---------------------------------------------------------------------------
+# batched poses
+#
+# A stack of B poses is held as unit quaternions q (B, 4), rotation
+# matrices R (B, 3, 3) and translations t (B, 3).  Each row is computed
+# with the same floating-point operations as the PoseSE3 form: per-matrix
+# products go through a stacked np.matmul (one BLAS call per matrix, as
+# in the 2-D form), vector norms through a (1, k) @ (k, 1) product (the
+# dot product np.linalg.norm takes of a 1-D vector), and the
+# transcendental scalars through the same per-row math calls.  A row of
+# a batch is therefore bit-identical to the pose the scalar functions
+# give, which is what lets RANSAC fit many hypotheses per call.
+# ---------------------------------------------------------------------------
+
+def _row_norms(v):
+    """Euclidean norm of each row of a contiguous (B, k) array."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _quat_normalize_rows(q):
+    q = np.ascontiguousarray(q)
+    q = q / _row_norms(q)[:, None]
+    return np.where(q[:, :1] < 0.0, -q, q)
+
+
+def quat_to_matrix_batch(q):
+    """Rotation matrices (B, 3, 3) of unit quaternions (B, 4)."""
+    return np.ascontiguousarray(np.moveaxis(_quat_to_matrix(q.T), -1, 0))
+
+
+def se3_exp_batch(xi):
+    """Exponential map of each row of xi (B, 6): (q (B, 4), t (B, 3)).
+
+    Row i equals ``se3_exp(xi[i])`` bit for bit; rows must be finite.
+    """
+    omega, rho = xi[:, :3], xi[:, 3:]
+    theta = _row_norms(omega)
+    W = _skew(omega)
+    A, B, w, s = np.array([_exp_v_scalars(th) + _rotvec_quat_scalars(th)
+                           for th in theta]).reshape(-1, 4).T
+    V = np.eye(3) + A[:, None, None] * W + B[:, None, None] * (W @ W)
+    q = np.concatenate([w[:, None], omega * s[:, None]], axis=1)
+    # normalized twice, as _quat_from_rotvec and then PoseSE3 do
+    q = _quat_normalize_rows(_quat_normalize_rows(q))
+    return q, (V @ rho[:, :, None])[:, :, 0]
+
+
+def compose_batch(q_a, R_a, t_a, q_b, t_b):
+    """Row-wise a * b of two pose stacks; R_a are the rotations of q_a.
+
+    Returns (q, t) before any finiteness check: a row whose ``t`` is not
+    finite is one for which ``PoseSE3.compose`` raises.
+    """
+    q = _quat_normalize_rows(_quat_multiply(q_a.T, q_b.T).T)
+    return q, (R_a @ t_b[:, :, None])[:, :, 0] + t_a
 
 
 def se3_log(T: PoseSE3) -> np.ndarray:
@@ -361,43 +430,45 @@ def perturb_pose(T: PoseSE3, bounds: PerturbBounds, seed) -> PoseSE3:
     return PoseSE3(q_new, -(R_new @ c_new))
 
 
-def reprojection_jacobian(K: CameraIntrinsics, pose: PoseSE3, pts_world):
+def reprojection_jacobian(K: CameraIntrinsics, pose, pts_world):
     """Projection with its Jacobian w.r.t. the right-multiplicative update.
 
     For r(xi) = project(K, pose * exp(xi), P) evaluated at xi = 0:
     d p_cam / d xi = R @ [-[P]x | I], and the pixel Jacobian follows by
     the chain rule through the pinhole division.
 
+    ``pose`` is a PoseSE3 with ``pts_world`` (N, 3), or a stack ``(R, t)``
+    of B rotations (B, 3, 3) and translations (B, 3) with ``pts_world``
+    (B, N, 3); the outputs then gain the leading B axis, and row b equals
+    the PoseSE3 form for pose b bit for bit.
+
     Returns (uv (N,2), z (N,), J (N,2,6)).  Callers must ensure z > 0.
     """
-    P = np.asarray(pts_world, dtype=float).reshape(-1, 3)
-    n = len(P)
-    R = pose.rotation_matrix()
-    cam = P @ R.T + pose.t
-    x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]
-    uv = np.empty((n, 2))
-    uv[:, 0] = K.fx * x / z + K.cx
-    uv[:, 1] = K.fy * y / z + K.cy
+    if isinstance(pose, PoseSE3):
+        R, t = pose.rotation_matrix(), pose.t
+        P = np.asarray(pts_world, dtype=float).reshape(-1, 3)
+    else:
+        R, t = pose
+        P = np.asarray(pts_world, dtype=float)
+    cam = P @ np.swapaxes(R, -1, -2) + t[..., None, :]
+    x, y, z = cam[..., 0], cam[..., 1], cam[..., 2]
+    uv = np.empty(cam.shape[:-1] + (2,))
+    uv[..., 0] = K.fx * x / z + K.cx
+    uv[..., 1] = K.fy * y / z + K.cy
 
     # d p_cam / d xi: rotation block R @ (-[P]x), translation block R
-    Px = np.zeros((n, 3, 3))
-    Px[:, 0, 1] = -P[:, 2]
-    Px[:, 0, 2] = P[:, 1]
-    Px[:, 1, 0] = P[:, 2]
-    Px[:, 1, 2] = -P[:, 0]
-    Px[:, 2, 0] = -P[:, 1]
-    Px[:, 2, 1] = P[:, 0]
-    dcam = np.empty((n, 3, 6))
-    np.matmul(R[None, :, :], -Px, out=dcam[:, :, :3])
-    dcam[:, :, 3:] = R[None, :, :]
+    R = R[..., None, :, :]
+    dcam = np.empty(cam.shape + (6,))
+    np.matmul(R, -_skew(P), out=dcam[..., :3])
+    dcam[..., 3:] = R
 
     # d uv / d p_cam
-    dpi = np.zeros((n, 2, 3))
+    dpi = np.zeros(cam.shape[:-1] + (2, 3))
     iz = 1.0 / z
-    dpi[:, 0, 0] = K.fx * iz
-    dpi[:, 0, 2] = -K.fx * x * iz * iz
-    dpi[:, 1, 1] = K.fy * iz
-    dpi[:, 1, 2] = -K.fy * y * iz * iz
+    dpi[..., 0, 0] = K.fx * iz
+    dpi[..., 0, 2] = -K.fx * x * iz * iz
+    dpi[..., 1, 1] = K.fy * iz
+    dpi[..., 1, 2] = -K.fy * y * iz * iz
 
     J = dpi @ dcam
     return uv, z, J

@@ -3,16 +3,27 @@
 The minimal solver inside RANSAC is damped Gauss-Newton started from the
 tracking prior rather than a closed-form P3P: tracking always supplies a
 near-correct initial pose, which makes local iteration reliable.
+
+RANSAC fits and scores its hypotheses in batches, the batch scoring of
+preemptive RANSAC (Nister 2005) applied to plain RANSAC (Fischler and
+Bolles 1981): one stacked Gauss-Newton fit over B minimal samples and one
+(B, N) reprojection-error matrix per batch.  Every batched operation makes
+the same floating-point operations per hypothesis as a one-at-a-time fit,
+and the random samples are drawn in the same order, so the pose, inliers
+and counters are bit-identical to fitting and scoring one hypothesis at a
+time (``tests/test_pnp.py`` keeps that sequential loop as the reference).
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (MIN_DEPTH, CameraIntrinsics, PoseSE3,
-                       reprojection_jacobian, se3_exp)
+from .geometry import (MIN_DEPTH, CameraIntrinsics, PoseSE3, compose_batch,
+                       quat_to_matrix_batch, reprojection_jacobian, se3_exp,
+                       se3_exp_batch)
 from .rendering import DepthMap, FlowField
 
 
@@ -57,6 +68,10 @@ class Correspondences:
 # beyond a few thousand points the accuracy gain is negligible
 REFINE_POINT_CAP = 4000
 
+# RANSAC fits and scores this many hypotheses per batch; the (B, N)
+# scoring temporaries, and with them peak memory, grow with it
+RANSAC_BATCH = 16
+
 
 @dataclass(frozen=True)
 class RansacConfig:
@@ -67,12 +82,16 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.inlier_threshold <= 0:
-            raise ValueError("inlier_threshold must be positive")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError("max_iters must be an integer >= 1")
+        if not (math.isfinite(self.inlier_threshold) and self.inlier_threshold > 0):
+            raise ValueError("inlier_threshold must be finite and positive")
+        if self.min_inliers < 0:
+            raise ValueError("min_inliers must be non-negative")
         if not (0.0 < self.confidence < 1.0):
             raise ValueError("confidence must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -208,34 +227,113 @@ def _check_not_collinear(p_world):
         raise DegenerateConfigurationError("3D points are collinear")
 
 
-def _fit_minimal(corrs, K, T0):
-    """Quick unweighted Gauss-Newton fit on a minimal sample."""
-    pose = T0
+def _fit_minimal_batch(P, x, K, T0):
+    """Quick unweighted Gauss-Newton fits on B minimal samples at once.
+
+    Sample b holds world points ``P[b]`` (4, 3) and pixels ``x[b]`` (4, 2);
+    every fit starts from T0 and runs up to six steps.  A fit leaves the
+    batch when its step falls below 1e-8, when a point lands behind the
+    camera or when its normal equations are singular; the last two fail.
+
+    Returns (R (B, 3, 3), t (B, 3), fitted (B,), errors): every row is a
+    finite pose, the last one reached, and ``errors`` maps a sample whose
+    step was not finite to the ValueError that the sequential fit raised
+    on it (``se3_exp`` or ``PoseSE3`` on a non-finite step).
+    """
+    b = len(P)
+    q = np.tile(T0.q, (b, 1))
+    R = np.tile(T0.rotation_matrix(), (b, 1, 1))
+    t = np.tile(T0.t, (b, 1))
+    fitted = np.ones(b, dtype=bool)
+    errors = {}
+    live = np.arange(b)
     for _ in range(6):
-        uv, z, J = reprojection_jacobian(K, pose, corrs.p_world)
-        if np.any(z <= MIN_DEPTH):
-            return None
-        r = (uv - corrs.x_img).reshape(-1)
-        A = J.reshape(-1, 6)
-        H = A.T @ A + 1e-9 * np.eye(6)
-        try:
-            delta = np.linalg.solve(H, -(A.T @ r))
-        except np.linalg.LinAlgError:
-            return None
-        pose = pose.compose(se3_exp(delta))
-        if float(np.abs(delta).max()) < 1e-8:
+        uv, z, J = reprojection_jacobian(K, (R[live], t[live]), P[live])
+        front = ~np.any(z <= MIN_DEPTH, axis=1)
+        fitted[live[~front]] = False
+        live, uv, J = live[front], uv[front], J[front]
+        if not len(live):
             break
-    return pose
+        r = (uv - x[live]).reshape(len(live), -1, 1)
+        A = J.reshape(len(live), -1, 6)
+        At = A.transpose(0, 2, 1)
+        H = At @ A + 1e-9 * np.eye(6)
+        delta, solved = _solve_stack(H, -(At @ r))
+        fitted[live[~solved]] = False
+        live, delta = live[solved], delta[solved, :, 0]
+
+        finite = np.all(np.isfinite(delta), axis=1)
+        for i in np.nonzero(~finite)[0]:
+            errors[live[i]] = _raised(se3_exp, delta[i])
+        live, delta = live[finite], delta[finite]
+        dq, dt = se3_exp_batch(delta)
+        q_new, t_new = compose_batch(q[live], R[live], t[live], dq, dt)
+        finite = np.all(np.isfinite(t_new), axis=1)
+        for i in np.nonzero(~finite)[0]:
+            errors[live[i]] = _raised(PoseSE3, q_new[i], t_new[i])
+        live = live[finite]
+        q[live], t[live] = q_new[finite], t_new[finite]
+        R[live] = quat_to_matrix_batch(q[live])
+        live = live[np.abs(delta[finite]).max(axis=1) >= 1e-8]
+        if not len(live):
+            break
+    fitted[list(errors)] = False
+    return R, t, fitted, errors
 
 
-def _reproj_errors(corrs, K, pose):
-    cam = pose.apply(corrs.p_world)
-    z = cam[:, 2]
-    uv = np.empty((len(corrs), 2))
+def _solve_stack(H, g):
+    """np.linalg.solve over a stack, flagging the singular systems.
+
+    A stacked solve raises for the whole stack when one system is
+    singular; only then is each system solved on its own.
+    """
+    try:
+        return np.linalg.solve(H, g), np.ones(len(H), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.zeros_like(g)
+    solved = np.ones(len(H), dtype=bool)
+    for i in range(len(H)):
+        try:
+            out[i] = np.linalg.solve(H[i:i + 1], g[i:i + 1])[0]
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return out, solved
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return exc
+    raise AssertionError("a non-finite pose step must raise")
+
+
+def _reproj_errors(corrs, K, R, t, cam=None):
+    """Reprojection error (B, N) of every correspondence under B poses.
+
+    ``R`` (B, 3, 3) and ``t`` (B, 3) are the poses' rotations and
+    translations; points at or behind the camera plane score inf.  ``cam``
+    is an optional (B, N, 3) buffer for the camera-frame points.  Each row
+    is the float expression of projecting with one PoseSE3 and taking
+    ``np.linalg.norm(uv - x_img, axis=1)``, bit for bit.
+    """
+    cam = np.matmul(corrs.p_world, np.swapaxes(R, 1, 2), out=cam)
+    cam += t[:, None, :]
+    x, y, z = np.moveaxis(cam, -1, 0)
     zs = np.where(z > MIN_DEPTH, z, 1.0)
-    uv[:, 0] = K.fx * cam[:, 0] / zs + K.cx
-    uv[:, 1] = K.fy * cam[:, 1] / zs + K.cy
-    err = np.linalg.norm(uv - corrs.x_img, axis=1)
+    du = K.fx * x
+    du /= zs
+    du += K.cx
+    du -= corrs.x_img[:, 0]
+    dv = K.fy * y
+    dv /= zs
+    dv += K.cy
+    dv -= corrs.x_img[:, 1]
+    du *= du
+    dv *= dv
+    du += dv
+    err = np.sqrt(du, out=du)
     err[z <= MIN_DEPTH] = np.inf
     return err
 
@@ -243,6 +341,14 @@ def _reproj_errors(corrs, K, pose):
 def solve_pnp_ransac(corrs: Correspondences, K: CameraIntrinsics, T_init: PoseSE3,
                      cfg: RansacConfig) -> PnPResult:
     """RANSAC over minimal 4-point fits, then Huber refinement on inliers.
+
+    Hypotheses are fitted and scored in batches of up to ``RANSAC_BATCH``
+    (one stacked Gauss-Newton fit and one (B, N) error matrix per batch),
+    then walked in order with the sequential best-count and early-stop
+    rule.  Samples are drawn one hypothesis at a time from a generator
+    local to the call, so a batch drawn past the early stop changes
+    nothing: the samples, the pose, the inliers, ``rmse``, ``hypotheses``
+    and any error raised are those of fitting one hypothesis at a time.
 
     Falls back to T_init with ``success=False`` when the best consensus
     set stays below ``min_inliers``.  Deterministic for a fixed seed.
@@ -257,25 +363,32 @@ def solve_pnp_ransac(corrs: Correspondences, K: CameraIntrinsics, T_init: PoseSE
     best_mask = np.zeros(n, dtype=bool)
     needed = cfg.max_iters
     it = 0
+    cam = np.empty((min(RANSAC_BATCH, cfg.max_iters), n, 3))
     while it < min(needed, cfg.max_iters):
-        it += 1
-        sample = rng.choice(n, size=4, replace=False)
-        hyp = _fit_minimal(corrs.subset(sample), K, T_init)
-        if hyp is None:
-            continue
-        err = _reproj_errors(corrs, K, hyp)
-        mask = err < cfg.inlier_threshold
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            ratio = count / n
-            if ratio >= 1.0:
-                needed = it
-            else:
-                p_good = max(ratio ** 4, 1e-12)
-                needed = math.ceil(math.log(1.0 - cfg.confidence)
-                                   / math.log(1.0 - p_good))
+        b = min(RANSAC_BATCH, min(needed, cfg.max_iters) - it)
+        samples = np.array([rng.choice(n, size=4, replace=False) for _ in range(b)])
+        R, t, fitted, errors = _fit_minimal_batch(corrs.p_world[samples],
+                                                  corrs.x_img[samples], K, T_init)
+        # rows that did not fit are scored too, but count no inliers
+        masks = _reproj_errors(corrs, K, R, t, cam[:b]) < cfg.inlier_threshold
+        counts = np.where(fitted, np.count_nonzero(masks, axis=1), 0)
+        for k in range(b):
+            if it >= min(needed, cfg.max_iters):
+                break
+            it += 1
+            if k in errors:
+                raise errors[k]
+            count = int(counts[k])
+            if count > best_count:
+                best_count = count
+                best_mask = masks[k]
+                ratio = count / n
+                if ratio >= 1.0:
+                    needed = it
+                else:
+                    p_good = max(ratio ** 4, 1e-12)
+                    needed = math.ceil(math.log(1.0 - cfg.confidence)
+                                       / math.log(1.0 - p_good))
 
     if best_count < max(cfg.min_inliers, 4):
         return PnPResult(pose=T_init, inliers=np.zeros(n, dtype=bool),
@@ -286,10 +399,11 @@ def solve_pnp_ransac(corrs: Correspondences, K: CameraIntrinsics, T_init: PoseSE
         stride = -(-len(refine_idx) // REFINE_POINT_CAP)
         refine_idx = refine_idx[::stride]
     refined = refine_pose(corrs.subset(refine_idx), K, T_init)
-    err = _reproj_errors(corrs, K, refined.pose)
+    pose = refined.pose
+    err = _reproj_errors(corrs, K, pose.rotation_matrix()[None], pose.t[None])[0]
     final_mask = err < cfg.inlier_threshold
     if int(final_mask.sum()) < max(cfg.min_inliers, 4):
         final_mask = best_mask
     rmse = float(np.sqrt(np.mean(err[final_mask] ** 2)))
-    return PnPResult(pose=refined.pose, inliers=final_mask, success=True,
+    return PnPResult(pose=pose, inliers=final_mask, success=True,
                      rmse=rmse, hypotheses=it)

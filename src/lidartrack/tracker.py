@@ -197,6 +197,8 @@ class Tracker:
         diag["ms_pnp"] = 1e3 * (time.perf_counter() - t0)
         diag["inliers_cur"] = int(pnp_cur.inliers.sum())
         diag["inliers_next"] = int(pnp_next.inliers.sum())
+        diag["ransac_hyp_cur"] = pnp_cur.hypotheses
+        diag["ransac_hyp_next"] = pnp_next.hypotheses
 
         if pnp_cur.success:
             consist_pts = corrs_cur.p_world[pnp_cur.inliers]
@@ -287,6 +289,7 @@ class Tracker:
         result = self._solve_pnp(corrs, T_init, frame, side=0)
         diag["ms_pnp"] = 1e3 * (time.perf_counter() - t0)
         diag["inliers_cur"] = int(result.inliers.sum())
+        diag["ransac_hyp_cur"] = result.hypotheses
         if not result.success:
             state.failed = True
             return state, None, diag
@@ -330,6 +333,7 @@ class Tracker:
             result = self._solve_pnp(corrs, T_init, frame, side=0)
             diag["ms_pnp"] = 1e3 * (time.perf_counter() - t0)
             diag["inliers_cur"] = int(result.inliers.sum())
+            diag["ransac_hyp_cur"] = result.hypotheses
             if result.success:
                 candidate_a = result.pose
                 rmse = result.rmse
@@ -452,7 +456,8 @@ def build_scenario(scene_cfg, traj_cfg, camera: CameraIntrinsics,
 
 
 DIAGNOSTIC_COLUMNS = ["frame", "mode", "rot_err_deg", "transl_err_cm",
-                      "inliers_cur", "inliers_next", "e_initial", "e_final",
+                      "inliers_cur", "inliers_next", "ransac_hyp_cur",
+                      "ransac_hyp_next", "e_initial", "e_final",
                       "opt_iters", "rescued", "candidate", "pnp_rmse",
                       "ms_crop", "ms_render", "ms_flow", "ms_pnp", "ms_opt"]
 

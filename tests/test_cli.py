@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +119,18 @@ class TestTrack:
                      str(tmp_path / "nowhere"), "--out", str(out), "--quiet"])
         assert code == EXIT_ERROR
         assert not (out / "est_traj.txt").exists()
+
+    def test_negative_seed_is_a_config_error(self, scenario_dir, tmp_path):
+        # run as a program so that a traceback would show on stderr
+        cfg, scen = scenario_dir
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lidartrack.cli", "track", "--config", str(cfg),
+             "--scenario", str(scen), "--out", str(tmp_path / "run"), "--seed", "-1"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == EXIT_ERROR
+        assert "ERROR lidartrack: seed must be non-negative" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_mode_override_flag(self, scenario_dir, tmp_path):
         cfg, scen = scenario_dir

@@ -252,6 +252,14 @@ class TestOracle:
         with pytest.raises(ValueError):
             FlowNoiseModel(gaussian_sigma=-1.0)
 
+    @pytest.mark.parametrize("field,bad", [
+        ("gaussian_sigma", float("nan")), ("gaussian_sigma", float("inf")),
+        ("outlier_magnitude", float("nan")), ("outlier_magnitude", float("inf")),
+        ("seed", -1)])
+    def test_noise_model_rejects_bad_value_naming_field(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            FlowNoiseModel(**{field: bad})
+
     def test_triplet_shape_validation(self):
         with pytest.raises(ValueError):
             FlowTriplet(full_field(4, 4), full_field(4, 4), full_field(4, 5))

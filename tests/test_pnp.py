@@ -1,15 +1,149 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidartrack.flow import FlowNoiseModel, oracle_flows
-from lidartrack.geometry import (PerturbBounds, PoseSE3, perturb_pose,
-                                 pose_error, project_points, se3_exp)
+from lidartrack.geometry import (MIN_DEPTH, CameraIntrinsics, PerturbBounds,
+                                 PoseSE3, perturb_pose, pose_error,
+                                 project_points, reprojection_jacobian, se3_exp)
 from lidartrack.mapping import CropExtents, crop_local
-from lidartrack.pnp import (Correspondences, DegenerateConfigurationError,
+from lidartrack.pnp import (REFINE_POINT_CAP, Correspondences,
+                            DegenerateConfigurationError, PnPResult,
                             RansacConfig, TooFewCorrespondencesError,
+                            _check_not_collinear, _fit_minimal_batch,
                             correspondences_from_flow, refine_pose,
                             solve_pnp_ransac)
 from lidartrack.rendering import FlowField, remove_occlusions, render_depth
+
+
+def _fit_minimal_reference(corrs, K, T0):
+    """One minimal Gauss-Newton fit at a time: the sequential form that
+    the batched ``_fit_minimal_batch`` must match bit for bit."""
+    pose = T0
+    for _ in range(6):
+        uv, z, J = reprojection_jacobian(K, pose, corrs.p_world)
+        if np.any(z <= MIN_DEPTH):
+            return None
+        r = (uv - corrs.x_img).reshape(-1)
+        A = J.reshape(-1, 6)
+        H = A.T @ A + 1e-9 * np.eye(6)
+        try:
+            delta = np.linalg.solve(H, -(A.T @ r))
+        except np.linalg.LinAlgError:
+            return None
+        pose = pose.compose(se3_exp(delta))
+        if float(np.abs(delta).max()) < 1e-8:
+            break
+    return pose
+
+
+def _reproj_errors_reference(corrs, K, pose):
+    cam = pose.apply(corrs.p_world)
+    z = cam[:, 2]
+    uv = np.empty((len(corrs), 2))
+    zs = np.where(z > MIN_DEPTH, z, 1.0)
+    uv[:, 0] = K.fx * cam[:, 0] / zs + K.cx
+    uv[:, 1] = K.fy * cam[:, 1] / zs + K.cy
+    err = np.linalg.norm(uv - corrs.x_img, axis=1)
+    err[z <= MIN_DEPTH] = np.inf
+    return err
+
+
+def _solve_pnp_ransac_reference(corrs, K, T_init, cfg):
+    """``solve_pnp_ransac`` fitting and scoring one hypothesis at a time.
+    Kept as the reference the batched form must match bit for bit."""
+    n = len(corrs)
+    if n < 4:
+        raise TooFewCorrespondencesError(f"need >= 4 correspondences, got {n}")
+    _check_not_collinear(corrs.p_world)
+    rng = np.random.default_rng(cfg.seed)
+
+    best_count = 0
+    best_mask = np.zeros(n, dtype=bool)
+    needed = cfg.max_iters
+    it = 0
+    while it < min(needed, cfg.max_iters):
+        it += 1
+        sample = rng.choice(n, size=4, replace=False)
+        hyp = _fit_minimal_reference(corrs.subset(sample), K, T_init)
+        if hyp is None:
+            continue
+        err = _reproj_errors_reference(corrs, K, hyp)
+        mask = err < cfg.inlier_threshold
+        count = int(mask.sum())
+        if count > best_count:
+            best_count = count
+            best_mask = mask
+            ratio = count / n
+            if ratio >= 1.0:
+                needed = it
+            else:
+                p_good = max(ratio ** 4, 1e-12)
+                needed = math.ceil(math.log(1.0 - cfg.confidence)
+                                   / math.log(1.0 - p_good))
+
+    if best_count < max(cfg.min_inliers, 4):
+        return PnPResult(pose=T_init, inliers=np.zeros(n, dtype=bool),
+                         success=False, rmse=float("inf"), hypotheses=it)
+
+    refine_idx = np.nonzero(best_mask)[0]
+    if len(refine_idx) > REFINE_POINT_CAP:
+        stride = -(-len(refine_idx) // REFINE_POINT_CAP)
+        refine_idx = refine_idx[::stride]
+    refined = refine_pose(corrs.subset(refine_idx), K, T_init)
+    err = _reproj_errors_reference(corrs, K, refined.pose)
+    final_mask = err < cfg.inlier_threshold
+    if int(final_mask.sum()) < max(cfg.min_inliers, 4):
+        final_mask = best_mask
+    rmse = float(np.sqrt(np.mean(err[final_mask] ** 2)))
+    return PnPResult(pose=refined.pose, inliers=final_mask, success=True,
+                     rmse=rmse, hypotheses=it)
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except Exception as exc:  # compared by type and message
+        return exc
+
+
+def assert_same_outcome(a, b):
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        assert type(a) is type(b) and str(a) == str(b), (a, b)
+        return
+    assert np.array_equal(a.pose.q, b.pose.q)
+    assert np.array_equal(a.pose.t, b.pose.t)
+    assert np.array_equal(a.inliers, b.inliers)
+    assert a.rmse == b.rmse
+    assert a.hypotheses == b.hypotheses
+    assert a.success == b.success
+
+
+# a 480x160 camera, and one whose focal length makes the 1e-9 damping
+# vanish next to the normal equations of four coincident points, so that
+# their solve is singular
+K_RANSAC = CameraIntrinsics(fx=100.0, fy=100.0, cx=240.0, cy=80.0, width=480, height=160)
+K_LONG = CameraIntrinsics(fx=1e5, fy=1e5, cx=240.0, cy=80.0, width=480, height=160)
+
+
+def make_ransac_problem(n, outlier_frac, behind_frac, sigma, seed, K=K_RANSAC):
+    """Random correspondences around a random pose, with outliers and with
+    points behind the camera at the returned initial pose."""
+    rng = np.random.default_rng(seed)
+    T = se3_exp(rng.uniform(-0.3, 0.3, 6))
+    T_init = T.compose(se3_exp(rng.uniform(-0.03, 0.03, 6)))
+    cam = rng.uniform([-20.0, -6.0, 2.0], [20.0, 6.0, 60.0], (n, 3))
+    behind = rng.random(n) < behind_frac
+    cam[behind, 2] *= -1.0
+    P = T_init.inverse().apply(cam)
+    uv, _ = project_points(K, T.apply(P))
+    x = uv + rng.normal(0.0, sigma, uv.shape)
+    out = rng.random(n) < outlier_frac
+    x[out] += rng.uniform(-80.0, 80.0, (int(out.sum()), 2))
+    return Correspondences.from_arrays(P, x), T_init
 
 
 def make_exact_corrs(K, pose, points, n, seed, z_min=1.0):
@@ -186,3 +320,95 @@ class TestRansac:
             RansacConfig(inlier_threshold=0.0)
         with pytest.raises(ValueError):
             RansacConfig(confidence=1.0)
+
+    @pytest.mark.parametrize("field,bad", [
+        ("inlier_threshold", float("nan")), ("inlier_threshold", float("inf")),
+        ("max_iters", 2.5), ("min_inliers", -1), ("seed", -1)])
+    def test_config_rejects_bad_value_naming_field(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            RansacConfig(**{field: bad})
+
+
+class TestBatchedRansac:
+    """The batched RANSAC against the sequential reference above."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.one_of(st.integers(4, 12), st.integers(13, 3000)),
+           outlier_frac=st.floats(0.0, 0.9),
+           behind_frac=st.sampled_from([0.0, 0.02, 0.3]),
+           sigma=st.sampled_from([0.0, 0.5, 2.0]),
+           max_iters=st.sampled_from([1, 3, 17, 40, 1000]),
+           min_inliers=st.sampled_from([0, 4, 20, 20, 5000]),
+           threshold=st.sampled_from([1.0, 2.0, 3.0]),
+           seed=st.integers(0, 2**32 - 1), ransac_seed=st.integers(0, 2**32 - 1))
+    def test_matches_sequential_reference(self, n, outlier_frac, behind_frac, sigma,
+                                          max_iters, min_inliers, threshold,
+                                          seed, ransac_seed):
+        corrs, T_init = make_ransac_problem(n, outlier_frac, behind_frac, sigma, seed)
+        cfg = RansacConfig(max_iters=max_iters, min_inliers=min_inliers,
+                           inlier_threshold=threshold, seed=ransac_seed)
+        assert_same_outcome(
+            _outcome(solve_pnp_ransac, corrs, K_RANSAC, T_init, cfg),
+            _outcome(_solve_pnp_ransac_reference, corrs, K_RANSAC, T_init, cfg))
+
+    @pytest.mark.parametrize("case", [
+        "four_inliers", "all_inliers", "max_iters_1", "max_iters_3", "max_iters_17",
+        "min_inliers_above_n", "half_behind", "nan_pixels", "coincident_points"])
+    def test_edge_cases_match_reference(self, case):
+        K, n, outliers, behind, kw = K_RANSAC, 300, 0.4, 0.0, {}
+        if case == "four_inliers":
+            n, outliers = 4, 0.0
+        elif case == "all_inliers":
+            outliers = 0.0
+        elif case.startswith("max_iters_"):
+            kw["max_iters"] = int(case.rsplit("_", 1)[1])
+            outliers = 0.8
+        elif case == "min_inliers_above_n":
+            kw["min_inliers"] = n + 1
+        elif case == "half_behind":
+            behind = 0.5
+        corrs, T_init = make_ransac_problem(n, outliers, behind, 0.5, 77)
+        if case == "nan_pixels":
+            corrs.x_img[::2] = np.nan
+        if case == "coincident_points":
+            # six correspondences, four of them one point straight ahead
+            K, T_init, kw["max_iters"] = K_LONG, PoseSE3.identity(), 40
+            P = np.array([[0.0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 1],
+                          [1, 0, 2], [0, 1, 3]])
+            corrs = Correspondences.from_arrays(P, project_points(K, P)[0])
+        for ransac_seed in (3, 1234, 987654):
+            cfg = RansacConfig(seed=ransac_seed, **kw)
+            assert_same_outcome(
+                _outcome(solve_pnp_ransac, corrs, K, T_init, cfg),
+                _outcome(_solve_pnp_ransac_reference, corrs, K, T_init, cfg))
+
+    def test_batched_fit_matches_reference_fit(self):
+        # one stack mixing ordinary samples, samples behind the camera, a
+        # sample with a NaN pixel and singular samples of coincident points
+        corrs, T_init = make_ransac_problem(400, 0.3, 0.05, 1.0, 5, K=K_LONG)
+        rng = np.random.default_rng(6)
+        idx = np.array([rng.choice(len(corrs), size=4, replace=False)
+                        for _ in range(40)])
+        P, x = corrs.p_world[idx], corrs.x_img[idx]
+        x[7, 2] = np.nan
+        singular = [3, 11, 12]
+        P[singular] = T_init.inverse().apply([0.0, 0.0, 1.0])
+        x[singular] = project_points(K_LONG, T_init.apply(P[3]))[0]
+        R, t, fitted, errors = _fit_minimal_batch(P, x, K_LONG, T_init)
+        failed = []
+        for k in range(len(P)):
+            sample = Correspondences.from_arrays(P[k], x[k])
+            try:
+                ref = _fit_minimal_reference(sample, K_LONG, T_init)
+            except ValueError as exc:
+                assert k == 7 and not fitted[k] and str(errors[k]) == str(exc)
+                continue
+            if ref is None:
+                assert not fitted[k] and k not in errors
+                failed.append(k)
+                continue
+            assert fitted[k]
+            assert np.array_equal(R[k], ref.rotation_matrix())
+            assert np.array_equal(t[k], ref.t)
+        assert set(singular) < set(failed)
+        assert 7 in errors

@@ -10,8 +10,9 @@ from lidartrack.pnp import RansacConfig
 from lidartrack.synth import (SceneConfig, TrajectoryConfig, VoOracleConfig,
                               generate_scene, generate_trajectory,
                               integrate_relatives, vo_oracle)
-from lidartrack.tracker import (Scenario, Tracker, TrackerConfig,
-                                build_scenario)
+from lidartrack.tracker import (DIAGNOSTIC_COLUMNS, Scenario, Tracker,
+                                TrackerConfig, build_scenario,
+                                write_diagnostics_csv)
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +176,39 @@ class TestLooseCoupled:
         scen = Scenario(lidar_map=gmap, gt_poses=gt, vo_relatives=None)
         with pytest.raises(ValueError):
             Tracker(make_config(K_small, "loose_coupled")).run(scen)
+
+
+class TestDiagnostics:
+    def test_every_emitted_key_is_a_csv_column(self, K_small, small_world, tmp_path):
+        # each mode over normal, rescued and failed frames; the CSV writer
+        # drops keys that are not columns, so none may be missing
+        gmap, gt, vo = small_world
+        runs = {
+            "multi_view": Scenario(lidar_map=gmap, gt_poses=gt,
+                                   outage_frames=frozenset({3, 4}),
+                                   flow_kill_frames=frozenset(range(8, len(gt)))),
+            "frame_by_frame": Scenario(lidar_map=gmap, gt_poses=gt,
+                                       outage_frames=frozenset({4})),
+            "loose_coupled": Scenario(lidar_map=gmap, gt_poses=gt, vo_relatives=vo,
+                                      outage_frames=frozenset({4})),
+        }
+        for mode, scen in runs.items():
+            res = Tracker(make_config(K_small, mode)).run(scen)
+            keys = set().union(*res.diagnostics)
+            assert keys <= set(DIAGNOSTIC_COLUMNS), (mode, keys - set(DIAGNOSTIC_COLUMNS))
+            hyps = [d["ransac_hyp_cur"] for d in res.diagnostics if "ransac_hyp_cur" in d]
+            assert hyps[0] > 0 and hyps[4] == 0  # an outage frame runs no RANSAC
+            if mode == "multi_view":
+                assert not res.complete
+                assert {"one_frame", "consistency_only"} & {d.get("rescued") for d in res.diagnostics}
+                assert all("ransac_hyp_next" in d for d in res.diagnostics[:-1])
+            elif mode == "frame_by_frame":
+                assert not res.complete and len(res.diagnostics) == 5
+            else:
+                assert res.diagnostics[4]["candidate"] == "vo"
+            path = tmp_path / f"{mode}.csv"
+            write_diagnostics_csv(res.diagnostics, path)
+            assert path.read_text().splitlines()[0].split(",") == DIAGNOSTIC_COLUMNS
 
 
 class TestModeDominance:
