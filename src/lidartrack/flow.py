@@ -14,7 +14,10 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, PoseSE3, project_points
 from .rendering import (DEFAULT_OCCLUSION_APERTURE_DEG, DEFAULT_OCCLUSION_WINDOW,
-                        FlowField, gt_depth_flow, remove_occlusions, render_depth)
+                        DepthMap, FlowField, _depth_flow_lists, _flow_field, _pixel_lists,
+                        render_depth)
+# perfbench/tracing.py wraps flow.remove_occlusions, so the name stays importable here
+from .rendering import remove_occlusions  # noqa: F401
 
 
 class EmptyMaskError(ValueError):
@@ -169,64 +172,70 @@ def total_loss(f_c2d_pre: FlowField, f_c2d_gt: FlowField,
             + mean_residual_norm(consistency_residual(t)))
 
 
-def apply_noise(field: FlowField, model: FlowNoiseModel, rng: np.random.Generator) -> FlowField:
-    """One noisy draw of a flow field: jitter, outliers, then dropout."""
-    out = field.copy()
-    rows, cols = np.nonzero(out.valid)
-    n = len(rows)
-    if n == 0:
-        return out
+def _noise_lists(du, dv, model: FlowNoiseModel, rng: np.random.Generator):
+    """Jitter, outliers, then dropout on row-major per-pixel flow values.
+
+    Returns (du, dv, keep); dropped pixels read 0 in du and dv and False
+    in ``keep``.  May write into the arrays it is given.  The draws
+    depend only on the number of pixels, so a list in ``np.flatnonzero``
+    order draws what the dense field's valid pixels would.
+    """
+    n = len(du)
+    keep = np.ones(n, dtype=bool)
     if model.gaussian_sigma > 0:
-        out.du[rows, cols] += rng.normal(0.0, model.gaussian_sigma, n)
-        out.dv[rows, cols] += rng.normal(0.0, model.gaussian_sigma, n)
+        du = du + rng.normal(0.0, model.gaussian_sigma, n)
+        dv = dv + rng.normal(0.0, model.gaussian_sigma, n)
     if model.outlier_fraction > 0:
         k = int(round(model.outlier_fraction * n))
         if k > 0:
             pick = rng.choice(n, size=k, replace=False)
             phi = rng.uniform(0.0, 2.0 * math.pi, k)
-            out.du[rows[pick], cols[pick]] = model.outlier_magnitude * np.cos(phi)
-            out.dv[rows[pick], cols[pick]] = model.outlier_magnitude * np.sin(phi)
+            du[pick] = model.outlier_magnitude * np.cos(phi)
+            dv[pick] = model.outlier_magnitude * np.sin(phi)
     if model.dropout_fraction > 0:
         k = int(round(model.dropout_fraction * n))
         if k > 0:
             pick = rng.choice(n, size=k, replace=False)
-            out.valid[rows[pick], cols[pick]] = False
-            out.du[rows[pick], cols[pick]] = 0.0
-            out.dv[rows[pick], cols[pick]] = 0.0
+            keep[pick] = False
+            du[pick] = 0.0
+            dv[pick] = 0.0
+    return du, dv, keep
+
+
+def apply_noise(field: FlowField, model: FlowNoiseModel, rng: np.random.Generator) -> FlowField:
+    """One noisy draw of a flow field: jitter, outliers, then dropout."""
+    out = field.copy()
+    flat = np.flatnonzero(out.valid)
+    if len(flat) == 0:
+        return out
+    du, dv, keep = _noise_lists(out.du.ravel()[flat], out.dv.ravel()[flat], model, rng)
+    out.du.reshape(-1)[flat] = du
+    out.dv.reshape(-1)[flat] = dv
+    out.valid.reshape(-1)[flat[~keep]] = False
     return out
 
 
-def _restrict_covisible(field: FlowField, depth_src, points, K, T_gt, depth_gt,
-                        aperture_deg) -> FlowField:
-    """Invalidate flow pixels whose source point is occluded under T_gt.
+def _covisible(pts, K: CameraIntrinsics, T_gt: PoseSE3, ids, depth_gt: DepthMap,
+               aperture_deg: float) -> np.ndarray:
+    """Keep-mask of the points ``pts[ids]`` that are not occluded under T_gt.
 
     A point stays when the occlusion-removed render at T_gt is valid at
     the point's projected pixel with a depth within the visibility-cone
     gap of the point's own depth; anything nearer there occludes it.
     """
-    out = field.copy()
-    rows, cols = np.nonzero(out.valid)
-    if len(rows) == 0 or aperture_deg <= 0:
-        return out
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    P = pts[depth_src[rows, cols]]
-    cam = T_gt.apply(P)
+    cam = T_gt.apply(pts[ids])
     z = cam[:, 2]
     uv, front = project_points(K, cam)
     px = np.rint(uv).astype(np.int64)
-    h, w = field.shape
+    h, w = K.height, K.width
     inb = front & (px[:, 0] >= 0) & (px[:, 0] < w) & (px[:, 1] >= 0) & (px[:, 1] < h)
-    visible = np.zeros(len(rows), dtype=bool)
+    visible = np.zeros(len(ids), dtype=bool)
     sel = np.nonzero(inb)[0]
     d_at = depth_gt.depth[px[sel, 1], px[sel, 0]]
     v_at = depth_gt.valid[px[sel, 1], px[sel, 0]]
     gap_allowed = d_at / (K.mean_focal * math.tan(math.radians(aperture_deg)))
     visible[sel] = v_at & (z[sel] - d_at <= gap_allowed)
-    bad = ~visible
-    out.valid[rows[bad], cols[bad]] = False
-    out.du[rows[bad], cols[bad]] = 0.0
-    out.dv[rows[bad], cols[bad]] = 0.0
-    return out
+    return visible
 
 
 def oracle_depth_flow(points, K: CameraIntrinsics, T_init: PoseSE3, T_gt: PoseSE3,
@@ -239,19 +248,25 @@ def oracle_depth_flow(points, K: CameraIntrinsics, T_init: PoseSE3, T_gt: PoseSE
     Pixels whose source point is occluded under the target pose are
     masked: the true displacement of an invisible point is not something
     a flow network could observe, and keeping it would poison the
-    cross-modal identity.
+    cross-modal identity.  Depth flow, co-visibility and noise run on
+    row-major pixel lists; the dense field is built once, at return.
     """
     if depth is None:
-        depth = remove_occlusions(render_depth(points, K, T_init),
-                                  occlusion_aperture_deg, occlusion_window)
-    clean = gt_depth_flow(points, K, T_init, T_gt, depth=depth)
-    if depth_gt is None:
-        depth_gt = remove_occlusions(render_depth(points, K, T_gt),
-                                     occlusion_aperture_deg, occlusion_window)
-    clean = _restrict_covisible(clean, depth.source, points, K, T_gt, depth_gt,
-                                occlusion_aperture_deg)
+        depth = render_depth(points, K, T_init, occlusion_aperture_deg, occlusion_window)
+    flat, ids = _pixel_lists(depth, K)
+    if len(flat) == 0:
+        return FlowField.invalid(K.height, K.width)
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    keep, du, dv = _depth_flow_lists(pts, K, T_init, T_gt, flat, ids)
+    flat, ids = flat[keep], ids[keep]
+    if len(flat) and not occlusion_aperture_deg <= 0:  # a NaN aperture masks every pixel
+        if depth_gt is None:
+            depth_gt = render_depth(points, K, T_gt, occlusion_aperture_deg, occlusion_window)
+        keep = _covisible(pts, K, T_gt, ids, depth_gt, occlusion_aperture_deg)
+        flat, du, dv = flat[keep], du[keep], dv[keep]
     rng = np.random.default_rng(np.random.SeedSequence((noise.seed, stream)))
-    return apply_noise(clean, noise, rng)
+    du, dv, keep = _noise_lists(du, dv, noise, rng)
+    return _flow_field(K.height, K.width, flat[keep], du[keep], dv[keep])
 
 
 def oracle_flows(points, K: CameraIntrinsics, T_init: PoseSE3,
@@ -269,12 +284,9 @@ def oracle_flows(points, K: CameraIntrinsics, T_init: PoseSE3,
     current-image raster).
     """
     if depth_init is None:
-        depth_init = remove_occlusions(render_depth(points, K, T_init),
-                                       occlusion_aperture_deg, occlusion_window)
-    depth_cur = remove_occlusions(render_depth(points, K, T_gt_cur),
-                                  occlusion_aperture_deg, occlusion_window)
-    depth_next = remove_occlusions(render_depth(points, K, T_gt_next),
-                                   occlusion_aperture_deg, occlusion_window)
+        depth_init = render_depth(points, K, T_init, occlusion_aperture_deg, occlusion_window)
+    depth_cur = render_depth(points, K, T_gt_cur, occlusion_aperture_deg, occlusion_window)
+    depth_next = render_depth(points, K, T_gt_next, occlusion_aperture_deg, occlusion_window)
     f_c2d = oracle_depth_flow(points, K, T_init, T_gt_cur, noise, stream=0,
                               occlusion_aperture_deg=occlusion_aperture_deg,
                               depth=depth_init, depth_gt=depth_cur)

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +158,13 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):

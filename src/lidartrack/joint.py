@@ -14,6 +14,7 @@ optimization, keeping the residuals smooth and the Jacobian analytic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,14 @@ class EnergyConfig:
     lambda0: float = 1e-4
 
     def __post_init__(self):
+        for name in ("w_consist", "w_reproj"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not (math.isfinite(self.huber_delta) and self.huber_delta > 0):
+            raise ValueError("huber_delta must be finite and positive")
+        for name in ("lambda0", "rel_tol"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be finite and non-negative")
         if self.w_consist < 0 or self.w_reproj < 0:
             raise ValueError("term weights must be non-negative")
         if self.w_consist == 0 and self.w_reproj == 0:

@@ -112,7 +112,11 @@ class PnPResult:
 
 
 def correspondences_from_flow(d: DepthMap, f: FlowField, points) -> Correspondences:
-    """Pair each jointly valid pixel's source point with pixel + flow."""
+    """Pair each jointly valid pixel's source point with pixel + flow.
+
+    Pairs whose pixel or point is not finite (a NaN flow sample) are
+    dropped: RANSAC cannot score them, and one would end the fit.
+    """
     if d.depth.shape != f.shape:
         raise ValueError("depth map and flow field dimensions differ")
     mask = d.valid & f.valid
@@ -120,6 +124,9 @@ def correspondences_from_flow(d: DepthMap, f: FlowField, points) -> Corresponden
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     p_world = pts[d.source[rows, cols]]
     x_img = np.stack([cols + f.du[rows, cols], rows + f.dv[rows, cols]], axis=1)
+    if not (np.isfinite(x_img).all() and np.isfinite(p_world).all()):
+        finite = np.isfinite(x_img).all(axis=1) & np.isfinite(p_world).all(axis=1)
+        p_world, x_img = p_world[finite], x_img[finite]
     return Correspondences.from_arrays(p_world, x_img)
 
 

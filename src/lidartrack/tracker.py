@@ -30,7 +30,9 @@ from .pnp import (Correspondences, DegenerateConfigurationError, PnPResult,
                   RansacConfig, TooFewCorrespondencesError,
                   correspondences_from_flow, solve_pnp_ransac)
 from .rendering import (DEFAULT_OCCLUSION_APERTURE_DEG, DEFAULT_OCCLUSION_WINDOW,
-                        remove_occlusions, render_depth)
+                        render_depth)
+# perfbench/tracing.py wraps tracker.remove_occlusions, so the name stays importable here
+from .rendering import remove_occlusions  # noqa: F401
 
 MODES = ("frame_by_frame", "loose_coupled", "multi_view")
 
@@ -128,8 +130,8 @@ class Tracker:
         t1 = time.perf_counter()
         depth = None
         if len(crop):
-            depth = remove_occlusions(render_depth(crop, cfg.camera, T_init),
-                                      cfg.occlusion_aperture_deg, cfg.occlusion_window)
+            depth = render_depth(crop, cfg.camera, T_init,
+                                 cfg.occlusion_aperture_deg, cfg.occlusion_window)
         t2 = time.perf_counter()
         return crop, depth, {"ms_crop": 1e3 * (t1 - t0), "ms_render": 1e3 * (t2 - t1)}
 

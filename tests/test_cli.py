@@ -75,6 +75,24 @@ class TestSynth:
         documented = json.loads(re.sub(r"//[^\n]*", "", block))
         assert documented == cli.DEFAULT_CONFIG
 
+    def test_fractional_width_is_a_config_error(self, tmp_path):
+        # run as a program so that a traceback would show on stderr
+        cfg = write_config(tmp_path / "cfg.json", camera={"width": 960.5})
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lidartrack.cli", "synth", "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == EXIT_ERROR
+        assert "ERROR lidartrack: width must be an integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_zero_huber_delta_rejected(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", energy={"huber_delta": 0})
+        assert main(["synth", "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_ERROR
+
     def test_zero_point_cap_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", tracker={"consist_point_cap": 0})
         assert main(["synth", "--config", str(cfg), "--out",

@@ -59,6 +59,22 @@ class TestProjection:
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=1, fy=1, cx=20, cy=1, width=10, height=10)
 
+    @pytest.mark.parametrize("field,bad", [
+        ("fx", float("nan")), ("fx", float("inf")), ("fy", float("nan")),
+        ("fy", float("inf")), ("cx", float("nan")), ("cx", float("inf")),
+        ("cy", float("nan")), ("cy", float("-inf")),
+        ("width", 20.7), ("width", 20.0), ("width", True),
+        ("height", 20.7), ("height", 20.0), ("height", True)])
+    def test_intrinsics_reject_bad_value_naming_field(self, field, bad):
+        good = dict(fx=100.0, fy=100.0, cx=10.0, cy=10.0, width=20, height=20)
+        with pytest.raises(ValueError, match=field):
+            CameraIntrinsics(**dict(good, **{field: bad}))
+
+    def test_intrinsics_accept_numpy_integer_size(self):
+        K = CameraIntrinsics(fx=100.0, fy=100.0, cx=10.0, cy=10.0,
+                             width=np.int64(20), height=np.int32(20))
+        assert K.width == 20 and K.height == 20
+
 
 class TestTransform:
     def test_identity(self):

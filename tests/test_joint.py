@@ -262,6 +262,21 @@ class TestOptimizePair:
         with pytest.raises(ValueError):
             EnergyConfig(max_iters=0)
 
+    @pytest.mark.parametrize("field,bad", [
+        ("huber_delta", 0.0), ("huber_delta", -1.0), ("huber_delta", float("nan")),
+        ("huber_delta", float("inf")),
+        ("lambda0", -1.0), ("lambda0", float("nan")), ("lambda0", float("inf")),
+        ("rel_tol", -1.0), ("rel_tol", float("nan")), ("rel_tol", float("inf")),
+        ("w_consist", float("nan")), ("w_consist", float("inf")),
+        ("w_reproj", float("nan")), ("w_reproj", float("inf"))])
+    def test_config_rejects_bad_value_naming_field(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            EnergyConfig(**{field: bad})
+
+    def test_config_accepts_zero_lambda_and_tolerance(self):
+        cfg = EnergyConfig(lambda0=0.0, rel_tol=0.0)
+        assert cfg.lambda0 == 0.0 and cfg.rel_tol == 0.0
+
     def test_energy_trace_csv(self, pair_world, tmp_path):
         from lidartrack.joint import save_energy_trace
         K, T_cur, T_next, crop, pts, samples = pair_world

@@ -207,6 +207,27 @@ class TestCorrespondencesFromFlow:
         with pytest.raises(ValueError):
             correspondences_from_flow(d, FlowField.invalid(4, 4), np.zeros((1, 3)))
 
+    def test_non_finite_pairs_dropped(self, K, corridor):
+        gmap, traj = corridor
+        T = traj[0]
+        crop = crop_local(gmap, T, CropExtents()).copy()
+        d = remove_occlusions(render_depth(crop, K, T))
+        f = FlowField(np.zeros(d.depth.shape), np.zeros(d.depth.shape), d.valid.copy())
+        rows, cols = np.nonzero(d.valid)
+        f.du[rows[::2], cols[::2]] = np.nan
+        f.dv[rows[1::4], cols[1::4]] = np.inf
+        crop[d.source[rows[3], cols[3]]] = np.nan  # a non-finite map point
+        corrs = correspondences_from_flow(d, f, crop)
+        kept = np.ones(len(rows), dtype=bool)
+        kept[::2] = False
+        kept[1::4] = False
+        kept[3] = False
+        assert len(corrs) == kept.sum() > 0
+        assert np.isfinite(corrs.x_img).all() and np.isfinite(corrs.p_world).all()
+        assert np.array_equal(corrs.x_img[:, 0], cols[kept])
+        assert np.array_equal(corrs.x_img[:, 1], rows[kept])
+        assert np.array_equal(corrs.p_world, crop[d.source[rows[kept], cols[kept]]])
+
 
 class TestRefinePose:
     def test_stays_at_noiseless_optimum(self, world):

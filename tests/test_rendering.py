@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidartrack.geometry import PerturbBounds, PoseSE3, perturb_pose, project_points
+from lidartrack.geometry import (CameraIntrinsics, PerturbBounds, PoseSE3,
+                                 perturb_pose, project_points)
 from lidartrack.rendering import (DepthMap, FlowField, gt_depth_flow,
                                   remove_occlusions, render_depth)
 
@@ -40,6 +41,56 @@ def _remove_occlusions_reference(d, cone_aperture_deg=10.0, window=7):
     out.depth[~out.valid] = 0.0
     out.source[~out.valid] = -1
     return out
+
+
+def _render_depth_reference(points, K, T):
+    """The dense z-buffer: full-image outputs written by flat index.  Kept
+    as the reference the row-major winner lists must match bit for bit."""
+    h, w = K.height, K.width
+    depth = np.zeros((h, w))
+    valid = np.zeros((h, w), dtype=bool)
+    source = np.full((h, w), -1, dtype=np.int64)
+    d = DepthMap(depth, valid, source, K.mean_focal)
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    if len(pts) == 0:
+        return d
+    cam = T.apply(pts)
+    z = cam[:, 2]
+    uv, in_front = project_points(K, cam)
+    px = np.rint(uv).astype(np.int64)
+    ok = in_front & (px[:, 0] >= 0) & (px[:, 0] < w) & (px[:, 1] >= 0) & (px[:, 1] < h)
+    idx = np.nonzero(ok)[0]
+    if len(idx) == 0:
+        return d
+    flat = px[idx, 1] * w + px[idx, 0]
+    qz = np.round(z[idx] / 1e-9).astype(np.int64)
+    order = np.lexsort((idx, qz, flat))
+    flat_sorted = flat[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = flat_sorted[1:] != flat_sorted[:-1]
+    win = idx[order[first]]
+    fw = flat_sorted[first]
+    depth.reshape(-1)[fw] = z[win]
+    valid.reshape(-1)[fw] = True
+    source.reshape(-1)[fw] = win
+    return d
+
+
+def _random_cloud(seed, h, w, n):
+    """A small camera and a cloud around its view: half the depths on a
+    half-metre grid (exact ties), a fifth behind the camera."""
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(5.0, 200.0)
+    K = CameraIntrinsics(fx=f, fy=f * rng.uniform(0.8, 1.2), cx=w / 2.0,
+                         cy=h / 2.0, width=w, height=h)
+    u = rng.uniform(-2.0, w + 2.0, n)
+    v = rng.uniform(-2.0, h + 2.0, n)
+    z = rng.uniform(0.5, 20.0, n)
+    tie = rng.random(n) < 0.5
+    z[tie] = np.round(2.0 * z[tie]) / 2.0
+    z[rng.random(n) < 0.2] *= -1.0
+    pts = np.stack([(u - K.cx) * np.abs(z) / K.fx, (v - K.cy) * np.abs(z) / K.fy, z], axis=1)
+    return K, pts, perturb_pose(PoseSE3.identity(), PerturbBounds(0.2, 3.0), seed)
 
 
 def _assert_same_depth_map(a, b):
@@ -112,6 +163,48 @@ class TestRenderDepth:
         # winners are the same 3D points even though ids renumber
         sel = a.valid
         assert np.allclose(pts[a.source[sel]], pts[perm][b.source[sel]])
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), h=st.integers(1, 40), w=st.integers(1, 60),
+           n=st.sampled_from([0, 1, 7, 80, 600]))
+    def test_matches_dense_reference(self, seed, h, w, n):
+        K, pts, T = _random_cloud(seed, h, w, n)
+        _assert_same_depth_map(render_depth(pts, K, T), _render_depth_reference(pts, K, T))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), h=st.integers(1, 40), w=st.integers(1, 60),
+           n=st.sampled_from([0, 1, 7, 80, 600]),
+           aperture=st.sampled_from([-3.0, 0.0, 0.5, 2.0, 10.0, 45.0, 89.0]),
+           window=st.sampled_from([0, 1, 3, 5, 7, 9, 121]))
+    def test_occlusion_keywords_match_filter_chain(self, seed, h, w, n, aperture, window):
+        K, pts, T = _random_cloud(seed, h, w, n)
+        _assert_same_depth_map(render_depth(pts, K, T, aperture, window),
+                               remove_occlusions(render_depth(pts, K, T), aperture, window))
+
+    @pytest.mark.parametrize("window,aperture", [(3, 10.0), (7, 10.0), (7, 30.0),
+                                                 (9, 2.0), (7, 0.0)])
+    def test_occlusion_keywords_match_filter_chain_on_corridor(self, K, K_small, corridor,
+                                                               window, aperture):
+        gmap, traj = corridor
+        for cam in (K, K_small):
+            for pose in traj:
+                _assert_same_depth_map(
+                    render_depth(gmap.points, cam, pose, aperture, window),
+                    remove_occlusions(render_depth(gmap.points, cam, pose), aperture, window))
+
+    def test_corridor_matches_dense_reference(self, K, K_small, corridor):
+        gmap, traj = corridor
+        for cam in (K, K_small):
+            for pose in traj:
+                _assert_same_depth_map(render_depth(gmap.points, cam, pose),
+                                       _render_depth_reference(gmap.points, cam, pose))
+
+    def test_default_keywords_do_not_filter(self, K, corridor):
+        gmap, traj = corridor
+        d = render_depth(gmap.points, K, traj[0])
+        assert remove_occlusions(d).valid.sum() < d.valid.sum()
+        _assert_same_depth_map(d, render_depth(gmap.points, K, traj[0], 0.0))
 
 
 class TestRemoveOcclusions:

@@ -135,6 +135,29 @@ class TestFrameByFrame:
         assert not res.complete
         assert len(res.trajectory) == 4
 
+    def test_nan_flow_samples_do_not_raise(self, K_small, small_world, monkeypatch):
+        # a flow front-end that returns NaN at half the valid pixels must
+        # not end the step in an exception from PnP
+        import lidartrack.tracker as tracker_module
+        real = tracker_module.oracle_depth_flow
+
+        def nan_oracle(*args, **kwargs):
+            f = real(*args, **kwargs)
+            rows, cols = np.nonzero(f.valid)
+            f.du[rows[::2], cols[::2]] = np.nan
+            f.dv[rows[::2], cols[::2]] = np.nan
+            return f
+
+        monkeypatch.setattr(tracker_module, "oracle_depth_flow", nan_oracle)
+        gmap, gt, _ = small_world
+        tracker = Tracker(make_config(K_small, "frame_by_frame"))
+        state = tracker.init(gt[0])
+        for i in range(3):
+            state, pose, diag = tracker.step_frame_by_frame(state, gmap, gt[i])
+            assert pose is not None
+            assert diag["inliers_cur"] > 0
+        assert pose_error(pose, gt[2])[1] < 0.05
+
     def test_empty_crop_fails(self, K_small, small_world):
         gmap, gt, _ = small_world
         far = PoseSE3(gt[0].q, gt[0].t + np.array([0.0, 0.0, 5000.0]))
