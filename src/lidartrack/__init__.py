@@ -9,9 +9,8 @@ adjacent poses jointly under a cross-modal consistency energy.
 __version__ = "0.1.0"
 
 from .geometry import (BehindCameraError, CameraIntrinsics, PerturbBounds,
-                       PoseSE3, h_project, perturb_pose, pose_compose,
-                       pose_error, pose_inverse, project_point, se3_exp,
-                       se3_log, transform_point)
+                       PoseSE3, perturb_pose, pose_error, project_point,
+                       se3_exp, se3_log)
 from .mapping import CropExtents, GlobalMap, aggregate_scans, crop_local, downsample
 from .rendering import DepthMap, FlowField, gt_depth_flow, remove_occlusions, render_depth
 from .flow import (EmptyMaskError, FlowNoiseModel, FlowTriplet, apply_noise,
@@ -21,8 +20,7 @@ from .pnp import (Correspondences, DegenerateConfigurationError, PnPResult,
                   RansacConfig, TooFewCorrespondencesError,
                   correspondences_from_flow, refine_pose, solve_pnp_ransac)
 from .joint import (ConsistencyTerm, EnergyConfig, JointResult, e_consist,
-                    e_reproj, optimize_next_only, optimize_pair,
-                    save_energy_trace)
+                    e_reproj, optimize_next_only, optimize_pair)
 from .synth import (SceneConfig, TrajectoryConfig, VoOracleConfig,
                     generate_scene, generate_trajectory, integrate_relatives,
                     vo_oracle)

@@ -270,19 +270,6 @@ class PoseSE3:
 # operations
 # ---------------------------------------------------------------------------
 
-def pose_compose(a: PoseSE3, b: PoseSE3) -> PoseSE3:
-    return a.compose(b)
-
-
-def pose_inverse(a: PoseSE3) -> PoseSE3:
-    return a.inverse()
-
-
-def transform_point(T: PoseSE3, p_world) -> np.ndarray:
-    """Rigid transform of a world point into the camera frame."""
-    return T.apply(np.asarray(p_world, dtype=float))
-
-
 def project_point(K: CameraIntrinsics, p_cam) -> np.ndarray:
     """Pinhole projection of a camera-frame point; raises behind the camera.
 
@@ -293,11 +280,6 @@ def project_point(K: CameraIntrinsics, p_cam) -> np.ndarray:
     if p[2] <= MIN_DEPTH:
         raise BehindCameraError(f"point has non-positive depth Z={p[2]:g}")
     return np.array([K.fx * p[0] / p[2] + K.cx, K.fy * p[1] / p[2] + K.cy])
-
-
-def h_project(K: CameraIntrinsics, T: PoseSE3, p_world) -> np.ndarray:
-    """Full camera projection: world point -> camera frame -> pixel."""
-    return project_point(K, transform_point(T, p_world))
 
 
 def project_points(K: CameraIntrinsics, pts_cam):

@@ -1,4 +1,9 @@
-"""2D-3D correspondences from depth + flow, and RANSAC PnP with refinement.
+"""2D-3D correspondences from depth + flow, RANSAC PnP, and the LM core.
+
+``_huber_lm`` is the one Levenberg-Marquardt loop, split as in Ceres
+(Agarwal et al.): terms give residuals and Jacobians, one solver iterates.
+``refine_pose`` runs it on one reprojection term and one free pose,
+``joint.optimize_pair`` on reprojection and consistency terms.
 
 The minimal solver inside RANSAC is damped Gauss-Newton started from the
 tracking prior rather than a closed-form P3P: tracking always supplies a
@@ -22,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (MIN_DEPTH, CameraIntrinsics, PoseSE3, compose_batch,
-                       quat_to_matrix_batch, reprojection_jacobian, se3_exp,
-                       se3_exp_batch)
+                       project_points, quat_to_matrix_batch,
+                       reprojection_jacobian, se3_exp, se3_exp_batch)
 from .rendering import DepthMap, FlowField
 
 
@@ -144,74 +149,129 @@ def _huber_cost(norms, delta):
     return c
 
 
-def _project_plain(corrs, K, pose):
-    cam = pose.apply(corrs.p_world)
-    z = cam[:, 2]
-    if np.any(z <= MIN_DEPTH):
-        return None
-    uv = np.empty((len(corrs), 2))
-    uv[:, 0] = K.fx * cam[:, 0] / z + K.cx
-    uv[:, 1] = K.fy * cam[:, 1] / z + K.cy
-    return uv
+class _ReprojTerm:
+    """One frame's reprojection residuals under the pose ``which`` ("cur" or
+    "next"); a pose putting a point within ``zmin`` of its camera plane is infeasible."""
+
+    def __init__(self, corrs, which, zmin):
+        self.corrs = corrs
+        self.which = which
+        self.zmin = zmin
+
+    def residual(self, K, T_cur, T_next):
+        """(N, 2) residuals, or None at an infeasible pose."""
+        cam = (T_cur if self.which == "cur" else T_next).apply(self.corrs.p_world)
+        if np.any(cam[:, 2] <= self.zmin):
+            return None
+        return project_points(K, cam)[0] - self.corrs.x_img
+
+    def residual_jacobians(self, K, T_cur, T_next):
+        """Residuals plus the (N, 2, 6) Jacobian of the term's own pose."""
+        T = T_cur if self.which == "cur" else T_next
+        uv, z, J = reprojection_jacobian(K, T, self.corrs.p_world)
+        if np.any(z <= self.zmin):
+            return None
+        r = uv - self.corrs.x_img
+        return (r, J, None) if self.which == "cur" else (r, None, J)
 
 
-def _reproj_cost(corrs, K, pose, huber_delta):
-    uv = _project_plain(corrs, K, pose)
-    if uv is None:
-        return np.inf
-    norms = np.linalg.norm(uv - corrs.x_img, axis=1)
-    return float(np.sum(corrs.weight * _huber_cost(norms, huber_delta)))
+def _huber_energy(terms, K, T_cur, T_next, delta):
+    """Weighted Huber energy of ``terms``; inf at an infeasible pose."""
+    e = 0.0
+    for weight, term in terms:
+        r = term.residual(K, T_cur, T_next)
+        if r is None:
+            return np.inf
+        per = _huber_cost(np.linalg.norm(r, axis=1), delta)
+        if hasattr(term, "corrs"):
+            per = per * term.corrs.weight
+        e += weight * float(np.sum(per))
+    return e
 
 
-def refine_pose(corrs: Correspondences, K: CameraIntrinsics, T0: PoseSE3,
-                huber_delta: float = 2.0, max_iters: int = 30,
-                rel_tol: float = 1e-12, lambda0: float = 1e-4) -> RefineResult:
-    """Minimize the weighted Huber reprojection cost from T0.
+def _normal_equations(terms, K, T_cur, T_next, free, delta):
+    """Gauss-Newton system (H, g) over the poses named in ``free``, or None
+    at an infeasible pose."""
+    n = 6 * len(free)
+    H = np.zeros((n, n))
+    g = np.zeros(n)
+    for weight, term in terms:
+        got = term.residual_jacobians(K, T_cur, T_next)
+        if got is None:
+            return None
+        r, Jc, Jn = got
+        blocks = {"cur": Jc, "next": Jn}
+        if len(free) == 1 and blocks[free[0]] is not None:
+            J = blocks[free[0]]  # used as is: a zero-filled copy costs time
+        else:
+            J = np.zeros((len(r), 2, n))
+            for k, name in enumerate(free):
+                if blocks[name] is not None:
+                    J[:, :, 6 * k:6 * k + 6] = blocks[name]
+        irls = _huber_weights(np.linalg.norm(r, axis=1), delta)
+        if hasattr(term, "corrs"):
+            irls = irls * term.corrs.weight
+        sw = np.sqrt(weight * irls)[:, None]
+        A = (J * sw[:, :, None]).reshape(-1, n)
+        b = (r * sw).reshape(-1)
+        H += A.T @ A
+        g += A.T @ b
+    return H, g
 
-    Levenberg-damped Gauss-Newton over the right-multiplicative local
-    parameterization; accepted steps never increase the cost.  Points
-    behind the camera at T0 are dropped up front, and trial steps that
-    would push a retained point behind the camera are rejected.
+
+def _huber_lm(terms, K, T_cur, T_next, free, delta, max_iters, rel_tol, lambda0,
+              attempts, grad_tol, rank_gate):
+    """Levenberg-Marquardt on the weighted Huber energy of ``terms``.
+
+    ``terms`` are ``(weight, term)`` pairs; a term gives ``residual`` and
+    ``residual_jacobians`` -> ``(r, J_cur, J_next)`` (None for a pose it
+    does not depend on), or None at an infeasible pose.  The poses named
+    in ``free`` move by right-multiplicative steps that strictly lower the
+    energy; each iteration tries up to ``attempts`` dampings.  Returns
+    ``(T_cur, T_next, energy_trace, iterations, converged)``, or None when
+    the initial poses are infeasible or ``rank_gate`` finds the initial
+    system rank-deficient.
     """
-    if len(corrs) < 4:
-        raise TooFewCorrespondencesError(f"need >= 4 correspondences, got {len(corrs)}")
-    _check_not_collinear(corrs.p_world)
-    z0 = T0.apply(corrs.p_world)[:, 2]
-    kept = corrs.subset(z0 > MIN_DEPTH)
-    if len(kept) < 4:
-        raise TooFewCorrespondencesError("fewer than 4 correspondences in front of camera")
-
-    pose = T0
+    built = _normal_equations(terms, K, T_cur, T_next, free, delta)
+    if built is None:
+        return None
+    H, g = built
+    n = len(H)
+    if rank_gate:
+        # rank of J equals rank of H = J^T J
+        s = np.linalg.svd(H, compute_uv=False)
+        if s[0] <= 0 or int(np.sum(s > s[0] * 1e-12)) < n:
+            return None
+    energy = _huber_energy(terms, K, T_cur, T_next, delta)
+    trace = [energy]
     lam = lambda0
-    cost = _reproj_cost(kept, K, pose, huber_delta)
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        uv, z, J = reprojection_jacobian(K, pose, kept.p_world)
-        r = uv - kept.x_img
-        norms = np.linalg.norm(r, axis=1)
-        wts = kept.weight * _huber_weights(norms, huber_delta)
-        sw = np.sqrt(wts)[:, None]
-        A = (J * sw[:, :, None]).reshape(-1, 6)
-        b = (r * sw).reshape(-1)
-        H = A.T @ A
-        g = A.T @ b
-        if np.linalg.norm(g, ord=np.inf) < 1e-12:
+        if it > 1:
+            built = _normal_equations(terms, K, T_cur, T_next, free, delta)
+            if built is None:
+                break
+            H, g = built
+        if np.linalg.norm(g, ord=np.inf) < grad_tol:
             converged = True
             break
         stepped = False
-        for _ in range(12):
-            D = H + lam * np.diag(np.diag(H)) + 1e-15 * np.eye(6)
+        for _ in range(attempts):
+            D = H + lam * np.diag(np.diag(H)) + 1e-15 * np.eye(n)
             try:
-                delta = np.linalg.solve(D, -g)
+                step = np.linalg.solve(D, -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            trial = pose.compose(se3_exp(delta))
-            trial_cost = _reproj_cost(kept, K, trial, huber_delta)
-            if trial_cost < cost:
-                rel_drop = (cost - trial_cost) / max(cost, 1e-300)
-                pose, cost = trial, trial_cost
+            trial = {"cur": T_cur, "next": T_next}
+            for k, name in enumerate(free):
+                trial[name] = trial[name].compose(se3_exp(step[6 * k:6 * k + 6]))
+            trial_energy = _huber_energy(terms, K, trial["cur"], trial["next"], delta)
+            if trial_energy < energy:
+                rel_drop = (energy - trial_energy) / max(energy, 1e-300)
+                T_cur, T_next, energy = trial["cur"], trial["next"], trial_energy
+                trace.append(energy)
                 lam = max(lam / 2.0, 1e-12)
                 stepped = True
                 if rel_drop < rel_tol:
@@ -219,11 +279,34 @@ def refine_pose(corrs: Correspondences, K: CameraIntrinsics, T0: PoseSE3,
                 break
             lam *= 10.0
         if not stepped:
-            converged = True  # no descent direction left: local minimum
+            converged = True  # no descent step left: stationary
             break
         if converged:
             break
-    return RefineResult(pose=pose, cost=cost, iterations=it, converged=converged)
+    return T_cur, T_next, trace, it, converged
+
+
+def refine_pose(corrs: Correspondences, K: CameraIntrinsics, T0: PoseSE3,
+                huber_delta: float = 2.0, max_iters: int = 30,
+                rel_tol: float = 1e-12, lambda0: float = 1e-4) -> RefineResult:
+    """Minimize the weighted Huber reprojection cost from T0.
+
+    ``_huber_lm`` on one reprojection term with T0 free; accepted steps
+    never increase the cost.  Points behind the camera at T0 are dropped
+    up front, and trial steps that would push a retained point behind the
+    camera are rejected.
+    """
+    if len(corrs) < 4:
+        raise TooFewCorrespondencesError(f"need >= 4 correspondences, got {len(corrs)}")
+    _check_not_collinear(corrs.p_world)
+    kept = corrs.subset(T0.apply(corrs.p_world)[:, 2] > MIN_DEPTH)
+    if len(kept) < 4:
+        raise TooFewCorrespondencesError("fewer than 4 correspondences in front of camera")
+    pose, _, trace, it, converged = _huber_lm(
+        [(1.0, _ReprojTerm(kept, "cur", MIN_DEPTH))], K, T0, None, ("cur",),
+        huber_delta, max_iters, rel_tol, lambda0,
+        attempts=12, grad_tol=1e-12, rank_gate=False)
+    return RefineResult(pose=pose, cost=trace[-1], iterations=it, converged=converged)
 
 
 def _check_not_collinear(p_world):

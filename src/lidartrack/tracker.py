@@ -16,6 +16,8 @@ and one rendered depth map centered at the carried initial pose.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -55,8 +57,18 @@ class TrackerConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.loose_reproj_threshold < 0 or self.failure_threshold_m <= 0:
-            raise ValueError("thresholds must be positive")
+        for name in ("loose_reproj_threshold", "failure_threshold_m",
+                     "occlusion_aperture_deg"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.loose_reproj_threshold < 0:
+            raise ValueError("loose_reproj_threshold must be non-negative")
+        if self.failure_threshold_m <= 0:
+            raise ValueError("failure_threshold_m must be positive")
+        for name in ("consist_point_cap", "reproj_point_cap", "occlusion_window"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         for name in ("consist_point_cap", "reproj_point_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -257,6 +269,7 @@ class Tracker:
         diag["e_initial"] = result.initial_energy
         diag["e_final"] = result.final_energy
         diag["opt_iters"] = result.iterations
+        diag["opt_converged"] = result.converged
 
         state.history.append(T_cur_star)
         state.T_init_next = T_next_star
@@ -460,7 +473,7 @@ def build_scenario(scene_cfg, traj_cfg, camera: CameraIntrinsics,
 DIAGNOSTIC_COLUMNS = ["frame", "mode", "rot_err_deg", "transl_err_cm",
                       "inliers_cur", "inliers_next", "ransac_hyp_cur",
                       "ransac_hyp_next", "e_initial", "e_final",
-                      "opt_iters", "rescued", "candidate", "pnp_rmse",
+                      "opt_iters", "opt_converged", "rescued", "candidate", "pnp_rmse",
                       "ms_crop", "ms_render", "ms_flow", "ms_pnp", "ms_opt"]
 
 

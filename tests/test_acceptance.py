@@ -16,8 +16,7 @@ from lidartrack.flow import (FlowNoiseModel, apply_noise, consistency_residual,
                              oracle_flows)
 from lidartrack.geometry import (DEFAULT_PERTURB, CameraIntrinsics,
                                  PerturbBounds, PoseSE3, perturb_pose,
-                                 pose_compose, pose_error, pose_inverse,
-                                 project_points, se3_exp)
+                                 pose_error, project_points, se3_exp)
 from lidartrack.joint import ConsistencyTerm, EnergyConfig, optimize_pair
 from lidartrack.mapping import CropExtents, GlobalMap, crop_local, downsample
 from lidartrack.pnp import Correspondences, RansacConfig, solve_pnp_ransac
@@ -317,9 +316,9 @@ def test_criterion_8_metrics_correctness(tmp_path, capsys):
             gt_poses, est_poses = [], []
             T = se3_exp(rng.uniform(-1, 1, 6))
             for _ in range(n):
-                T = pose_compose(se3_exp(rng.uniform(-0.2, 0.2, 6) * scale), T)
+                T = se3_exp(rng.uniform(-0.2, 0.2, 6) * scale).compose(T)
                 gt_poses.append(T)
-                est_poses.append(pose_compose(se3_exp(rng.uniform(-0.05, 0.05, 6)), T))
+                est_poses.append(se3_exp(rng.uniform(-0.05, 0.05, 6)).compose(T))
             est, gt = Trajectory(poses=est_poses), Trajectory(poses=gt_poses)
 
             # brute-force ATE
@@ -331,9 +330,9 @@ def test_criterion_8_metrics_correctness(tmp_path, capsys):
             delta = int(rng.integers(1, max(2, n - 1)))
             t_ref, r_ref = [], []
             for i in range(n - delta):
-                rel_e = pose_compose(est_poses[i], pose_inverse(est_poses[i + delta]))
-                rel_g = pose_compose(gt_poses[i], pose_inverse(gt_poses[i + delta]))
-                err = pose_compose(pose_inverse(rel_g), rel_e)
+                rel_e = est_poses[i].compose(est_poses[i + delta].inverse())
+                rel_g = gt_poses[i].compose(gt_poses[i + delta].inverse())
+                err = rel_g.inverse().compose(rel_e)
                 t_ref.append(np.linalg.norm(err.t))
                 r_ref.append(pose_error(err, PoseSE3.identity())[0])
             (tm, ts), (rm, rs) = rpe(est, gt, delta)

@@ -150,6 +150,30 @@ class TestTrack:
         assert "ERROR lidartrack: seed must be non-negative" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("section,field,bad", [
+        ("energy", "max_iters", 2.5),
+        ("tracker", "consist_point_cap", 2.5),
+        ("tracker", "reproj_point_cap", 2.5),
+        ("tracker", "occlusion_window", 2.5),
+        ("tracker", "loose_reproj_threshold", float("nan")),
+        ("tracker", "failure_threshold_m", float("nan")),
+        ("tracker", "occlusion_aperture_deg", float("nan"))])
+    def test_bad_value_is_a_config_error_naming_field(self, scenario_dir, tmp_path,
+                                                      section, field, bad):
+        # each of these values used to end in a traceback or a run that
+        # tracks nothing; run as a program so that a traceback would show
+        _, scen = scenario_dir
+        cfg = write_config(tmp_path / "cfg.json", **{section: {field: bad}})
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lidartrack.cli", "track", "--config", str(cfg),
+             "--scenario", str(scen), "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == EXIT_ERROR
+        assert f"ERROR lidartrack: {field} must be" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
     def test_mode_override_flag(self, scenario_dir, tmp_path):
         cfg, scen = scenario_dir
         out = tmp_path / "run"

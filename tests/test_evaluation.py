@@ -4,7 +4,7 @@ import pytest
 from lidartrack.evaluation import (Trajectory, ate, build_report, emit_report,
                                    load_trajectory, pose_error_stats, rpe,
                                    save_trajectory)
-from lidartrack.geometry import PoseSE3, pose_compose, pose_error, pose_inverse, se3_exp
+from lidartrack.geometry import PoseSE3, pose_error, se3_exp
 
 
 def random_trajectory(n, seed, scale=1.0):
@@ -12,7 +12,7 @@ def random_trajectory(n, seed, scale=1.0):
     poses = []
     T = se3_exp(rng.uniform(-1, 1, 6) * scale)
     for _ in range(n):
-        T = pose_compose(se3_exp(rng.uniform(-0.1, 0.1, 6) * scale), T)
+        T = se3_exp(rng.uniform(-0.1, 0.1, 6) * scale).compose(T)
         poses.append(T)
     return Trajectory(poses=poses)
 
@@ -66,7 +66,7 @@ class TestRpe:
     def test_common_transform_invariance(self):
         t = random_trajectory(15, 6)
         G = se3_exp([0.3, -0.2, 0.5, 10, -4, 2])
-        moved = Trajectory(poses=[pose_compose(p, G) for p in t.poses])
+        moved = Trajectory(poses=[p.compose(G) for p in t.poses])
         (tm, ts), (rm, rs) = rpe(moved, t, delta=1)
         assert max(tm, ts, rm, rs) < 1e-9
 
@@ -76,14 +76,14 @@ class TestRpe:
         t = random_trajectory(12, 7)
         k = 5
         est_poses = list(t.poses)
-        est_poses[k] = pose_compose(se3_exp([0, 0, 0, 0.5, 0, 0]), est_poses[k])
+        est_poses[k] = se3_exp([0, 0, 0, 0.5, 0, 0]).compose(est_poses[k])
         est = Trajectory(poses=est_poses)
         delta = 2
         errs = []
         for i in range(len(t.poses) - delta):
-            rel_e = pose_compose(est.poses[i], pose_inverse(est.poses[i + delta]))
-            rel_g = pose_compose(t.poses[i], pose_inverse(t.poses[i + delta]))
-            err = pose_compose(pose_inverse(rel_g), rel_e)
+            rel_e = est.poses[i].compose(est.poses[i + delta].inverse())
+            rel_g = t.poses[i].compose(t.poses[i + delta].inverse())
+            err = rel_g.inverse().compose(rel_e)
             errs.append(np.linalg.norm(err.t))
         errs = np.array(errs)
         touching = {k - delta, k}

@@ -5,10 +5,9 @@ import pytest
 
 from lidartrack.geometry import (DEFAULT_PERTURB, BehindCameraError,
                                  CameraIntrinsics, PerturbBounds, PoseSE3,
-                                 h_project, perturb_pose, pose_compose,
-                                 pose_error, pose_inverse, project_point,
+                                 perturb_pose, pose_error, project_point,
                                  project_points, reprojection_jacobian,
-                                 se3_exp, se3_log, transform_point)
+                                 se3_exp, se3_log)
 
 
 def rotz(deg):
@@ -36,22 +35,24 @@ class TestProjection:
         uv = project_point(K, [100.0, 0, 1.0])
         assert uv[0] > K.width  # falls outside, not clamped
 
+    # h, the full camera projection world -> pixel, is PoseSE3.apply
+    # followed by project_point
     def test_h_project_identity_equals_project(self, K):
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = rng.uniform(-5, 5, 3) + [0, 0, 10]
-            assert np.array_equal(h_project(K, PoseSE3.identity(), p),
+            assert np.array_equal(project_point(K, PoseSE3.identity().apply(p)),
                                   project_point(K, p))
 
     def test_h_project_translation(self, K):
         T = PoseSE3.identity()
         T = PoseSE3(T.q, [0, 0, -5.0])
-        assert np.allclose(h_project(K, T, [0, 0, 10]), [480.0, 160.0])
+        assert np.allclose(project_point(K, T.apply([0, 0, 10])), [480.0, 160.0])
 
     def test_h_project_behind(self, K):
         T = PoseSE3(PoseSE3.identity().q, [0, 0, -20.0])
         with pytest.raises(BehindCameraError):
-            h_project(K, T, [0, 0, 10.0])
+            project_point(K, T.apply([0, 0, 10.0]))
 
     def test_intrinsics_validation(self):
         with pytest.raises(ValueError):
@@ -78,26 +79,26 @@ class TestProjection:
 
 class TestTransform:
     def test_identity(self):
-        assert np.allclose(transform_point(PoseSE3.identity(), [1, 2, 3]), [1, 2, 3])
+        assert np.allclose(PoseSE3.identity().apply([1, 2, 3]), [1, 2, 3])
 
     def test_pure_translation(self):
         T = PoseSE3(PoseSE3.identity().q, [0, 0, 5.0])
-        assert np.allclose(transform_point(T, [0, 0, 0]), [0, 0, 5])
+        assert np.allclose(T.apply([0, 0, 0]), [0, 0, 5])
 
     def test_rotation_90_about_z(self):
         T = PoseSE3.from_rt(rotz(90.0), [0, 0, 0])
-        assert np.allclose(transform_point(T, [1, 0, 0]), [0, 1, 0], atol=1e-12)
+        assert np.allclose(T.apply([1, 0, 0]), [0, 1, 0], atol=1e-12)
 
 
 class TestGroupOps:
     def test_compose_identity(self):
         b = se3_exp([0.1, -0.2, 0.3, 1.0, 2.0, -0.5])
-        c = pose_compose(PoseSE3.identity(), b)
+        c = PoseSE3.identity().compose(b)
         assert np.allclose(c.q, b.q, atol=1e-15)
         assert np.allclose(c.t, b.t, atol=1e-15)
 
     def test_inverse_identity(self):
-        inv = pose_inverse(PoseSE3.identity())
+        inv = PoseSE3.identity().inverse()
         assert np.allclose(inv.q, [1, 0, 0, 0])
         assert np.allclose(inv.t, 0)
 
@@ -105,7 +106,7 @@ class TestGroupOps:
         rng = np.random.default_rng(3)
         for _ in range(50):
             T = se3_exp(rng.uniform(-2, 2, 6))
-            I = pose_compose(T, pose_inverse(T))
+            I = T.compose(T.inverse())
             assert abs(np.linalg.norm(I.q) - 1) < 1e-9
             assert pose_error(I, PoseSE3.identity())[0] < 1e-9
             assert np.linalg.norm(I.t) < 1e-9
@@ -114,7 +115,7 @@ class TestGroupOps:
         rng = np.random.default_rng(4)
         T = PoseSE3.identity()
         for _ in range(2000):
-            T = pose_compose(T, se3_exp(rng.uniform(-0.1, 0.1, 6)))
+            T = T.compose(se3_exp(rng.uniform(-0.1, 0.1, 6)))
         assert abs(np.linalg.norm(T.q) - 1.0) < 1e-12
 
 

@@ -1,15 +1,205 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lidartrack.geometry import (PerturbBounds, PoseSE3, perturb_pose,
-                                 pose_error, project_points, se3_exp)
-from lidartrack.joint import (ConsistencyTerm, EnergyConfig, e_consist,
+from lidartrack.geometry import (MIN_DEPTH, PerturbBounds, PoseSE3,
+                                 perturb_pose, pose_error, project_points,
+                                 reprojection_jacobian, se3_exp)
+from lidartrack.joint import (ZMIN, ConsistencyTerm, EnergyConfig,
+                              JointResult, _make_consistency_term, e_consist,
                               e_reproj, optimize_next_only, optimize_pair)
 from lidartrack.mapping import CropExtents, crop_local
-from lidartrack.pnp import Correspondences
+from lidartrack.pnp import Correspondences, _huber_cost, _huber_weights
 from lidartrack.rendering import FlowField
 
-from test_pnp import make_exact_corrs
+from test_pnp import K_LM, make_exact_corrs, make_lm_corrs
+
+
+class _ReprojReference:
+    def __init__(self, corrs, which):
+        self.corrs = corrs
+        self.which = which
+
+    def residual_jacobians(self, K, T_cur, T_next):
+        T = T_cur if self.which == "cur" else T_next
+        uv, z, J = reprojection_jacobian(K, T, self.corrs.p_world)
+        if np.any(z <= ZMIN):
+            return None
+        r = uv - self.corrs.x_img
+        if self.which == "cur":
+            return r, J, None
+        return r, None, J
+
+    def residual_only(self, K, T_cur, T_next):
+        T = T_cur if self.which == "cur" else T_next
+        cam = T.apply(self.corrs.p_world)
+        z = cam[:, 2]
+        if np.any(z <= ZMIN):
+            return None
+        uv = np.empty((len(self.corrs), 2))
+        uv[:, 0] = K.fx * cam[:, 0] / z + K.cx
+        uv[:, 1] = K.fy * cam[:, 1] / z + K.cy
+        return uv - self.corrs.x_img
+
+
+class _ConsistReference:
+    def __init__(self, term):
+        self.pts, self.samples = term.pts, term.samples
+
+    def residual_only(self, K, T_cur, T_next):
+        cam_c = T_cur.apply(self.pts)
+        cam_n = T_next.apply(self.pts)
+        if np.any(cam_c[:, 2] <= ZMIN) or np.any(cam_n[:, 2] <= ZMIN):
+            return None
+        uv_c = np.stack([K.fx * cam_c[:, 0] / cam_c[:, 2] + K.cx,
+                         K.fy * cam_c[:, 1] / cam_c[:, 2] + K.cy], axis=1)
+        uv_n = np.stack([K.fx * cam_n[:, 0] / cam_n[:, 2] + K.cx,
+                         K.fy * cam_n[:, 1] / cam_n[:, 2] + K.cy], axis=1)
+        return uv_n - uv_c - self.samples
+
+    def residual_jacobians(self, K, T_cur, T_next):
+        uv_c, z_c, J_c = reprojection_jacobian(K, T_cur, self.pts)
+        uv_n, z_n, J_n = reprojection_jacobian(K, T_next, self.pts)
+        if np.any(z_c <= ZMIN) or np.any(z_n <= ZMIN):
+            return None
+        return uv_n - uv_c - self.samples, -J_c, J_n
+
+
+def _assemble_reference(terms, K, T_cur, T_next, delta):
+    rows = []
+    for weight, term in terms:
+        got = term.residual_jacobians(K, T_cur, T_next)
+        if got is None:
+            return None
+        r, Jc, Jn = got
+        norms = np.linalg.norm(r, axis=1)
+        irls = _huber_weights(norms, delta)
+        if hasattr(term, "corrs"):
+            irls = irls * term.corrs.weight
+        rows.append((r, Jc, Jn, irls, weight))
+    return rows
+
+
+def _energy_reference(terms, K, T_cur, T_next, delta):
+    e = 0.0
+    for weight, term in terms:
+        r = term.residual_only(K, T_cur, T_next)
+        if r is None:
+            return np.inf
+        norms = np.linalg.norm(r, axis=1)
+        per = _huber_cost(norms, delta)
+        if hasattr(term, "corrs"):
+            per = per * term.corrs.weight
+        e += weight * float(np.sum(per))
+    return e
+
+
+def _optimize_pair_reference(T_cur0, T_next0, corrs_cur, corrs_next, consist_pts,
+                             f_c2n, K, cfg, free=("cur", "next")):
+    """``optimize_pair`` as its own Levenberg-Marquardt loop: the form that
+    the shared ``_huber_lm`` core must match bit for bit."""
+    terms = []
+    if cfg.w_reproj > 0:
+        for corrs, which, T0 in ((corrs_cur, "cur", T_cur0),
+                                 (corrs_next, "next", T_next0)):
+            if corrs is None or len(corrs) == 0:
+                continue
+            kept = corrs.subset(T0.apply(corrs.p_world)[:, 2] > ZMIN)
+            if len(kept) >= 4:
+                terms.append((cfg.w_reproj, _ReprojReference(kept, which)))
+    if cfg.w_consist > 0 and consist_pts is not None and len(consist_pts) > 0:
+        term = _make_consistency_term(consist_pts, f_c2n, K, T_cur0)
+        term = term.restrict_visible(K, T_cur0, T_next0)
+        if len(term) >= 3:
+            terms.append((cfg.w_consist, _ConsistReference(term)))
+
+    n_free = 6 * len(free)
+    failure = JointResult(T_cur_star=T_cur0, T_next_star=T_next0,
+                          initial_energy=np.inf, final_energy=np.inf,
+                          iterations=0, converged=False, energy_trace=[])
+    if not terms:
+        return failure
+
+    cols = {}
+    off = 0
+    for name in free:
+        cols[name] = slice(off, off + 6)
+        off += 6
+
+    def build_system(T_cur, T_next):
+        rows = _assemble_reference(terms, K, T_cur, T_next, cfg.huber_delta)
+        if rows is None:
+            return None
+        H = np.zeros((n_free, n_free))
+        g = np.zeros(n_free)
+        for r, Jc, Jn, irls, weight in rows:
+            m = len(r)
+            J = np.zeros((m, 2, n_free))
+            if Jc is not None and "cur" in cols:
+                J[:, :, cols["cur"]] = Jc
+            if Jn is not None and "next" in cols:
+                J[:, :, cols["next"]] = Jn
+            sw = np.sqrt(weight * irls)[:, None]
+            A = (J * sw[:, :, None]).reshape(-1, n_free)
+            b = (r * sw).reshape(-1)
+            H += A.T @ A
+            g += A.T @ b
+        return H, g
+
+    built = build_system(T_cur0, T_next0)
+    if built is None:
+        return failure
+    H, g = built
+    s = np.linalg.svd(H, compute_uv=False)
+    rank = int(np.sum(s > s[0] * 1e-12)) if len(s) and s[0] > 0 else 0
+    if rank < n_free:
+        return failure
+
+    T_cur, T_next = T_cur0, T_next0
+    energy = _energy_reference(terms, K, T_cur, T_next, cfg.huber_delta)
+    trace = [energy]
+    lam = cfg.lambda0
+    converged = False
+    it = 0
+    for it in range(1, cfg.max_iters + 1):
+        if it > 1:
+            built = build_system(T_cur, T_next)
+            if built is None:
+                break
+            H, g = built
+        if np.linalg.norm(g, ord=np.inf) < 1e-10:
+            converged = True
+            break
+        stepped = False
+        for _ in range(15):
+            D = H + lam * np.diag(np.diag(H)) + 1e-15 * np.eye(n_free)
+            try:
+                delta = np.linalg.solve(D, -g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            trial_cur = T_cur.compose(se3_exp(delta[cols["cur"]])) if "cur" in cols else T_cur
+            trial_next = T_next.compose(se3_exp(delta[cols["next"]])) if "next" in cols else T_next
+            trial_energy = _energy_reference(terms, K, trial_cur, trial_next, cfg.huber_delta)
+            if trial_energy < energy:
+                rel_drop = (energy - trial_energy) / max(energy, 1e-300)
+                T_cur, T_next, energy = trial_cur, trial_next, trial_energy
+                trace.append(energy)
+                lam = max(lam / 2.0, 1e-12)
+                stepped = True
+                if rel_drop < cfg.rel_tol:
+                    converged = True
+                break
+            lam *= 10.0
+        if not stepped:
+            converged = True
+            break
+        if converged:
+            break
+    return JointResult(T_cur_star=T_cur, T_next_star=T_next,
+                       initial_energy=trace[0], final_energy=energy,
+                       iterations=it, converged=converged, energy_trace=trace)
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +458,9 @@ class TestOptimizePair:
         ("lambda0", -1.0), ("lambda0", float("nan")), ("lambda0", float("inf")),
         ("rel_tol", -1.0), ("rel_tol", float("nan")), ("rel_tol", float("inf")),
         ("w_consist", float("nan")), ("w_consist", float("inf")),
-        ("w_reproj", float("nan")), ("w_reproj", float("inf"))])
+        ("w_reproj", float("nan")), ("w_reproj", float("inf")),
+        ("w_consist", -1.0), ("w_reproj", -1.0),
+        ("max_iters", 2.5), ("max_iters", "50"), ("max_iters", None)])
     def test_config_rejects_bad_value_naming_field(self, field, bad):
         with pytest.raises(ValueError, match=field):
             EnergyConfig(**{field: bad})
@@ -277,15 +469,62 @@ class TestOptimizePair:
         cfg = EnergyConfig(lambda0=0.0, rel_tol=0.0)
         assert cfg.lambda0 == 0.0 and cfg.rel_tol == 0.0
 
-    def test_energy_trace_csv(self, pair_world, tmp_path):
-        from lidartrack.joint import save_energy_trace
-        K, T_cur, T_next, crop, pts, samples = pair_world
-        cc = make_exact_corrs(K, T_cur, crop, 200, seed=30)
-        cn = make_exact_corrs(K, T_next, crop, 200, seed=31)
-        Tc0 = perturb_pose(T_cur, PerturbBounds(0.5, 3.0), 32)
-        out = optimize_pair(Tc0, T_next, cc, cn, pts, samples, K, EnergyConfig())
-        path = tmp_path / "trace.csv"
-        save_energy_trace(out, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,energy"
-        assert len(lines) == len(out.energy_trace) + 1
+
+class TestMatchesReferenceLoop:
+    """``optimize_pair`` on the shared LM core against its own loop above."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(
+               ["pair", "one_sided", "next_only", "gauge", "pair_reversed_free"]),
+           n=st.integers(0, 80), n_consist=st.integers(0, 80),
+           sigma=st.sampled_from([0.0, 0.3, 3.0]), pert=st.sampled_from([0.0, 0.01, 0.2]),
+           weights=st.sampled_from(["ones", "random", "zeros"]),
+           weight_exp=st.integers(-16, 0), near=st.integers(0, 5),
+           near_exp=st.integers(-16, -1), near_z=st.sampled_from([MIN_DEPTH, ZMIN]),
+           w=st.sampled_from([(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (4.0, 0.3)]),
+           max_iters=st.sampled_from([1, 2, 50]),
+           lambda0=st.sampled_from([0.0, 1e-4, 1.0]),
+           rel_tol=st.sampled_from([0.0, 1e-12, 1e-6]),
+           huber_delta=st.sampled_from([0.5, 2.0, 20.0]))
+    def test_matches_reference_loop(self, seed, case, n, n_consist, sigma, pert, weights,
+                                    weight_exp, near, near_exp, near_z, w, max_iters,
+                                    lambda0, rel_tol, huber_delta):
+        rng = np.random.default_rng(seed)
+        Tc = se3_exp(rng.uniform(-0.1, 0.1, 6))
+        Tn = se3_exp(np.r_[rng.uniform(-0.02, 0.02, 3), 0.0, 0.0, -0.5]).compose(Tc)
+        Tc0 = Tc.compose(se3_exp(rng.uniform(-pert, pert, 6)))
+        Tn0 = Tn.compose(se3_exp(rng.uniform(-pert, pert, 6)))
+        args = (sigma, weights, weight_exp, near, near_exp, near_z)
+        cc = make_lm_corrs(rng, Tc, Tc0, n, *args)
+        cn = make_lm_corrs(rng, Tn, Tn0, n, *args)
+        # consistency points: in front of both poses, plus cc's near points
+        pts = np.vstack([Tc.inverse().apply(np.column_stack(
+            [rng.uniform(-8, 8, n_consist), rng.uniform(-3, 3, n_consist),
+             rng.uniform(3, 30, n_consist)])), cc.p_world[n:]])
+        samples = (project_points(K_LM, Tn.apply(pts))[0]
+                   - project_points(K_LM, Tc.apply(pts))[0]
+                   + rng.normal(0, sigma, (len(pts), 2)))
+        cfg = EnergyConfig(w_consist=w[0], w_reproj=w[1], huber_delta=huber_delta,
+                           max_iters=max_iters, rel_tol=rel_tol, lambda0=lambda0)
+        call = (Tc0, Tn0, cc, cn, pts, samples, K_LM, cfg)
+        free = ("cur", "next")
+        if case == "one_sided":
+            call = (Tc0, Tc0, cc, None, pts, samples, K_LM, cfg)
+        elif case == "gauge":
+            cfg = EnergyConfig(w_reproj=0.0, max_iters=max_iters, lambda0=lambda0)
+            call = (Tc0, Tc0, None, None, pts, samples, K_LM, cfg)
+        elif case == "pair_reversed_free":
+            free = ("next", "cur")
+        if case == "next_only":
+            call = (Tc, Tc0, None, None, pts, samples, K_LM, cfg)
+            got = optimize_next_only(*call[:2], *call[4:])
+            free = ("next",)
+        else:
+            got = optimize_pair(*call, free=free)
+        ref = _optimize_pair_reference(*call, free=free)
+        for a, b in ((got.T_cur_star, ref.T_cur_star), (got.T_next_star, ref.T_next_star)):
+            assert np.array_equal(a.q, b.q) and np.array_equal(a.t, b.t)
+        assert got.initial_energy == ref.initial_energy
+        assert got.final_energy == ref.final_energy
+        assert got.energy_trace == ref.energy_trace
+        assert (got.iterations, got.converged) == (ref.iterations, ref.converged)

@@ -10,10 +10,12 @@ from lidartrack.geometry import (MIN_DEPTH, CameraIntrinsics, PerturbBounds,
                                  PoseSE3, perturb_pose, pose_error,
                                  project_points, reprojection_jacobian, se3_exp)
 from lidartrack.mapping import CropExtents, crop_local
+from lidartrack.joint import e_reproj
 from lidartrack.pnp import (REFINE_POINT_CAP, Correspondences,
                             DegenerateConfigurationError, PnPResult,
                             RansacConfig, TooFewCorrespondencesError,
                             _check_not_collinear, _fit_minimal_batch,
+                            _huber_cost, _huber_weights,
                             correspondences_from_flow, refine_pose,
                             solve_pnp_ransac)
 from lidartrack.rendering import FlowField, remove_occlusions, render_depth
@@ -50,6 +52,75 @@ def _reproj_errors_reference(corrs, K, pose):
     err = np.linalg.norm(uv - corrs.x_img, axis=1)
     err[z <= MIN_DEPTH] = np.inf
     return err
+
+
+def _reproj_cost_reference(corrs, K, pose, huber_delta):
+    cam = pose.apply(corrs.p_world)
+    z = cam[:, 2]
+    if np.any(z <= MIN_DEPTH):
+        return np.inf
+    uv = np.empty((len(corrs), 2))
+    uv[:, 0] = K.fx * cam[:, 0] / z + K.cx
+    uv[:, 1] = K.fy * cam[:, 1] / z + K.cy
+    norms = np.linalg.norm(uv - corrs.x_img, axis=1)
+    return float(np.sum(corrs.weight * _huber_cost(norms, huber_delta)))
+
+
+def _refine_pose_reference(corrs, K, T0, huber_delta=2.0, max_iters=30,
+                           rel_tol=1e-12, lambda0=1e-4):
+    """``refine_pose`` as its own Levenberg-Marquardt loop: the form that
+    the shared ``_huber_lm`` core must match bit for bit."""
+    if len(corrs) < 4:
+        raise TooFewCorrespondencesError(f"need >= 4 correspondences, got {len(corrs)}")
+    _check_not_collinear(corrs.p_world)
+    z0 = T0.apply(corrs.p_world)[:, 2]
+    kept = corrs.subset(z0 > MIN_DEPTH)
+    if len(kept) < 4:
+        raise TooFewCorrespondencesError("fewer than 4 correspondences in front of camera")
+
+    pose = T0
+    lam = lambda0
+    cost = _reproj_cost_reference(kept, K, pose, huber_delta)
+    converged = False
+    it = 0
+    for it in range(1, max_iters + 1):
+        uv, z, J = reprojection_jacobian(K, pose, kept.p_world)
+        r = uv - kept.x_img
+        norms = np.linalg.norm(r, axis=1)
+        wts = kept.weight * _huber_weights(norms, huber_delta)
+        sw = np.sqrt(wts)[:, None]
+        A = (J * sw[:, :, None]).reshape(-1, 6)
+        b = (r * sw).reshape(-1)
+        H = A.T @ A
+        g = A.T @ b
+        if np.linalg.norm(g, ord=np.inf) < 1e-12:
+            converged = True
+            break
+        stepped = False
+        for _ in range(12):
+            D = H + lam * np.diag(np.diag(H)) + 1e-15 * np.eye(6)
+            try:
+                delta = np.linalg.solve(D, -g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            trial = pose.compose(se3_exp(delta))
+            trial_cost = _reproj_cost_reference(kept, K, trial, huber_delta)
+            if trial_cost < cost:
+                rel_drop = (cost - trial_cost) / max(cost, 1e-300)
+                pose, cost = trial, trial_cost
+                lam = max(lam / 2.0, 1e-12)
+                stepped = True
+                if rel_drop < rel_tol:
+                    converged = True
+                break
+            lam *= 10.0
+        if not stepped:
+            converged = True
+            break
+        if converged:
+            break
+    return pose, cost, it, converged
 
 
 def _solve_pnp_ransac_reference(corrs, K, T_init, cfg):
@@ -127,6 +198,39 @@ def assert_same_outcome(a, b):
 # their solve is singular
 K_RANSAC = CameraIntrinsics(fx=100.0, fy=100.0, cx=240.0, cy=80.0, width=480, height=160)
 K_LONG = CameraIntrinsics(fx=1e5, fy=1e5, cx=240.0, cy=80.0, width=480, height=160)
+
+
+K_LM = CameraIntrinsics(fx=100.0, fy=100.0, cx=120.0, cy=40.0, width=240, height=80)
+
+
+def make_lm_corrs(rng, T_true, T0, n, sigma, weights, weight_exp, near, near_exp,
+                  near_z, K=K_LM):
+    """Correspondences for the LM reference tests.
+
+    ``n`` points 3-30 m ahead of ``T_true`` with pixel noise ``sigma``, and
+    ``near`` points whose depth at ``T0`` is ``near_z`` offset by -1, 0, 1,
+    2 or 5 times ``10**near_exp`` (those at or behind ``near_z`` drop out
+    at setup, those just in front make most trial steps infeasible).
+    ``weights`` is "ones", "random" (about a fifth of them zero) or
+    "zeros"; the weights are scaled by ``10**weight_exp``.
+    """
+    cam = np.column_stack([rng.uniform(-8, 8, n), rng.uniform(-3, 3, n),
+                           rng.uniform(3, 30, n)])
+    P = T_true.inverse().apply(cam)
+    x = project_points(K, cam)[0]
+    if near:
+        z = near_z + 10.0 ** near_exp * np.array([-1.0, 0.0, 1.0, 2.0, 5.0])[:near]
+        unit = rng.uniform(-1, 1, (near, 2))
+        P = np.vstack([P, T0.inverse().apply(np.column_stack([unit * z[:, None], z]))])
+        x = np.vstack([x, unit * [K.fx, K.fy] + [K.cx, K.cy]])
+    x = x + rng.normal(0, sigma, x.shape)
+    if weights == "ones":
+        w = np.ones(len(P))
+    elif weights == "zeros":
+        w = np.zeros(len(P))
+    else:
+        w = rng.uniform(0, 3, len(P)) * (rng.random(len(P)) > 0.2)
+    return Correspondences.from_arrays(P, x, w * 10.0 ** weight_exp)
 
 
 def make_ransac_problem(n, outlier_frac, behind_frac, sigma, seed, K=K_RANSAC):
@@ -253,12 +357,42 @@ class TestRefinePose:
         noisy = Correspondences.from_arrays(
             corrs.p_world, corrs.x_img + rng.normal(0, 1.0, corrs.x_img.shape))
         T0 = perturb_pose(T_gt, PerturbBounds(0.5, 3.0), 4)
-        from lidartrack.pnp import _reproj_cost
-        c0 = _reproj_cost(noisy, K, T0, 2.0)
+        a = np.linalg.norm(e_reproj(T0, noisy, K)[0], axis=1)
+        c0 = np.where(a <= 2.0, a ** 2, 4.0 * a - 4.0).sum()
         res = refine_pose(noisy, K, T0)
         assert res.cost < c0
         rot, transl = pose_error(res.pose, T_gt)
         assert transl < 0.05 and rot < 0.1
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 150),
+           sigma=st.sampled_from([0.0, 0.3, 3.0]), pert=st.sampled_from([0.0, 0.01, 0.2]),
+           weights=st.sampled_from(["ones", "random", "zeros"]),
+           weight_exp=st.integers(-16, 0), near=st.integers(0, 5),
+           near_exp=st.integers(-16, -1), near_z=st.sampled_from([MIN_DEPTH, 1e-3]),
+           max_iters=st.sampled_from([0, 1, 2, 30]),
+           lambda0=st.sampled_from([0.0, 1e-4, 1.0]),
+           rel_tol=st.sampled_from([0.0, 1e-12, 1e-6]),
+           huber_delta=st.sampled_from([0.5, 2.0, 20.0]))
+    def test_matches_reference_loop(self, seed, n, sigma, pert, weights, weight_exp,
+                                    near, near_exp, near_z, max_iters, lambda0,
+                                    rel_tol, huber_delta):
+        rng = np.random.default_rng(seed)
+        T_true = se3_exp(rng.uniform(-0.1, 0.1, 6))
+        T0 = T_true.compose(se3_exp(rng.uniform(-pert, pert, 6)))
+        corrs = make_lm_corrs(rng, T_true, T0, n, sigma, weights, weight_exp,
+                              near, near_exp, near_z)
+        kw = dict(huber_delta=huber_delta, max_iters=max_iters, rel_tol=rel_tol,
+                  lambda0=lambda0)
+        ref = _outcome(_refine_pose_reference, corrs, K_LM, T0, *kw.values())
+        got = _outcome(refine_pose, corrs, K_LM, T0, *kw.values())
+        if isinstance(ref, Exception) or isinstance(got, Exception):
+            assert type(ref) is type(got) and str(ref) == str(got), (ref, got)
+            return
+        pose, cost, iterations, converged = ref
+        assert np.array_equal(got.pose.q, pose.q)
+        assert np.array_equal(got.pose.t, pose.t)
+        assert (got.cost, got.iterations, got.converged) == (cost, iterations, converged)
 
     def test_too_few_points(self, world):
         K, T_gt, crop = world

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,7 @@ class TestDiagnostics:
                 assert not res.complete
                 assert {"one_frame", "consistency_only"} & {d.get("rescued") for d in res.diagnostics}
                 assert all("ransac_hyp_next" in d for d in res.diagnostics[:-1])
+                assert all("opt_converged" in d for d in res.diagnostics if "opt_iters" in d)
             elif mode == "frame_by_frame":
                 assert not res.complete and len(res.diagnostics) == 5
             else:
@@ -232,6 +235,18 @@ class TestDiagnostics:
             path = tmp_path / f"{mode}.csv"
             write_diagnostics_csv(res.diagnostics, path)
             assert path.read_text().splitlines()[0].split(",") == DIAGNOSTIC_COLUMNS
+
+    def test_benchmark_tracer_patches_every_name(self, monkeypatch):
+        # perfbench/tracing.py wraps functions under the names their callers
+        # look them up by; removing one of those imports breaks --trace 1
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        from tracing import Tracer
+
+        tracer = Tracer()
+        try:
+            tracer.enable()
+        finally:
+            tracer.disable()
 
 
 class TestModeDominance:
@@ -277,6 +292,16 @@ class TestScenarioBuilder:
     def test_mode_validation(self, K_small):
         with pytest.raises(ValueError):
             TrackerConfig(camera=K_small, mode="warp_drive")
+
+    @pytest.mark.parametrize("field,bad", [
+        ("consist_point_cap", 2.5), ("consist_point_cap", True),
+        ("reproj_point_cap", 2.5), ("occlusion_window", 2.5), ("occlusion_window", False),
+        ("loose_reproj_threshold", float("nan")), ("failure_threshold_m", float("inf")),
+        ("loose_reproj_threshold", -1.0), ("failure_threshold_m", 0.0),
+        ("occlusion_aperture_deg", float("nan"))])
+    def test_config_rejects_bad_value_naming_field(self, K_small, field, bad):
+        with pytest.raises(ValueError, match=field):
+            TrackerConfig(camera=K_small, **{field: bad})
 
     @pytest.mark.parametrize("field", ["consist_point_cap", "reproj_point_cap"])
     def test_point_cap_below_one_rejected(self, K_small, field):
