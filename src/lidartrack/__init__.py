@@ -28,4 +28,4 @@ from .evaluation import (MetricsReport, Trajectory, ate, build_report,
                          emit_report, load_trajectory, pose_error_stats, rpe,
                          save_trajectory, write_per_frame_csv)
 from .tracker import (RunResult, Scenario, Tracker, TrackerConfig,
-                      TrackerState, build_scenario)
+                      TrackerState, build_scenario, scenario_from_cloud)

@@ -28,11 +28,14 @@ from .flow import FlowNoiseModel
 from .geometry import (CameraIntrinsics, PerturbBounds, PoseSE3, perturb_pose,
                        pose_error)
 from .joint import EnergyConfig
-from .mapping import CropExtents, GlobalMap, downsample
+from .mapping import CropExtents
+# perfbench/tracing.py wraps cli.downsample, so the name stays importable here
+from .mapping import downsample  # noqa: F401
 from .pnp import RansacConfig
 from .synth import (SceneConfig, TrajectoryConfig, VoOracleConfig,
-                    generate_scene, generate_trajectory, vo_oracle)
-from .tracker import Scenario, Tracker, TrackerConfig, write_diagnostics_csv
+                    generate_scene, generate_trajectory)
+from .tracker import (MODES, Tracker, TrackerConfig, scenario_from_cloud,
+                      write_diagnostics_csv)
 
 log = logging.getLogger("lidartrack")
 
@@ -62,14 +65,13 @@ DEFAULT_CONFIG = {
                "max_iters": 50, "rel_tol": 1e-6, "lambda0": 1e-4},
     "vo": {"rot_drift_sigma_deg": 0.0, "transl_drift_sigma": 0.0, "seed": 0},
     "tracker": {"mode": "multi_view", "loose_reproj_threshold": 2.0,
-                "failure_threshold_m": 4.0, "occlusion_aperture_deg": 10.0,
-                "occlusion_window": 7, "consist_point_cap": 2000,
-                "reproj_point_cap": 1500},
+                "occlusion_aperture_deg": 10.0, "occlusion_window": 7,
+                "consist_point_cap": 2000, "reproj_point_cap": 1500},
     "init_perturb": {"max_transl_per_axis": 0.0, "max_rot_per_axis_deg": 0.0,
                      "seed": 0},
     "map_resolution": 0.1,
     "outages": [],
-    "ablate_modes": ["frame_by_frame", "loose_coupled", "multi_view"],
+    "ablate_modes": list(MODES),
 }
 
 
@@ -192,19 +194,13 @@ def _load_scenario(cfg, scenario_dir):
         raise ConfigError(f"missing scene file: {scene_path}")
     if not gt_path.exists():
         raise ConfigError(f"missing ground-truth poses: {gt_path}")
-    cloud = formats.load_cloud(scene_path)
-    gt = formats.load_trajectory_poses(gt_path)
-    lidar_map = downsample(GlobalMap.build(cloud), cfg["map_resolution"])
-    vo_cfg = VoOracleConfig(**cfg["vo"])
-    vo_rels = vo_oracle(gt, vo_cfg) if len(gt) >= 2 else []
-    return Scenario(lidar_map=lidar_map, gt_poses=gt, vo_relatives=vo_rels,
-                    outage_frames=_outage_frames(cfg))
+    return scenario_from_cloud(formats.load_cloud(scene_path),
+                               formats.load_trajectory_poses(gt_path), cfg["map_resolution"],
+                               VoOracleConfig(**cfg["vo"]), _outage_frames(cfg))
 
 
-def _initial_pose(cfg, gt):
+def _initial_pose(cfg, gt, bounds: PerturbBounds):
     T0 = gt[0] if gt else PoseSE3.identity()
-    bounds = PerturbBounds(cfg["init_perturb"]["max_transl_per_axis"],
-                           cfg["init_perturb"]["max_rot_per_axis_deg"])
     if bounds.max_transl_per_axis > 0 or bounds.max_rot_per_axis_deg > 0:
         T0 = perturb_pose(T0, bounds, cfg["init_perturb"]["seed"])
     return T0
@@ -218,13 +214,13 @@ def cmd_track(config_path, scenario_dir, out_dir, mode_override=None,
     if seed_override is not None:
         cfg["noise"]["seed"] = seed_override
         cfg["ransac"]["seed"] = seed_override
-    _, _, _, tracker_cfg, _, _ = _build(cfg)
+    _, _, _, tracker_cfg, _, perturb = _build(cfg)
     scenario = _load_scenario(cfg, scenario_dir)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    result = Tracker(tracker_cfg).run(scenario, T0=_initial_pose(cfg, scenario.gt_poses))
+    result = Tracker(tracker_cfg).run(scenario, T0=_initial_pose(cfg, scenario.gt_poses, perturb))
     wall = time.perf_counter() - t0
 
     traj_path = out / "est_traj.txt"
@@ -263,22 +259,19 @@ def cmd_ablate(config_path, out_dir, seed_override=None) -> int:
     if seed_override is not None:
         cfg["noise"]["seed"] = seed_override
         cfg["ransac"]["seed"] = seed_override
-    _, scene_cfg, traj_cfg, tracker_cfg, vo_cfg, _ = _build(cfg)
+    _, scene_cfg, traj_cfg, tracker_cfg, vo_cfg, perturb = _build(cfg)
     modes = cfg["ablate_modes"]
     for mode in modes:
-        if mode not in ("frame_by_frame", "loose_coupled", "multi_view"):
+        if mode not in MODES:
             raise ConfigError(f"unknown ablate mode {mode!r}")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    cloud = generate_scene(scene_cfg)
-    gt = generate_trajectory(traj_cfg)
-    lidar_map = downsample(GlobalMap.build(cloud), cfg["map_resolution"])
-    scenario = Scenario(lidar_map=lidar_map, gt_poses=gt,
-                        vo_relatives=vo_oracle(gt, vo_cfg) if len(gt) >= 2 else [],
-                        outage_frames=_outage_frames(cfg))
-    T0 = _initial_pose(cfg, gt)
+    scenario = scenario_from_cloud(generate_scene(scene_cfg), generate_trajectory(traj_cfg),
+                                   cfg["map_resolution"], vo_cfg, _outage_frames(cfg))
+    gt = scenario.gt_poses
+    T0 = _initial_pose(cfg, gt, perturb)
 
     import csv as _csv
     rows = []
@@ -331,8 +324,7 @@ def _parser():
     p_track.add_argument("--config", required=True)
     p_track.add_argument("--scenario", required=True, help="directory from synth")
     p_track.add_argument("--out", required=True)
-    p_track.add_argument("--mode", choices=("frame_by_frame", "loose_coupled",
-                                            "multi_view"), default=None)
+    p_track.add_argument("--mode", choices=MODES, default=None)
     p_track.add_argument("--seed", type=int, default=None)
     p_track.add_argument("--quiet", action="store_true")
 

@@ -10,33 +10,47 @@ Three modes:
   under the consistency + reprojection energy; the pair advances one
   frame per step and the next-frame estimate seeds the following step.
 
+Each step is one shared front-end and a back-end per mode.  The
+front-end (``Tracker._front_end``) crops the map at the carried initial
+pose, renders the depth map, runs the flow oracle, and turns each
+frame's image-to-depth flow into correspondences and a PnP+RANSAC pose.
+The back-ends only decide: ``multi_view`` runs the joint LM and its
+rescue routes, ``frame_by_frame`` accepts the PnP pose or fails, and
+``loose_coupled`` chooses between the PnP and VO candidates.
+
 Ground-truth poses enter the steps only through the flow oracle, which
 stands in for network inference.  Both frames of a pair share one crop
 and one rendered depth map centered at the carried initial pose.
 """
 from __future__ import annotations
 
+import logging
 import math
 import numbers
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import mapping
 from .evaluation import Trajectory
 from .flow import FlowNoiseModel, oracle_depth_flow, oracle_flows
 from .geometry import CameraIntrinsics, PoseSE3, pose_error
 from .joint import EnergyConfig, optimize_next_only, optimize_pair
-from .mapping import CropExtents, GlobalMap, crop_local, downsample
+from .mapping import CropExtents, GlobalMap, crop_local
 from .pnp import (Correspondences, DegenerateConfigurationError, PnPResult,
                   RansacConfig, TooFewCorrespondencesError,
                   correspondences_from_flow, solve_pnp_ransac)
 from .rendering import (DEFAULT_OCCLUSION_APERTURE_DEG, DEFAULT_OCCLUSION_WINDOW,
-                        render_depth)
+                        DepthMap, FlowField, render_depth)
 # perfbench/tracing.py wraps tracker.remove_occlusions, so the name stays importable here
 from .rendering import remove_occlusions  # noqa: F401
+from .synth import generate_scene, generate_trajectory, vo_oracle
 
 MODES = ("frame_by_frame", "loose_coupled", "multi_view")
+
+log = logging.getLogger("lidartrack.tracker")
 
 
 @dataclass(frozen=True)
@@ -48,7 +62,6 @@ class TrackerConfig:
     ransac: RansacConfig = RansacConfig()
     energy: EnergyConfig = EnergyConfig()
     loose_reproj_threshold: float = 2.0   # px
-    failure_threshold_m: float = 4.0      # offline evaluation only
     occlusion_aperture_deg: float = DEFAULT_OCCLUSION_APERTURE_DEG
     occlusion_window: int = DEFAULT_OCCLUSION_WINDOW
     consist_point_cap: int = 2000
@@ -57,14 +70,11 @@ class TrackerConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        for name in ("loose_reproj_threshold", "failure_threshold_m",
-                     "occlusion_aperture_deg"):
+        for name in ("loose_reproj_threshold", "occlusion_aperture_deg"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.loose_reproj_threshold < 0:
             raise ValueError("loose_reproj_threshold must be non-negative")
-        if self.failure_threshold_m <= 0:
-            raise ValueError("failure_threshold_m must be positive")
         for name in ("consist_point_cap", "reproj_point_cap", "occlusion_window"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -105,6 +115,17 @@ class RunResult:
     complete: bool
 
 
+@dataclass
+class FrontEnd:
+    """What the shared front-end hands a step's back-end."""
+
+    crop: np.ndarray
+    depth: DepthMap
+    image_flow: FlowField | None  # current -> next image; pairs only
+    corrs: list                   # one Correspondences per frame
+    pnps: list                    # one PnPResult per frame
+
+
 def _stride_cap(arr, cap: int):
     """Deterministic stride subsampling down to at most ``cap`` entries."""
     if len(arr) <= cap:
@@ -124,6 +145,14 @@ def _invalidate(flow_field):
     flow_field.dv[:] = 0.0
 
 
+@contextmanager
+def _stage(diag, name: str):
+    """Time the block into ``diag["ms_<name>"]`` (wall-clock milliseconds)."""
+    t0 = time.perf_counter()
+    yield
+    diag[f"ms_{name}"] = 1e3 * (time.perf_counter() - t0)
+
+
 class Tracker:
     """Stateless-config tracking engine; state is passed through steps."""
 
@@ -134,18 +163,6 @@ class Tracker:
         return TrackerState(T_init_next=T0)
 
     # -- shared per-step plumbing -------------------------------------------
-
-    def _crop_and_render(self, lidar_map, T_init):
-        cfg = self.config
-        t0 = time.perf_counter()
-        crop = crop_local(lidar_map, T_init, cfg.crop)
-        t1 = time.perf_counter()
-        depth = None
-        if len(crop):
-            depth = render_depth(crop, cfg.camera, T_init,
-                                 cfg.occlusion_aperture_deg, cfg.occlusion_window)
-        t2 = time.perf_counter()
-        return crop, depth, {"ms_crop": 1e3 * (t1 - t0), "ms_render": 1e3 * (t2 - t1)}
 
     def _frame_noise(self, frame: int) -> FlowNoiseModel:
         base = self.config.noise
@@ -160,8 +177,63 @@ class Tracker:
             return PnPResult(pose=T_init, inliers=np.zeros(len(corrs), dtype=bool),
                              success=False, rmse=float("inf"), hypotheses=0)
 
-    def _consist_points(self, pts):
-        return _stride_cap(pts, self.config.consist_point_cap)
+    def _front_end(self, diag, lidar_map, state, gt_poses, outages, kills):
+        """Crop, render, flow oracle, correspondences and PnP of one step.
+
+        ``gt_poses`` holds the ground truth of each frame the step solves:
+        one pose, or the current and next pose of a pair; ``outages`` and
+        ``kills`` hold each frame's flags.  Writes the stage timings and the
+        ``inliers_*``/``ransac_hyp_*`` columns into ``diag``.  Returns None
+        when the crop renders no pixel.
+        """
+        cfg, K = self.config, self.config.camera
+        frame, T_init = state.frame_index, state.T_init_next
+        with _stage(diag, "crop"):
+            crop = crop_local(lidar_map, T_init, cfg.crop)
+        with _stage(diag, "render"):
+            depth = (render_depth(crop, K, T_init, cfg.occlusion_aperture_deg,
+                                  cfg.occlusion_window) if len(crop) else None)
+        if depth is None or not depth.valid.any():
+            return None
+
+        with _stage(diag, "flow"):
+            noise = self._frame_noise(frame)
+            if len(gt_poses) == 2:
+                flows = oracle_flows(crop, K, T_init, *gt_poses, noise,
+                                     cfg.occlusion_aperture_deg, cfg.occlusion_window,
+                                     depth_init=depth)
+                to_depth, image_flow = [flows.f_c2d, flows.f_n2d], flows.f_c2n
+                if any(kills):
+                    _invalidate(image_flow)
+            else:
+                # default occlusion settings: cfg's would move single-frame trajectories
+                to_depth = [oracle_depth_flow(crop, K, T_init, gt_poses[0], noise,
+                                              stream=0, depth=depth)]
+                image_flow = None
+            for flow_field, outage, kill in zip(to_depth, outages, kills):
+                if outage or kill:
+                    _invalidate(flow_field)
+
+        with _stage(diag, "pnp"):
+            corrs = [correspondences_from_flow(depth, f, crop) for f in to_depth]
+            pnps = [self._solve_pnp(c, T_init, frame, side) for side, c in enumerate(corrs)]
+        for side, pnp in zip(("cur", "next"), pnps):
+            diag[f"inliers_{side}"] = int(pnp.inliers.sum())
+            diag[f"ransac_hyp_{side}"] = pnp.hypotheses
+        return FrontEnd(crop, depth, image_flow, corrs, pnps)
+
+    @staticmethod
+    def _advance(state, pose, T_next):
+        state.history.append(pose)
+        state.T_init_next = T_next
+        state.frame_index += 1
+
+    @staticmethod
+    def _fail(state, diag, reason: str):
+        state.failed = True
+        diag["fail_reason"] = reason
+        log.warning("%s: tracking failed at frame %d (%s)", diag["mode"], diag["frame"], reason)
+        return state, None, diag
 
     # -- steps ----------------------------------------------------------------
 
@@ -179,139 +251,68 @@ class Tracker:
         marked failed.
         """
         cfg = self.config
-        K = cfg.camera
-        frame = state.frame_index
         T_init = state.T_init_next
-        diag = {"frame": frame, "mode": "multi_view"}
-
-        crop, depth, times = self._crop_and_render(lidar_map, T_init)
-        diag.update(times)
-        if depth is None or not depth.valid.any():
-            state.failed = True
-            return state, None, diag
-
-        t0 = time.perf_counter()
-        flows = oracle_flows(crop, K, T_init, T_gt_cur, T_gt_next,
-                             self._frame_noise(frame),
-                             cfg.occlusion_aperture_deg, cfg.occlusion_window,
-                             depth_init=depth)
-        if outage_cur or kill_cur:
-            _invalidate(flows.f_c2d)
-        if outage_next or kill_next:
-            _invalidate(flows.f_n2d)
-        if kill_cur or kill_next:
-            _invalidate(flows.f_c2n)
-        diag["ms_flow"] = 1e3 * (time.perf_counter() - t0)
-
-        t0 = time.perf_counter()
-        corrs_cur = correspondences_from_flow(depth, flows.f_c2d, crop)
-        corrs_next = correspondences_from_flow(depth, flows.f_n2d, crop)
-        pnp_cur = self._solve_pnp(corrs_cur, T_init, frame, side=0)
-        pnp_next = self._solve_pnp(corrs_next, T_init, frame, side=1)
-        diag["ms_pnp"] = 1e3 * (time.perf_counter() - t0)
-        diag["inliers_cur"] = int(pnp_cur.inliers.sum())
-        diag["inliers_next"] = int(pnp_next.inliers.sum())
-        diag["ransac_hyp_cur"] = pnp_cur.hypotheses
-        diag["ransac_hyp_next"] = pnp_next.hypotheses
+        diag = {"frame": state.frame_index, "mode": "multi_view"}
+        fe = self._front_end(diag, lidar_map, state, (T_gt_cur, T_gt_next),
+                             (outage_cur, outage_next), (kill_cur, kill_next))
+        if fe is None:
+            return self._fail(state, diag, "no_render")
+        (corrs_cur, corrs_next), (pnp_cur, pnp_next) = fe.corrs, fe.pnps
 
         if pnp_cur.success:
             consist_pts = corrs_cur.p_world[pnp_cur.inliers]
         elif pnp_next.success:
             consist_pts = corrs_next.p_world[pnp_next.inliers]
         else:
-            consist_pts = crop[depth.source[depth.valid]]
-        consist_pts = self._consist_points(consist_pts)
-
+            consist_pts = fe.crop[fe.depth.source[fe.depth.valid]]
+        consist_pts = _stride_cap(consist_pts, cfg.consist_point_cap)
         T_cur0 = pnp_cur.pose if pnp_cur.success else T_init
-        if pnp_next.success:
-            T_next0 = pnp_next.pose
-        elif pnp_cur.success:
-            T_next0 = pnp_cur.pose
-        else:
-            T_next0 = T_init
+        T_next0 = pnp_next.pose if pnp_next.success else T_cur0
+        inl_cur, inl_next = (
+            c.subset(_stride_cap(np.nonzero(p.inliers)[0], cfg.reproj_point_cap))
+            if p.success else None for c, p in zip(fe.corrs, fe.pnps))
 
-        cap = self.config.reproj_point_cap
-        inl_cur = (corrs_cur.subset(_stride_cap(np.nonzero(pnp_cur.inliers)[0], cap))
-                   if pnp_cur.success else None)
-        inl_next = (corrs_next.subset(_stride_cap(np.nonzero(pnp_next.inliers)[0], cap))
-                    if pnp_next.success else None)
-
-        t0 = time.perf_counter()
-        if pnp_cur.success or pnp_next.success:
-            result = optimize_pair(T_cur0, T_next0, inl_cur, inl_next,
-                                   consist_pts, flows.f_c2n, K, cfg.energy)
-            degenerate = result.iterations == 0 and not result.converged
-            if degenerate and not pnp_next.success:
-                # next frame unobservable: keep the current estimate, stop
-                diag["ms_opt"] = 1e3 * (time.perf_counter() - t0)
-                if pnp_cur.success:
-                    state.history.append(T_cur0)
-                state.failed = True
-                return state, None, diag
-            if degenerate:
-                # reprojection-only on the next frame: the current frame
-                # coasts on the carried estimate and tracking continues
-                T_cur_star, T_next_star = T_cur0, T_next0
-                diag["rescued"] = "coast_cur"
+        with _stage(diag, "opt"):
+            if pnp_cur.success or pnp_next.success:
+                result = optimize_pair(T_cur0, T_next0, inl_cur, inl_next,
+                                       consist_pts, fe.image_flow, cfg.camera, cfg.energy)
             else:
-                T_cur_star, T_next_star = result.T_cur_star, result.T_next_star
-                diag["rescued"] = "" if (pnp_cur.success and pnp_next.success) else "one_frame"
+                result = optimize_next_only(T_init, T_init, consist_pts,
+                                            fe.image_flow, cfg.camera, cfg.energy)
+        degenerate = result.iterations == 0 and not result.converged
+        if not (pnp_cur.success or pnp_next.success):
+            if degenerate:
+                return self._fail(state, diag, "consistency_degenerate")
+            T_cur_star, T_next_star, rescued = T_init, result.T_next_star, "consistency_only"
+        elif degenerate and not pnp_next.success:
+            # next frame unobservable: keep the current estimate, stop
+            state.history.append(T_cur0)
+            return self._fail(state, diag, "next_unobservable")
+        elif degenerate:
+            # reprojection-only on the next frame: the current frame
+            # coasts on the carried estimate and tracking continues
+            T_cur_star, T_next_star, rescued = T_cur0, T_next0, "coast_cur"
         else:
-            result = optimize_next_only(T_init, T_init, consist_pts,
-                                        flows.f_c2n, K, cfg.energy)
-            if result.iterations == 0 and not result.converged:
-                diag["ms_opt"] = 1e3 * (time.perf_counter() - t0)
-                state.failed = True
-                return state, None, diag
-            T_cur_star, T_next_star = T_init, result.T_next_star
-            diag["rescued"] = "consistency_only"
-        diag["ms_opt"] = 1e3 * (time.perf_counter() - t0)
-        diag["e_initial"] = result.initial_energy
-        diag["e_final"] = result.final_energy
-        diag["opt_iters"] = result.iterations
-        diag["opt_converged"] = result.converged
-
-        state.history.append(T_cur_star)
-        state.T_init_next = T_next_star
-        state.frame_index = frame + 1
+            T_cur_star, T_next_star = result.T_cur_star, result.T_next_star
+            rescued = "" if (pnp_cur.success and pnp_next.success) else "one_frame"
+        diag.update(rescued=rescued, e_initial=result.initial_energy,
+                    e_final=result.final_energy, opt_iters=result.iterations,
+                    opt_converged=result.converged)
+        self._advance(state, T_cur_star, T_next_star)
         return state, (T_cur_star, T_next_star), diag
 
     def step_frame_by_frame(self, state: TrackerState, lidar_map: GlobalMap,
                             T_gt_cur: PoseSE3, outage=False, kill=False):
         """Independent single-frame flow + PnP; no inter-frame constraint."""
-        cfg = self.config
-        K = cfg.camera
-        frame = state.frame_index
-        T_init = state.T_init_next
-        diag = {"frame": frame, "mode": "frame_by_frame"}
-
-        crop, depth, times = self._crop_and_render(lidar_map, T_init)
-        diag.update(times)
-        if depth is None or not depth.valid.any():
-            state.failed = True
-            return state, None, diag
-
-        t0 = time.perf_counter()
-        noise = self._frame_noise(frame)
-        f_c2d = oracle_depth_flow(crop, K, T_init, T_gt_cur, noise, stream=0,
-                                  depth=depth)
-        if outage or kill:
-            _invalidate(f_c2d)
-        diag["ms_flow"] = 1e3 * (time.perf_counter() - t0)
-
-        t0 = time.perf_counter()
-        corrs = correspondences_from_flow(depth, f_c2d, crop)
-        result = self._solve_pnp(corrs, T_init, frame, side=0)
-        diag["ms_pnp"] = 1e3 * (time.perf_counter() - t0)
-        diag["inliers_cur"] = int(result.inliers.sum())
-        diag["ransac_hyp_cur"] = result.hypotheses
-        if not result.success:
-            state.failed = True
-            return state, None, diag
-        state.history.append(result.pose)
-        state.T_init_next = result.pose
-        state.frame_index = frame + 1
-        return state, result.pose, diag
+        diag = {"frame": state.frame_index, "mode": "frame_by_frame"}
+        fe = self._front_end(diag, lidar_map, state, (T_gt_cur,), (outage,), (kill,))
+        if fe is None:
+            return self._fail(state, diag, "no_render")
+        pnp = fe.pnps[0]
+        if not pnp.success:
+            return self._fail(state, diag, "pnp_failed")
+        self._advance(state, pnp.pose, pnp.pose)
+        return state, pnp.pose, diag
 
     def step_loose_coupled(self, state: TrackerState, lidar_map: GlobalMap,
                            T_gt_cur: PoseSE3, vo_relative: PoseSE3 | None,
@@ -322,47 +323,17 @@ class Tracker:
         inlier reprojection RMSE beats the threshold; otherwise candidate
         B, the previous estimate composed with the VO relative pose, wins.
         """
-        cfg = self.config
-        K = cfg.camera
-        frame = state.frame_index
-        T_init = state.T_init_next
-        diag = {"frame": frame, "mode": "loose_coupled"}
-
-        prev = state.history[-1] if state.history else T_init
+        diag = {"frame": state.frame_index, "mode": "loose_coupled"}
+        prev = state.history[-1] if state.history else state.T_init_next
         candidate_b = vo_relative.compose(prev) if vo_relative is not None else prev
-
-        crop, depth, times = self._crop_and_render(lidar_map, T_init)
-        diag.update(times)
-        candidate_a = None
-        rmse = float("inf")
-        if depth is not None and depth.valid.any():
-            t0 = time.perf_counter()
-            f_c2d = oracle_depth_flow(crop, K, T_init, T_gt_cur,
-                                      self._frame_noise(frame), stream=0,
-                                      depth=depth)
-            if outage or kill:
-                _invalidate(f_c2d)
-            diag["ms_flow"] = 1e3 * (time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            corrs = correspondences_from_flow(depth, f_c2d, crop)
-            result = self._solve_pnp(corrs, T_init, frame, side=0)
-            diag["ms_pnp"] = 1e3 * (time.perf_counter() - t0)
-            diag["inliers_cur"] = int(result.inliers.sum())
-            diag["ransac_hyp_cur"] = result.hypotheses
-            if result.success:
-                candidate_a = result.pose
-                rmse = result.rmse
-        diag["pnp_rmse"] = rmse
-
-        if candidate_a is not None and rmse < cfg.loose_reproj_threshold:
-            pose = candidate_a
-            diag["candidate"] = "pnp"
+        fe = self._front_end(diag, lidar_map, state, (T_gt_cur,), (outage,), (kill,))
+        pnp = fe.pnps[0] if fe is not None else None
+        diag["pnp_rmse"] = pnp.rmse if pnp is not None and pnp.success else float("inf")
+        if diag["pnp_rmse"] < self.config.loose_reproj_threshold:
+            pose, diag["candidate"] = pnp.pose, "pnp"
         else:
-            pose = candidate_b
-            diag["candidate"] = "vo"
-        state.history.append(pose)
-        state.T_init_next = pose
-        state.frame_index = frame + 1
+            pose, diag["candidate"] = candidate_b, "vo"
+        self._advance(state, pose, pose)
         return state, pose, diag
 
     # -- full runs -------------------------------------------------------------
@@ -377,50 +348,33 @@ class Tracker:
         gt = list(scenario.gt_poses)
         n = len(gt)
         state = self.init(T0 if T0 is not None else (gt[0] if n else PoseSE3.identity()))
+        mode, lidar_map = self.config.mode, scenario.lidar_map
+        outs, kills, vo = scenario.outage_frames, scenario.flow_kill_frames, scenario.vo_relatives
+        if mode == "loose_coupled" and n and vo is None:
+            raise ValueError("loose_coupled mode needs scenario.vo_relatives")
+        pair = mode == "multi_view" and n >= 2
         diagnostics = []
-        if n == 0:
-            return RunResult(Trajectory(poses=[]), diagnostics, complete=True)
-
-        mode = self.config.mode
-        if mode == "multi_view" and n >= 2:
-            for i in range(n - 1):
+        for i in range(n - 1 if pair else n):
+            if pair:
                 state, _, diag = self.step_multi_view(
-                    state, scenario.lidar_map, gt[i], gt[i + 1],
-                    outage_cur=i in scenario.outage_frames,
-                    outage_next=(i + 1) in scenario.outage_frames,
-                    kill_cur=i in scenario.flow_kill_frames,
-                    kill_next=(i + 1) in scenario.flow_kill_frames)
-                self._note_errors(diag, state, gt)
-                diagnostics.append(diag)
-                if state.failed:
-                    break
-            if not state.failed:
-                state.history.append(state.T_init_next)
-                diagnostics.append(self._final_row(state, gt, n - 1))
-        elif mode == "loose_coupled":
-            vo = scenario.vo_relatives
-            if vo is None:
-                raise ValueError("loose_coupled mode needs scenario.vo_relatives")
-            for i in range(n):
-                rel = vo[i - 1] if i >= 1 else None
+                    state, lidar_map, gt[i], gt[i + 1], i in outs, i + 1 in outs,
+                    i in kills, i + 1 in kills)
+            elif mode == "loose_coupled":
                 state, _, diag = self.step_loose_coupled(
-                    state, scenario.lidar_map, gt[i], rel,
-                    outage=i in scenario.outage_frames,
-                    kill=i in scenario.flow_kill_frames)
-                self._note_errors(diag, state, gt)
-                diagnostics.append(diag)
-                if state.failed:
-                    break
-        else:  # frame_by_frame, or multi_view over a single frame
-            for i in range(n):
+                    state, lidar_map, gt[i], vo[i - 1] if i >= 1 else None,
+                    i in outs, i in kills)
+            else:  # frame_by_frame, or multi_view over a single frame
                 state, _, diag = self.step_frame_by_frame(
-                    state, scenario.lidar_map, gt[i],
-                    outage=i in scenario.outage_frames,
-                    kill=i in scenario.flow_kill_frames)
-                self._note_errors(diag, state, gt)
-                diagnostics.append(diag)
-                if state.failed:
-                    break
+                    state, lidar_map, gt[i], i in outs, i in kills)
+            self._note_errors(diag, state, gt)
+            diagnostics.append(diag)
+            if state.failed:
+                break
+        else:
+            if pair:  # the last pair's next-frame estimate is the final pose
+                state.history.append(state.T_init_next)
+                diagnostics.append({"frame": n - 1, "mode": "multi_view"})
+                self._note_errors(diagnostics[-1], state, gt)
 
         complete = (not state.failed) and len(state.history) == n
         return RunResult(Trajectory(poses=list(state.history)), diagnostics, complete)
@@ -435,11 +389,20 @@ class Tracker:
         diag.setdefault("rot_err_deg", float("nan"))
         diag.setdefault("transl_err_cm", float("nan"))
 
-    @staticmethod
-    def _final_row(state, gt, i):
-        rot, transl = pose_error(state.history[i], gt[i])
-        return {"frame": i, "mode": "multi_view", "rot_err_deg": rot,
-                "transl_err_cm": 100.0 * transl}
+
+def scenario_from_cloud(cloud, gt, map_resolution: float = 0.1, vo_cfg=None,
+                        outage_frames=(), flow_kill_frames=()) -> Scenario:
+    """Downsample a cloud into the map and wrap it with ``gt`` as a scenario.
+
+    With ``vo_cfg`` the scenario carries one VO relative pose per
+    consecutive frame pair (none below two poses); without it, no VO.
+    """
+    # mapping.downsample by module attribute, so perfbench/tracing.py sees the call
+    lidar_map = mapping.downsample(GlobalMap.build(cloud), map_resolution)
+    return Scenario(lidar_map=lidar_map, gt_poses=gt,
+                    vo_relatives=vo_oracle(gt, vo_cfg) if vo_cfg is not None else None,
+                    outage_frames=frozenset(outage_frames),
+                    flow_kill_frames=frozenset(flow_kill_frames))
 
 
 def build_scenario(scene_cfg, traj_cfg, camera: CameraIntrinsics,
@@ -451,29 +414,22 @@ def build_scenario(scene_cfg, traj_cfg, camera: CameraIntrinsics,
     Asserts the visibility guarantee: every trajectory pose must see at
     least ``min_visible`` rendered pixels of the downsampled map.
     """
-    from .synth import generate_scene, generate_trajectory, vo_oracle
-
-    cloud = generate_scene(scene_cfg)
-    gt = generate_trajectory(traj_cfg)
-    lidar_map = downsample(GlobalMap.build(cloud), map_resolution)
-    crop_box = CropExtents()
-    for i, pose in enumerate(gt):
-        local = crop_local(lidar_map, pose, crop_box)
-        d = render_depth(local, camera, pose)
-        n = int(d.valid.sum())
+    scenario = scenario_from_cloud(generate_scene(scene_cfg), generate_trajectory(traj_cfg),
+                                   map_resolution, vo_cfg, outage_frames, flow_kill_frames)
+    for i, pose in enumerate(scenario.gt_poses):
+        local = crop_local(scenario.lidar_map, pose, CropExtents())
+        n = int(render_depth(local, camera, pose).valid.sum())
         if n < min_visible:
             raise ValueError(
                 f"visibility guarantee violated at frame {i}: {n} < {min_visible}")
-    vo_rels = vo_oracle(gt, vo_cfg) if (vo_cfg is not None and len(gt) >= 2) else None
-    return Scenario(lidar_map=lidar_map, gt_poses=gt, vo_relatives=vo_rels,
-                    outage_frames=frozenset(outage_frames),
-                    flow_kill_frames=frozenset(flow_kill_frames))
+    return scenario
 
 
 DIAGNOSTIC_COLUMNS = ["frame", "mode", "rot_err_deg", "transl_err_cm",
                       "inliers_cur", "inliers_next", "ransac_hyp_cur",
                       "ransac_hyp_next", "e_initial", "e_final",
-                      "opt_iters", "opt_converged", "rescued", "candidate", "pnp_rmse",
+                      "opt_iters", "opt_converged", "rescued", "fail_reason",
+                      "candidate", "pnp_rmse",
                       "ms_crop", "ms_render", "ms_flow", "ms_pnp", "ms_opt"]
 
 

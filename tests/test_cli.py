@@ -93,6 +93,13 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg), "--out",
                      str(tmp_path / "o"), "--quiet"]) == EXIT_ERROR
 
+    def test_removed_failure_threshold_is_unknown(self, tmp_path, caplog):
+        # the field was never read; a config that still sets it is refused
+        cfg = write_config(tmp_path / "cfg.json", tracker={"failure_threshold_m": 4.0})
+        assert main(["synth", "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_ERROR
+        assert "unknown config field tracker.failure_threshold_m" in caplog.text
+
     def test_zero_point_cap_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", tracker={"consist_point_cap": 0})
         assert main(["synth", "--config", str(cfg), "--out",
@@ -129,6 +136,9 @@ class TestTrack:
         assert code == EXIT_INTERRUPTED
         est = (out / "est_traj.txt").read_text().strip().splitlines()
         assert len(est) == 3  # partial trajectory
+        rows = (out / "diagnostics.csv").read_text().splitlines()
+        reason = rows[0].split(",").index("fail_reason")
+        assert [r.split(",")[reason] for r in rows[1:]] == ["", "", "", "pnp_failed"]
 
     def test_missing_scene_errors_without_outputs(self, scenario_dir, tmp_path):
         cfg, _ = scenario_dir
@@ -156,7 +166,6 @@ class TestTrack:
         ("tracker", "reproj_point_cap", 2.5),
         ("tracker", "occlusion_window", 2.5),
         ("tracker", "loose_reproj_threshold", float("nan")),
-        ("tracker", "failure_threshold_m", float("nan")),
         ("tracker", "occlusion_aperture_deg", float("nan"))])
     def test_bad_value_is_a_config_error_naming_field(self, scenario_dir, tmp_path,
                                                       section, field, bad):

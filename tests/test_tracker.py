@@ -1,14 +1,21 @@
+import logging
+import math
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lidartrack.tracker as T
+from lidartrack.evaluation import Trajectory
 from lidartrack.flow import FlowNoiseModel
 from lidartrack.geometry import (CameraIntrinsics, PerturbBounds, PoseSE3,
                                  perturb_pose, pose_error)
-from lidartrack.joint import EnergyConfig
+from lidartrack.joint import EnergyConfig, JointResult
 from lidartrack.mapping import CropExtents, GlobalMap, downsample
-from lidartrack.pnp import RansacConfig
+from lidartrack.pnp import (DegenerateConfigurationError, PnPResult, RansacConfig,
+                            TooFewCorrespondencesError)
 from lidartrack.synth import (SceneConfig, TrajectoryConfig, VoOracleConfig,
                               generate_scene, generate_trajectory,
                               integrate_relatives, vo_oracle)
@@ -236,15 +243,28 @@ class TestDiagnostics:
             write_diagnostics_csv(res.diagnostics, path)
             assert path.read_text().splitlines()[0].split(",") == DIAGNOSTIC_COLUMNS
 
-    def test_benchmark_tracer_patches_every_name(self, monkeypatch):
+    def test_benchmark_tracer_patches_every_name(self, K_small, small_world, monkeypatch):
         # perfbench/tracing.py wraps functions under the names their callers
-        # look them up by; removing one of those imports breaks --trace 1
+        # look them up by; removing one of those imports, or a front-end
+        # that calls a name the tracer does not patch, breaks --trace 1
         monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
-        from tracing import Tracer
+        from tracing import NAME, Tracer
 
+        gmap, gt, _ = small_world
+        front_end = {"mapping.crop_local", "rendering.render_depth",
+                     "pnp.correspondences_from_flow", "pnp.solve_pnp_ransac"}
+        expected = {"multi_view": front_end | {"flow.oracle_flows", "joint.optimize_pair"},
+                    "frame_by_frame": front_end | {"flow.oracle_depth_flow"}}
         tracer = Tracer()
         try:
             tracer.enable()
+            for mode, names in expected.items():
+                first = len(tracer.spans)
+                res = Tracker(make_config(K_small, mode)).run(
+                    Scenario(lidar_map=gmap, gt_poses=gt[:3]))
+                assert res.complete
+                recorded = {span[NAME] for span in tracer.spans[first:]}
+                assert names <= recorded, (mode, names - recorded)
         finally:
             tracer.disable()
 
@@ -296,8 +316,7 @@ class TestScenarioBuilder:
     @pytest.mark.parametrize("field,bad", [
         ("consist_point_cap", 2.5), ("consist_point_cap", True),
         ("reproj_point_cap", 2.5), ("occlusion_window", 2.5), ("occlusion_window", False),
-        ("loose_reproj_threshold", float("nan")), ("failure_threshold_m", float("inf")),
-        ("loose_reproj_threshold", -1.0), ("failure_threshold_m", 0.0),
+        ("loose_reproj_threshold", float("nan")), ("loose_reproj_threshold", -1.0),
         ("occlusion_aperture_deg", float("nan"))])
     def test_config_rejects_bad_value_naming_field(self, K_small, field, bad):
         with pytest.raises(ValueError, match=field):
@@ -309,3 +328,369 @@ class TestScenarioBuilder:
             with pytest.raises(ValueError, match=field):
                 TrackerConfig(camera=K_small, **{field: bad})
         assert getattr(TrackerConfig(camera=K_small, **{field: 1}), field) == 1
+
+
+class ReferenceTracker(Tracker):
+    """The three step methods and the run loop as they were before the
+    shared front-end, kept to compare the refactored tracker with.
+
+    Stage functions are looked up on the tracker module at call time, so a
+    test that monkeypatches them there patches both trackers alike.
+    """
+
+    def _crop_and_render(self, lidar_map, T_init):
+        cfg = self.config
+        t0 = time.perf_counter()
+        crop = T.crop_local(lidar_map, T_init, cfg.crop)
+        t1 = time.perf_counter()
+        depth = None
+        if len(crop):
+            depth = T.render_depth(crop, cfg.camera, T_init,
+                                   cfg.occlusion_aperture_deg, cfg.occlusion_window)
+        t2 = time.perf_counter()
+        return crop, depth, {"ms_crop": 1e3 * (t1 - t0), "ms_render": 1e3 * (t2 - t1)}
+
+    def _frame_noise(self, frame):
+        base = self.config.noise
+        return replace(base, seed=T._derived_seed(base.seed, frame))
+
+    def _solve_pnp(self, corrs, T_init, frame, side):
+        cfg = replace(self.config.ransac,
+                      seed=T._derived_seed(self.config.ransac.seed, frame, side))
+        try:
+            return T.solve_pnp_ransac(corrs, self.config.camera, T_init, cfg)
+        except (TooFewCorrespondencesError, DegenerateConfigurationError):
+            return PnPResult(pose=T_init, inliers=np.zeros(len(corrs), dtype=bool),
+                             success=False, rmse=float("inf"), hypotheses=0)
+
+    def step_multi_view(self, state, lidar_map, T_gt_cur, T_gt_next,
+                        outage_cur=False, outage_next=False,
+                        kill_cur=False, kill_next=False):
+        cfg = self.config
+        K = cfg.camera
+        frame = state.frame_index
+        T_init = state.T_init_next
+        diag = {"frame": frame, "mode": "multi_view"}
+
+        crop, depth, times = self._crop_and_render(lidar_map, T_init)
+        diag.update(times)
+        if depth is None or not depth.valid.any():
+            state.failed = True
+            return state, None, diag
+
+        t0 = time.perf_counter()
+        flows = T.oracle_flows(crop, K, T_init, T_gt_cur, T_gt_next,
+                               self._frame_noise(frame),
+                               cfg.occlusion_aperture_deg, cfg.occlusion_window,
+                               depth_init=depth)
+        if outage_cur or kill_cur:
+            T._invalidate(flows.f_c2d)
+        if outage_next or kill_next:
+            T._invalidate(flows.f_n2d)
+        if kill_cur or kill_next:
+            T._invalidate(flows.f_c2n)
+        diag["ms_flow"] = 1e3 * (time.perf_counter() - t0)
+
+        t0 = time.perf_counter()
+        corrs_cur = T.correspondences_from_flow(depth, flows.f_c2d, crop)
+        corrs_next = T.correspondences_from_flow(depth, flows.f_n2d, crop)
+        pnp_cur = self._solve_pnp(corrs_cur, T_init, frame, side=0)
+        pnp_next = self._solve_pnp(corrs_next, T_init, frame, side=1)
+        diag["ms_pnp"] = 1e3 * (time.perf_counter() - t0)
+        diag["inliers_cur"] = int(pnp_cur.inliers.sum())
+        diag["inliers_next"] = int(pnp_next.inliers.sum())
+        diag["ransac_hyp_cur"] = pnp_cur.hypotheses
+        diag["ransac_hyp_next"] = pnp_next.hypotheses
+
+        if pnp_cur.success:
+            consist_pts = corrs_cur.p_world[pnp_cur.inliers]
+        elif pnp_next.success:
+            consist_pts = corrs_next.p_world[pnp_next.inliers]
+        else:
+            consist_pts = crop[depth.source[depth.valid]]
+        consist_pts = T._stride_cap(consist_pts, cfg.consist_point_cap)
+
+        T_cur0 = pnp_cur.pose if pnp_cur.success else T_init
+        if pnp_next.success:
+            T_next0 = pnp_next.pose
+        elif pnp_cur.success:
+            T_next0 = pnp_cur.pose
+        else:
+            T_next0 = T_init
+
+        cap = cfg.reproj_point_cap
+        inl_cur = (corrs_cur.subset(T._stride_cap(np.nonzero(pnp_cur.inliers)[0], cap))
+                   if pnp_cur.success else None)
+        inl_next = (corrs_next.subset(T._stride_cap(np.nonzero(pnp_next.inliers)[0], cap))
+                    if pnp_next.success else None)
+
+        t0 = time.perf_counter()
+        if pnp_cur.success or pnp_next.success:
+            result = T.optimize_pair(T_cur0, T_next0, inl_cur, inl_next,
+                                     consist_pts, flows.f_c2n, K, cfg.energy)
+            degenerate = result.iterations == 0 and not result.converged
+            if degenerate and not pnp_next.success:
+                diag["ms_opt"] = 1e3 * (time.perf_counter() - t0)
+                if pnp_cur.success:
+                    state.history.append(T_cur0)
+                state.failed = True
+                return state, None, diag
+            if degenerate:
+                T_cur_star, T_next_star = T_cur0, T_next0
+                diag["rescued"] = "coast_cur"
+            else:
+                T_cur_star, T_next_star = result.T_cur_star, result.T_next_star
+                diag["rescued"] = "" if (pnp_cur.success and pnp_next.success) else "one_frame"
+        else:
+            result = T.optimize_next_only(T_init, T_init, consist_pts,
+                                          flows.f_c2n, K, cfg.energy)
+            if result.iterations == 0 and not result.converged:
+                diag["ms_opt"] = 1e3 * (time.perf_counter() - t0)
+                state.failed = True
+                return state, None, diag
+            T_cur_star, T_next_star = T_init, result.T_next_star
+            diag["rescued"] = "consistency_only"
+        diag["ms_opt"] = 1e3 * (time.perf_counter() - t0)
+        diag["e_initial"] = result.initial_energy
+        diag["e_final"] = result.final_energy
+        diag["opt_iters"] = result.iterations
+        diag["opt_converged"] = result.converged
+
+        state.history.append(T_cur_star)
+        state.T_init_next = T_next_star
+        state.frame_index = frame + 1
+        return state, (T_cur_star, T_next_star), diag
+
+    def step_frame_by_frame(self, state, lidar_map, T_gt_cur, outage=False, kill=False):
+        cfg = self.config
+        K = cfg.camera
+        frame = state.frame_index
+        T_init = state.T_init_next
+        diag = {"frame": frame, "mode": "frame_by_frame"}
+
+        crop, depth, times = self._crop_and_render(lidar_map, T_init)
+        diag.update(times)
+        if depth is None or not depth.valid.any():
+            state.failed = True
+            return state, None, diag
+
+        t0 = time.perf_counter()
+        noise = self._frame_noise(frame)
+        f_c2d = T.oracle_depth_flow(crop, K, T_init, T_gt_cur, noise, stream=0,
+                                    depth=depth)
+        if outage or kill:
+            T._invalidate(f_c2d)
+        diag["ms_flow"] = 1e3 * (time.perf_counter() - t0)
+
+        t0 = time.perf_counter()
+        corrs = T.correspondences_from_flow(depth, f_c2d, crop)
+        result = self._solve_pnp(corrs, T_init, frame, side=0)
+        diag["ms_pnp"] = 1e3 * (time.perf_counter() - t0)
+        diag["inliers_cur"] = int(result.inliers.sum())
+        diag["ransac_hyp_cur"] = result.hypotheses
+        if not result.success:
+            state.failed = True
+            return state, None, diag
+        state.history.append(result.pose)
+        state.T_init_next = result.pose
+        state.frame_index = frame + 1
+        return state, result.pose, diag
+
+    def step_loose_coupled(self, state, lidar_map, T_gt_cur, vo_relative,
+                           outage=False, kill=False):
+        cfg = self.config
+        K = cfg.camera
+        frame = state.frame_index
+        T_init = state.T_init_next
+        diag = {"frame": frame, "mode": "loose_coupled"}
+
+        prev = state.history[-1] if state.history else T_init
+        candidate_b = vo_relative.compose(prev) if vo_relative is not None else prev
+
+        crop, depth, times = self._crop_and_render(lidar_map, T_init)
+        diag.update(times)
+        candidate_a = None
+        rmse = float("inf")
+        if depth is not None and depth.valid.any():
+            t0 = time.perf_counter()
+            f_c2d = T.oracle_depth_flow(crop, K, T_init, T_gt_cur,
+                                        self._frame_noise(frame), stream=0,
+                                        depth=depth)
+            if outage or kill:
+                T._invalidate(f_c2d)
+            diag["ms_flow"] = 1e3 * (time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            corrs = T.correspondences_from_flow(depth, f_c2d, crop)
+            result = self._solve_pnp(corrs, T_init, frame, side=0)
+            diag["ms_pnp"] = 1e3 * (time.perf_counter() - t0)
+            diag["inliers_cur"] = int(result.inliers.sum())
+            diag["ransac_hyp_cur"] = result.hypotheses
+            if result.success:
+                candidate_a = result.pose
+                rmse = result.rmse
+        diag["pnp_rmse"] = rmse
+
+        if candidate_a is not None and rmse < cfg.loose_reproj_threshold:
+            pose = candidate_a
+            diag["candidate"] = "pnp"
+        else:
+            pose = candidate_b
+            diag["candidate"] = "vo"
+        state.history.append(pose)
+        state.T_init_next = pose
+        state.frame_index = frame + 1
+        return state, pose, diag
+
+    def run(self, scenario, T0=None):
+        gt = list(scenario.gt_poses)
+        n = len(gt)
+        state = self.init(T0 if T0 is not None else (gt[0] if n else PoseSE3.identity()))
+        diagnostics = []
+        if n == 0:
+            return T.RunResult(Trajectory(poses=[]), diagnostics, complete=True)
+
+        mode = self.config.mode
+        if mode == "multi_view" and n >= 2:
+            for i in range(n - 1):
+                state, _, diag = self.step_multi_view(
+                    state, scenario.lidar_map, gt[i], gt[i + 1],
+                    outage_cur=i in scenario.outage_frames,
+                    outage_next=(i + 1) in scenario.outage_frames,
+                    kill_cur=i in scenario.flow_kill_frames,
+                    kill_next=(i + 1) in scenario.flow_kill_frames)
+                self._note_errors(diag, state, gt)
+                diagnostics.append(diag)
+                if state.failed:
+                    break
+            if not state.failed:
+                state.history.append(state.T_init_next)
+                rot, transl = pose_error(state.history[n - 1], gt[n - 1])
+                diagnostics.append({"frame": n - 1, "mode": "multi_view",
+                                    "rot_err_deg": rot, "transl_err_cm": 100.0 * transl})
+        elif mode == "loose_coupled":
+            vo = scenario.vo_relatives
+            if vo is None:
+                raise ValueError("loose_coupled mode needs scenario.vo_relatives")
+            for i in range(n):
+                rel = vo[i - 1] if i >= 1 else None
+                state, _, diag = self.step_loose_coupled(
+                    state, scenario.lidar_map, gt[i], rel,
+                    outage=i in scenario.outage_frames,
+                    kill=i in scenario.flow_kill_frames)
+                self._note_errors(diag, state, gt)
+                diagnostics.append(diag)
+                if state.failed:
+                    break
+        else:
+            for i in range(n):
+                state, _, diag = self.step_frame_by_frame(
+                    state, scenario.lidar_map, gt[i],
+                    outage=i in scenario.outage_frames,
+                    kill=i in scenario.flow_kill_frames)
+                self._note_errors(diag, state, gt)
+                diagnostics.append(diag)
+                if state.failed:
+                    break
+
+        complete = (not state.failed) and len(state.history) == n
+        return T.RunResult(Trajectory(poses=list(state.history)), diagnostics, complete)
+
+
+def _same_value(a, b):
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    return type(a) is type(b) and a == b
+
+
+def assert_same_run(new, ref):
+    """Poses bit for bit, completion, and every diagnostic but the timings."""
+    assert new.complete == ref.complete
+    assert len(new.trajectory) == len(ref.trajectory)
+    for a, b in zip(new.trajectory.poses, ref.trajectory.poses):
+        assert np.array_equal(a.q, b.q) and np.array_equal(a.t, b.t)
+    assert len(new.diagnostics) == len(ref.diagnostics)
+    for d_new, d_ref in zip(new.diagnostics, ref.diagnostics):
+        plain = {k: v for k, v in d_new.items() if not k.startswith("ms_") and k != "fail_reason"}
+        ref_plain = {k: v for k, v in d_ref.items() if not k.startswith("ms_")}
+        assert plain.keys() == ref_plain.keys(), (d_new["frame"], plain.keys() ^ ref_plain.keys())
+        assert {k for k in d_new if k.startswith("ms_")} == {k for k in d_ref if k.startswith("ms_")}
+        for key, value in ref_plain.items():
+            assert _same_value(plain[key], value), (d_new["frame"], key, plain[key], value)
+    # only the row a failed run stops at names a reason
+    reasons = ["fail_reason" in d for d in new.diagnostics]
+    assert reasons == [False] * (len(reasons) - 1) + [not new.complete][:len(reasons)]
+
+
+FAR = np.array([0.0, 0.0, 5000.0])
+NOISY = FlowNoiseModel(gaussian_sigma=1.5, outlier_fraction=0.1, outlier_magnitude=30.0, seed=3)
+
+
+class TestMatchesReferenceTracker:
+    @pytest.mark.parametrize("mode,scen,cfg,far_start", [
+        ("multi_view", dict(outage_frames={3, 4}, flow_kill_frames=set(range(8, 12))), {}, False),
+        ("frame_by_frame", dict(outage_frames={4}), {}, False),
+        ("loose_coupled", dict(outage_frames={4}), {}, False),
+        ("multi_view", dict(outage_frames={5, 6, 7}), dict(noise=NOISY), False),
+        ("frame_by_frame", {}, dict(noise=NOISY), False),
+        ("loose_coupled", dict(outage_frames={2}), dict(noise=NOISY), False),
+        ("multi_view", {}, {}, True),
+        ("frame_by_frame", {}, {}, True),
+        ("loose_coupled", {}, {}, True),  # no render at all: VO carries every frame
+    ])
+    def test_matches_reference(self, K_small, small_world, mode, scen, cfg, far_start):
+        gmap, gt, vo = small_world
+        scenario = Scenario(lidar_map=gmap, gt_poses=gt, vo_relatives=vo,
+                            outage_frames=frozenset(scen.get("outage_frames", ())),
+                            flow_kill_frames=frozenset(scen.get("flow_kill_frames", ())))
+        T0 = PoseSE3(gt[0].q, gt[0].t + FAR) if far_start else None
+        config = make_config(K_small, mode, **cfg)
+        new = Tracker(config).run(scenario, T0=T0)
+        assert_same_run(new, ReferenceTracker(config).run(scenario, T0=T0))
+        if mode == "loose_coupled":
+            picks = {d["candidate"] for d in new.diagnostics}
+            assert "vo" in picks and (picks == {"vo"}) == far_start
+
+    def test_single_frame_multi_view(self, K_small, small_world):
+        gmap, gt, _ = small_world
+        scenario = Scenario(lidar_map=gmap, gt_poses=gt[:1])
+        config = make_config(K_small, "multi_view")
+        new = Tracker(config).run(scenario)
+        assert new.complete and new.diagnostics[0]["mode"] == "frame_by_frame"
+        assert_same_run(new, ReferenceTracker(config).run(scenario))
+
+
+def _degenerate(T_cur, T_next, *args, **kwargs):
+    return JointResult(T_cur, T_next, initial_energy=0.0, final_energy=0.0,
+                       iterations=0, converged=False)
+
+
+class TestFailReasons:
+    @pytest.mark.parametrize("mode,patched,outages,far_start,reason,tracked", [
+        ("multi_view", (), (), True, "no_render", 0),
+        ("frame_by_frame", (), (), True, "no_render", 0),
+        ("frame_by_frame", (), (4,), False, "pnp_failed", 4),
+        ("multi_view", ("optimize_pair",), (3,), False, "next_unobservable", 3),
+        ("multi_view", ("optimize_next_only",), (3, 4), False, "consistency_degenerate", 3),
+        ("multi_view", ("optimize_pair",), (), False, None, 12),  # coast_cur every step
+    ])
+    def test_reason_and_reference(self, K_small, small_world, monkeypatch, caplog,
+                                  mode, patched, outages, far_start, reason, tracked):
+        for name in patched:
+            monkeypatch.setattr(T, name, _degenerate)
+        gmap, gt, _ = small_world
+        scenario = Scenario(lidar_map=gmap, gt_poses=gt, outage_frames=frozenset(outages))
+        T0 = PoseSE3(gt[0].q, gt[0].t + FAR) if far_start else None
+        config = make_config(K_small, mode)
+        with caplog.at_level(logging.WARNING, logger="lidartrack.tracker"):
+            new = Tracker(config).run(scenario, T0=T0)
+        assert len(new.trajectory) == tracked
+        assert_same_run(new, ReferenceTracker(config).run(scenario, T0=T0))
+        warnings = [r for r in caplog.records if r.name == "lidartrack.tracker"]
+        if reason is None:
+            assert new.complete and not warnings
+            assert {d.get("rescued") for d in new.diagnostics[:-1]} == {"coast_cur"}
+        else:
+            assert not new.complete
+            assert new.diagnostics[-1]["fail_reason"] == reason
+            assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
+            assert reason in warnings[0].getMessage()
