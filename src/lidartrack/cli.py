@@ -12,6 +12,8 @@ interrupted by a localization failure, 1 for usage/config/IO errors.
 from __future__ import annotations
 
 import argparse
+import copy
+import csv
 import dataclasses
 import json
 import logging
@@ -25,8 +27,8 @@ import numpy as np
 from . import __version__, evaluation, formats
 from .evaluation import Trajectory, build_report, emit_report, format_report
 from .flow import FlowNoiseModel
-from .geometry import (CameraIntrinsics, PerturbBounds, PoseSE3, perturb_pose,
-                       pose_error)
+from .geometry import (CameraIntrinsics, PerturbBounds, PoseSE3, check_number,
+                       perturb_pose, pose_error)
 from .joint import EnergyConfig
 from .mapping import CropExtents
 # perfbench/tracing.py wraps cli.downsample, so the name stays importable here
@@ -48,25 +50,24 @@ class ConfigError(ValueError):
     """Invalid or missing configuration value; message names the field."""
 
 
+# One dataclass per config section.  Only the CLI's own camera and lighter scene
+# are set here; every other default is the dataclass's own.
+_SECTIONS = {
+    "camera": CameraIntrinsics(fx=100.0, fy=100.0, cx=480.0, cy=160.0, width=960, height=320),
+    "scene": SceneConfig(extent=150.0, ground_density=0.8, facade_density=1.5),
+    "trajectory": TrajectoryConfig(),
+    "crop": CropExtents(),
+    "noise": FlowNoiseModel(),
+    "ransac": RansacConfig(),
+    "energy": EnergyConfig(),
+    "vo": VoOracleConfig(),
+}
+
 DEFAULT_CONFIG = {
-    "seed": 0,
-    "camera": {"fx": 100.0, "fy": 100.0, "cx": 480.0, "cy": 160.0,
-               "width": 960, "height": 320},
-    "scene": {"extent": 150.0, "ground_density": 0.8, "facade_density": 1.5,
-              "pole_count": 40, "seed": 0},
-    "trajectory": {"frame_count": 100, "speed": 1.0, "turn_rate_deg": 0.0,
-                   "profile": "straight", "seed": 0},
-    "crop": {"forward": 100.0, "backward": 10.0, "lateral": 25.0},
-    "noise": {"gaussian_sigma": 0.0, "outlier_fraction": 0.0,
-              "outlier_magnitude": 0.0, "dropout_fraction": 0.0, "seed": 0},
-    "ransac": {"max_iters": 1000, "inlier_threshold": 2.0, "min_inliers": 20,
-               "confidence": 0.99, "seed": 0},
-    "energy": {"w_consist": 1.0, "w_reproj": 1.0, "huber_delta": 2.0,
-               "max_iters": 50, "rel_tol": 1e-6, "lambda0": 1e-4},
-    "vo": {"rot_drift_sigma_deg": 0.0, "transl_drift_sigma": 0.0, "seed": 0},
-    "tracker": {"mode": "multi_view", "loose_reproj_threshold": 2.0,
-                "occlusion_aperture_deg": 10.0, "occlusion_window": 7,
-                "consist_point_cap": 2000, "reproj_point_cap": 1500},
+    **{name: dataclasses.asdict(section) for name, section in _SECTIONS.items()},
+    # TrackerConfig's own scalars; its nested configs are the sections above
+    "tracker": {f.name: f.default for f in dataclasses.fields(TrackerConfig)
+                if f.name not in _SECTIONS},
     "init_perturb": {"max_transl_per_axis": 0.0, "max_rot_per_axis_deg": 0.0,
                      "seed": 0},
     "map_resolution": 0.1,
@@ -75,18 +76,17 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge(defaults, override, prefix=""):
-    out = dict(defaults)
+def _merge(cfg, override, prefix=""):
     for key, value in override.items():
-        if key not in defaults:
+        if key not in cfg:
             raise ConfigError(f"unknown config field {prefix}{key}")
-        if isinstance(defaults[key], dict):
+        if isinstance(cfg[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config field {prefix}{key} must be an object")
-            out[key] = _merge(defaults[key], value, prefix=f"{prefix}{key}.")
+            _merge(cfg[key], value, prefix=f"{prefix}{key}.")
         else:
-            out[key] = value
-    return out
+            cfg[key] = value
+    return cfg
 
 
 def load_config(path) -> dict:
@@ -97,41 +97,49 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     if "config" in raw and isinstance(raw["config"], dict):
         raw = raw["config"]  # accept a manifest in place of a config
-    return _merge(DEFAULT_CONFIG, raw)
+    return _merge(copy.deepcopy(DEFAULT_CONFIG), raw)
 
 
-def _build(cfg):
-    """Instantiate typed configs; dataclass validators do the range checks."""
+def _build(cfg) -> dict:
+    """The typed config of each section, plus ``tracker``, ``init_perturb``
+    and ``outages``.  Every bad value raises ConfigError naming its field,
+    so a config is checked whole before any work starts."""
     try:
-        camera = CameraIntrinsics(**cfg["camera"])
-        scene = SceneConfig(**cfg["scene"])
-        traj = TrajectoryConfig(**cfg["trajectory"])
-        crop = CropExtents(**cfg["crop"])
-        noise = FlowNoiseModel(**cfg["noise"])
-        ransac = RansacConfig(**cfg["ransac"])
-        energy = EnergyConfig(**cfg["energy"])
-        vo = VoOracleConfig(**cfg["vo"])
-        perturb = PerturbBounds(cfg["init_perturb"]["max_transl_per_axis"],
-                                cfg["init_perturb"]["max_rot_per_axis_deg"])
-        tracker = TrackerConfig(camera=camera, crop=crop, noise=noise,
-                                ransac=ransac, energy=energy, **cfg["tracker"])
+        built = {name: type(section)(**cfg[name]) for name, section in _SECTIONS.items()}
+        built["tracker"] = TrackerConfig(
+            **cfg["tracker"],
+            **{f.name: built[f.name] for f in dataclasses.fields(TrackerConfig)
+               if f.name in _SECTIONS})
+        perturb = dict(cfg["init_perturb"])
+        check_number("seed", perturb.pop("seed"), int)
+        built["init_perturb"] = PerturbBounds(**perturb)
+        check_number("map_resolution", cfg["map_resolution"], float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     if cfg["map_resolution"] <= 0:
         raise ConfigError("map_resolution must be positive")
-    return camera, scene, traj, tracker, vo, perturb
+    modes = cfg["ablate_modes"]
+    if not (isinstance(modes, list) and modes and all(m in MODES for m in modes)):
+        raise ConfigError(f"ablate_modes must be a non-empty list of {', '.join(MODES)}")
+    built["outages"] = _outage_frames(cfg["outages"])
+    return built
 
 
-def _outage_frames(cfg):
+def _outage_frames(outages) -> frozenset:
+    """The frames of single frame entries and ``[start, length]`` pairs."""
     frames = set()
-    for entry in cfg["outages"]:
-        if isinstance(entry, (list, tuple)) and len(entry) == 2:
-            start, length = entry
-            frames.update(range(int(start), int(start) + int(length)))
-        else:
-            frames.add(int(entry))
+    try:
+        for entry in outages:
+            start, length = entry if isinstance(entry, list) else (entry, 1)
+            check_number("outages", start, int)
+            check_number("outages", length, int)
+            frames.update(range(start, start + length))
+    except (TypeError, ValueError):
+        raise ConfigError("outages must be a list of frames or [start_frame, length] pairs")
     return frozenset(frames)
 
 
@@ -141,10 +149,8 @@ def _write_manifest(out_dir, command, cfg, artifacts, timings):
         "version": __version__,
         "command": command,
         "config": cfg,
-        "seeds": {"master": cfg["seed"], "scene": cfg["scene"]["seed"],
-                  "trajectory": cfg["trajectory"]["seed"],
-                  "noise": cfg["noise"]["seed"], "ransac": cfg["ransac"]["seed"],
-                  "vo": cfg["vo"]["seed"], "init_perturb": cfg["init_perturb"]["seed"]},
+        "seeds": {name: section["seed"] for name, section in cfg.items()
+                  if isinstance(section, dict) and "seed" in section},
         "artifacts": {k: str(v) for k, v in artifacts.items()},
         "wall_clock_s": timings,
     }
@@ -164,16 +170,16 @@ def cmd_synth(config_path, out_dir, seed_override=None) -> int:
     if seed_override is not None:
         cfg["scene"]["seed"] = seed_override
         cfg["trajectory"]["seed"] = seed_override
-    _, scene_cfg, traj_cfg, _, _, _ = _build(cfg)
+    built = _build(cfg)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timings = {}
     t0 = time.perf_counter()
-    cloud = generate_scene(scene_cfg)
+    cloud = generate_scene(built["scene"])
     timings["scene"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    traj = generate_trajectory(traj_cfg)
+    traj = generate_trajectory(built["trajectory"])
     timings["trajectory"] = time.perf_counter() - t0
 
     scene_path = out / "scene.xyz"
@@ -196,7 +202,7 @@ def _load_scenario(cfg, scenario_dir):
         raise ConfigError(f"missing ground-truth poses: {gt_path}")
     return scenario_from_cloud(formats.load_cloud(scene_path),
                                formats.load_trajectory_poses(gt_path), cfg["map_resolution"],
-                               VoOracleConfig(**cfg["vo"]), _outage_frames(cfg))
+                               VoOracleConfig(**cfg["vo"]), _outage_frames(cfg["outages"]))
 
 
 def _initial_pose(cfg, gt, bounds: PerturbBounds):
@@ -214,13 +220,14 @@ def cmd_track(config_path, scenario_dir, out_dir, mode_override=None,
     if seed_override is not None:
         cfg["noise"]["seed"] = seed_override
         cfg["ransac"]["seed"] = seed_override
-    _, _, _, tracker_cfg, _, perturb = _build(cfg)
+    built = _build(cfg)
     scenario = _load_scenario(cfg, scenario_dir)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    result = Tracker(tracker_cfg).run(scenario, T0=_initial_pose(cfg, scenario.gt_poses, perturb))
+    result = Tracker(built["tracker"]).run(
+        scenario, T0=_initial_pose(cfg, scenario.gt_poses, built["init_perturb"]))
     wall = time.perf_counter() - t0
 
     traj_path = out / "est_traj.txt"
@@ -232,7 +239,7 @@ def cmd_track(config_path, scenario_dir, out_dir, mode_override=None,
                      "scenario": scenario_dir},
                     {"track": wall})
     frames = len(result.trajectory)
-    log.info("track[%s]: %d/%d frames, complete=%s", tracker_cfg.mode, frames,
+    log.info("track[%s]: %d/%d frames, complete=%s", built["tracker"].mode, frames,
              len(scenario.gt_poses), result.complete)
     return EXIT_OK if result.complete else EXIT_INTERRUPTED
 
@@ -259,24 +266,20 @@ def cmd_ablate(config_path, out_dir, seed_override=None) -> int:
     if seed_override is not None:
         cfg["noise"]["seed"] = seed_override
         cfg["ransac"]["seed"] = seed_override
-    _, scene_cfg, traj_cfg, tracker_cfg, vo_cfg, perturb = _build(cfg)
-    modes = cfg["ablate_modes"]
-    for mode in modes:
-        if mode not in MODES:
-            raise ConfigError(f"unknown ablate mode {mode!r}")
+    built = _build(cfg)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    scenario = scenario_from_cloud(generate_scene(scene_cfg), generate_trajectory(traj_cfg),
-                                   cfg["map_resolution"], vo_cfg, _outage_frames(cfg))
+    scenario = scenario_from_cloud(generate_scene(built["scene"]),
+                                   generate_trajectory(built["trajectory"]),
+                                   cfg["map_resolution"], built["vo"], built["outages"])
     gt = scenario.gt_poses
-    T0 = _initial_pose(cfg, gt, perturb)
+    T0 = _initial_pose(cfg, gt, built["init_perturb"])
 
-    import csv as _csv
     rows = []
-    for mode in modes:
-        run_cfg = dataclasses.replace(tracker_cfg, mode=mode)
+    for mode in cfg["ablate_modes"]:
+        run_cfg = dataclasses.replace(built["tracker"], mode=mode)
         t0 = time.perf_counter()
         result = Tracker(run_cfg).run(scenario, T0=T0)
         wall = time.perf_counter() - t0
@@ -297,7 +300,7 @@ def cmd_ablate(config_path, out_dir, seed_override=None) -> int:
 
     csv_path = out / "ablation.csv"
     with open(csv_path, "w", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
     _write_manifest(out, "ablate", cfg, {"ablation": csv_path}, {})
@@ -359,10 +362,7 @@ def main(argv=None) -> int:
             return cmd_eval(args.est, args.gt, args.out, args.rpe_delta, args.align)
         if args.command == "ablate":
             return cmd_ablate(args.config, args.out, args.seed)
-    except (ConfigError, formats.FormatError) as exc:
-        log.error("%s", exc)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (ConfigError, formats.FormatError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_ERROR
     return EXIT_ERROR

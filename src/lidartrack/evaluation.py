@@ -184,13 +184,11 @@ def write_per_frame_csv(est, gt, path):
     Positions are the estimated camera centers in world coordinates;
     errors are against the ground truth at the same index.
     """
-    import csv as _csv
-
     est_p, gt_p = _as_poses(est), _as_poses(gt)
     if len(est_p) != len(gt_p):
         raise ValueError("trajectory length mismatch")
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["frame", "x", "y", "z", "rot_err", "transl_err"])
         for i, (a, b) in enumerate(zip(est_p, gt_p)):
             c = a.center()

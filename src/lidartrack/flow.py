@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, PoseSE3, project_points
+from .geometry import CameraIntrinsics, PoseSE3, check_fields, project_points
 from .rendering import (DEFAULT_OCCLUSION_APERTURE_DEG, DEFAULT_OCCLUSION_WINDOW,
                         DepthMap, FlowField, _depth_flow_lists, _flow_field, _pixel_lists,
                         render_depth)
@@ -48,15 +48,13 @@ class FlowNoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.outlier_fraction <= 1.0):
-            raise ValueError("outlier_fraction must be in [0, 1]")
-        if not (0.0 <= self.dropout_fraction <= 1.0):
-            raise ValueError("dropout_fraction must be in [0, 1]")
+        check_fields(self)
+        for name in ("outlier_fraction", "dropout_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
         for name in ("gaussian_sigma", "outlier_magnitude"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ValueError(f"{name} must be finite and non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 def warp(field: FlowField, base: FlowField) -> FlowField:

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -146,6 +147,30 @@ def _skew(v):
 # domain types
 # ---------------------------------------------------------------------------
 
+def check_number(name: str, value, kind) -> None:
+    """Raise ``ValueError("<name> must be ...")`` unless ``value`` is a finite
+    real (``kind`` float) or an integer (``kind`` int), and not a bool.  A
+    ``seed`` must be non-negative, as numpy refuses it otherwise."""
+    if kind in (float, "float"):
+        try:
+            ok = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be a finite number")
+    elif kind in (int, "int"):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
+        if name == "seed" and value < 0:
+            raise ValueError("seed must be non-negative")
+
+
+def check_fields(config) -> None:
+    """``check_number`` on every field of a config dataclass, by its annotation."""
+    for f in dataclasses.fields(config):
+        check_number(f.name, getattr(config, f.name), f.type)
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole camera matrix K plus the image size in pixels."""
@@ -158,19 +183,11 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        for name in ("fx", "fy", "cx", "cy"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("width", "height"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
+        check_fields(self)
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image size must be positive")
 
     @property
     def matrix(self):
@@ -191,6 +208,7 @@ class PerturbBounds:
     max_rot_per_axis_deg: float
 
     def __post_init__(self):
+        check_fields(self)
         if self.max_transl_per_axis < 0 or self.max_rot_per_axis_deg < 0:
             raise ValueError("perturbation bounds must be non-negative")
 

@@ -14,13 +14,11 @@ optimization, keeping the residuals smooth and the Jacobian analytic.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (CameraIntrinsics, PoseSE3, project_points,
+from .geometry import (CameraIntrinsics, PoseSE3, check_fields, project_points,
                        reprojection_jacobian)
 # perfbench/tracing.py counts calls of joint.se3_exp, so the name stays importable here
 from .geometry import se3_exp  # noqa: F401
@@ -43,18 +41,16 @@ class EnergyConfig:
     lambda0: float = 1e-4
 
     def __post_init__(self):
-        for name in ("w_consist", "w_reproj"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ValueError(f"{name} must be finite and non-negative")
-        if not (math.isfinite(self.huber_delta) and self.huber_delta > 0):
-            raise ValueError("huber_delta must be finite and positive")
-        for name in ("lambda0", "rel_tol"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ValueError(f"{name} must be finite and non-negative")
+        check_fields(self)
+        for name in ("w_consist", "w_reproj", "lambda0", "rel_tol"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        if self.huber_delta <= 0:
+            raise ValueError("huber_delta must be positive")
         if self.w_consist == 0 and self.w_reproj == 0:
             raise ValueError("at least one energy term must be active")
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
-            raise ValueError("max_iters must be an integer >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PoseSE3
+from .geometry import PoseSE3, check_fields
 
 # Cell size of the crop-acceleration grid: max default crop dimension
 # (100 m forward + 10 m backward) divided by 32.
@@ -27,6 +27,7 @@ class CropExtents:
     lateral: float = 25.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.forward <= 0 or self.backward <= 0 or self.lateral <= 0:
             raise ValueError("crop extents must be positive")
 

@@ -21,13 +21,12 @@ time (``tests/test_pnp.py`` keeps that sequential loop as the reference).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (MIN_DEPTH, CameraIntrinsics, PoseSE3, compose_batch,
-                       project_points, quat_to_matrix_batch,
+from .geometry import (MIN_DEPTH, CameraIntrinsics, PoseSE3, check_fields,
+                       compose_batch, project_points, quat_to_matrix_batch,
                        reprojection_jacobian, se3_exp, se3_exp_batch)
 from .rendering import DepthMap, FlowField
 
@@ -78,6 +77,14 @@ REFINE_POINT_CAP = 4000
 RANSAC_BATCH = 16
 
 
+def _stride_cap(arr, cap: int):
+    """Deterministic stride subsampling down to at most ``cap`` entries."""
+    if len(arr) <= cap:
+        return arr
+    stride = -(-len(arr) // cap)
+    return arr[::stride]
+
+
 @dataclass(frozen=True)
 class RansacConfig:
     max_iters: int = 1000
@@ -87,16 +94,15 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
-            raise ValueError("max_iters must be an integer >= 1")
-        if not (math.isfinite(self.inlier_threshold) and self.inlier_threshold > 0):
-            raise ValueError("inlier_threshold must be finite and positive")
+        check_fields(self)
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+        if self.inlier_threshold <= 0:
+            raise ValueError("inlier_threshold must be positive")
         if self.min_inliers < 0:
             raise ValueError("min_inliers must be non-negative")
         if not (0.0 < self.confidence < 1.0):
             raise ValueError("confidence must be in (0, 1)")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -484,10 +490,7 @@ def solve_pnp_ransac(corrs: Correspondences, K: CameraIntrinsics, T_init: PoseSE
         return PnPResult(pose=T_init, inliers=np.zeros(n, dtype=bool),
                          success=False, rmse=float("inf"), hypotheses=it)
 
-    refine_idx = np.nonzero(best_mask)[0]
-    if len(refine_idx) > REFINE_POINT_CAP:
-        stride = -(-len(refine_idx) // REFINE_POINT_CAP)
-        refine_idx = refine_idx[::stride]
+    refine_idx = _stride_cap(np.nonzero(best_mask)[0], REFINE_POINT_CAP)
     refined = refine_pose(corrs.subset(refine_idx), K, T_init)
     pose = refined.pose
     err = _reproj_errors(corrs, K, pose.rotation_matrix()[None], pose.t[None])[0]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PoseSE3
+from .geometry import PoseSE3, check_fields
 
 CAMERA_HEIGHT = 1.7           # m above ground
 CORRIDOR_HALF_WIDTH = 12.0    # m, facade distance from the center line
@@ -32,6 +32,7 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.extent <= 0:
             raise ValueError("extent must be positive")
         if self.ground_density < 0 or self.facade_density < 0 or self.pole_count < 0:
@@ -44,9 +45,10 @@ class TrajectoryConfig:
     speed: float = 1.0            # m / frame
     turn_rate_deg: float = 0.0    # deg / frame
     profile: str = "straight"     # straight | arc | s_curve
-    seed: int = 0
+    seed: int = 0                 # not read: trajectories draw no randomness
 
     def __post_init__(self):
+        check_fields(self)
         if self.frame_count < 1:
             raise ValueError("frame_count must be >= 1")
         if self.profile not in ("straight", "arc", "s_curve"):
@@ -60,6 +62,7 @@ class VoOracleConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.rot_drift_sigma_deg < 0 or self.transl_drift_sigma < 0:
             raise ValueError("drift sigmas must be non-negative")
 

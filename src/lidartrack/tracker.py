@@ -24,9 +24,8 @@ and one rendered depth map centered at the carried initial pose.
 """
 from __future__ import annotations
 
+import csv
 import logging
-import math
-import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -36,11 +35,11 @@ import numpy as np
 from . import mapping
 from .evaluation import Trajectory
 from .flow import FlowNoiseModel, oracle_depth_flow, oracle_flows
-from .geometry import CameraIntrinsics, PoseSE3, pose_error
+from .geometry import CameraIntrinsics, PoseSE3, check_fields, pose_error
 from .joint import EnergyConfig, optimize_next_only, optimize_pair
 from .mapping import CropExtents, GlobalMap, crop_local
 from .pnp import (Correspondences, DegenerateConfigurationError, PnPResult,
-                  RansacConfig, TooFewCorrespondencesError,
+                  RansacConfig, TooFewCorrespondencesError, _stride_cap,
                   correspondences_from_flow, solve_pnp_ransac)
 from .rendering import (DEFAULT_OCCLUSION_APERTURE_DEG, DEFAULT_OCCLUSION_WINDOW,
                         DepthMap, FlowField, render_depth)
@@ -68,17 +67,11 @@ class TrackerConfig:
     reproj_point_cap: int = 1500  # per-frame inliers fed to the joint stage
 
     def __post_init__(self):
+        check_fields(self)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        for name in ("loose_reproj_threshold", "occlusion_aperture_deg"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if self.loose_reproj_threshold < 0:
             raise ValueError("loose_reproj_threshold must be non-negative")
-        for name in ("consist_point_cap", "reproj_point_cap", "occlusion_window"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
         for name in ("consist_point_cap", "reproj_point_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -124,14 +117,6 @@ class FrontEnd:
     image_flow: FlowField | None  # current -> next image; pairs only
     corrs: list                   # one Correspondences per frame
     pnps: list                    # one PnPResult per frame
-
-
-def _stride_cap(arr, cap: int):
-    """Deterministic stride subsampling down to at most ``cap`` entries."""
-    if len(arr) <= cap:
-        return arr
-    stride = -(-len(arr) // cap)
-    return arr[::stride]
 
 
 def _derived_seed(base: int, *key) -> int:
@@ -434,10 +419,7 @@ DIAGNOSTIC_COLUMNS = ["frame", "mode", "rot_err_deg", "transl_err_cm",
 
 
 def write_diagnostics_csv(diagnostics, path):
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=DIAGNOSTIC_COLUMNS, extrasaction="ignore")
         writer.writeheader()
-        for row in diagnostics:
-            writer.writerow(row)
+        writer.writerows(diagnostics)

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import re
@@ -105,6 +106,33 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg), "--out",
                      str(tmp_path / "o"), "--quiet"]) == EXIT_ERROR
 
+    def test_removed_top_level_seed_is_unknown(self, tmp_path, caplog):
+        # the top-level seed was never read; each section carries its own
+        cfg = write_config(tmp_path / "cfg.json", seed=1)
+        assert main(["synth", "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_ERROR
+        assert "unknown config field seed" in caplog.text
+
+    def test_negative_seed_is_a_config_error(self, tmp_path):
+        # run as a program so that a traceback would show on stderr
+        cfg = write_config(tmp_path / "cfg.json")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lidartrack.cli", "synth", "--config", str(cfg),
+             "--out", str(tmp_path / "o"), "--seed", "-1"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == EXIT_ERROR
+        assert "ERROR lidartrack: seed must be non-negative" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_config_that_is_not_an_object_is_a_config_error(self, tmp_path, caplog):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert main(["synth", "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_ERROR
+        assert "config must be a JSON object" in caplog.text
+
 
 @pytest.fixture(scope="module")
 def scenario_dir(tmp_path_factory):
@@ -166,13 +194,32 @@ class TestTrack:
         ("tracker", "reproj_point_cap", 2.5),
         ("tracker", "occlusion_window", 2.5),
         ("tracker", "loose_reproj_threshold", float("nan")),
-        ("tracker", "occlusion_aperture_deg", float("nan"))])
+        ("tracker", "occlusion_aperture_deg", float("nan")),
+        (None, "outages", ["x"]),
+        (None, "outages", [[1, 2, 3]]),
+        (None, "outages", "x"),
+        (None, "map_resolution", "0.1"),
+        (None, "map_resolution", float("nan")),
+        (None, "map_resolution", 0.0),
+        (None, "ablate_modes", "multi_view"),
+        (None, "ablate_modes", ["warp_drive"]),
+        (None, "ablate_modes", []),
+        ("init_perturb", "seed", -1),
+        ("init_perturb", "max_transl_per_axis", float("nan")),
+        ("scene", "extent", float("nan")),
+        ("trajectory", "frame_count", 2.5),
+        ("trajectory", "speed", float("nan")),
+        ("vo", "transl_drift_sigma", float("nan")),
+        ("crop", "forward", float("nan")),
+        ("noise", "seed", 2.5)])
     def test_bad_value_is_a_config_error_naming_field(self, scenario_dir, tmp_path,
                                                       section, field, bad):
-        # each of these values used to end in a traceback or a run that
-        # tracks nothing; run as a program so that a traceback would show
+        # each of these values used to end in a traceback, a run that
+        # tracks nothing, a silently wrong run or a misleading message;
+        # run as a program so that a traceback would show
         _, scen = scenario_dir
-        cfg = write_config(tmp_path / "cfg.json", **{section: {field: bad}})
+        override = {section: {field: bad}} if section else {field: bad}
+        cfg = write_config(tmp_path / "cfg.json", **override)
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "lidartrack.cli", "track", "--config", str(cfg),
@@ -182,6 +229,15 @@ class TestTrack:
         assert f"ERROR lidartrack: {field} must be" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "run" / "manifest.json").exists()
+
+    def test_seed_override_leaves_defaults_unchanged(self, scenario_dir, tmp_path):
+        # the scenario config sets no noise or RANSAC section, so both come
+        # from the defaults that --seed must not write into
+        cfg, scen = scenario_dir
+        before = copy.deepcopy(cli.DEFAULT_CONFIG)
+        assert cli.cmd_track(cfg, scen, tmp_path / "run", seed_override=77) == EXIT_OK
+        assert cli.DEFAULT_CONFIG == before
+        assert cli.load_config(cfg)["noise"]["seed"] == 0
 
     def test_mode_override_flag(self, scenario_dir, tmp_path):
         cfg, scen = scenario_dir

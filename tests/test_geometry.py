@@ -1,13 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from lidartrack.flow import FlowNoiseModel
 from lidartrack.geometry import (DEFAULT_PERTURB, BehindCameraError,
                                  CameraIntrinsics, PerturbBounds, PoseSE3,
                                  perturb_pose, pose_error, project_point,
                                  project_points, reprojection_jacobian,
                                  se3_exp, se3_log)
+from lidartrack.joint import EnergyConfig
+from lidartrack.mapping import CropExtents
+from lidartrack.pnp import RansacConfig
+from lidartrack.synth import SceneConfig, TrajectoryConfig, VoOracleConfig
+from lidartrack.tracker import TrackerConfig
 
 
 def rotz(deg):
@@ -242,3 +249,44 @@ class TestJacobian:
                 J_fd[:, :, k] = (up - dn) / (2 * h)
             rel = np.abs(J - J_fd).max() / max(np.abs(J_fd).max(), 1.0)
             assert rel < 1e-4
+
+
+_K20 = CameraIntrinsics(fx=100.0, fy=100.0, cx=10.0, cy=10.0, width=20, height=20)
+
+# one valid instance of every config dataclass
+CONFIGS = [_K20, PerturbBounds(1.0, 1.0), CropExtents(), SceneConfig(),
+           TrajectoryConfig(), VoOracleConfig(), FlowNoiseModel(), RansacConfig(),
+           EnergyConfig(), TrackerConfig(camera=_K20)]
+
+# values of the wrong type for each numeric annotation
+WRONG = {"float": [float("nan"), float("inf"), -float("inf"), True, "1.0", None],
+         "int": [2.5, 20.0, True, False, "1", None]}
+
+FIELD_CASES = [pytest.param(cfg, f.name, bad, id=f"{type(cfg).__name__}-{f.name}-{bad!r}")
+               for cfg in CONFIGS for f in dataclasses.fields(cfg)
+               for bad in WRONG.get(getattr(f.type, "__name__", f.type), ())]
+
+
+class TestConfigFields:
+    """Every config dataclass checks its numeric fields by annotation."""
+
+    def test_every_config_has_numeric_fields(self):
+        covered = {case.values[0].__class__ for case in FIELD_CASES}
+        assert covered == {type(cfg) for cfg in CONFIGS} and len(covered) == 10
+
+    @pytest.mark.parametrize("cfg,field,bad", FIELD_CASES)
+    def test_wrong_type_raises_naming_field(self, cfg, field, bad):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            dataclasses.replace(cfg, **{field: bad})
+
+    @pytest.mark.parametrize("cfg", [c for c in CONFIGS if hasattr(c, "seed")],
+                             ids=lambda c: type(c).__name__)
+    def test_negative_seed_rejected(self, cfg):
+        with pytest.raises(ValueError, match="^seed must be non-negative"):
+            dataclasses.replace(cfg, seed=-1)
+        assert dataclasses.replace(cfg, seed=np.int64(7)).seed == 7
+
+    def test_integral_values_accepted(self):
+        # ints fill float fields, numpy scalars fill both
+        assert CropExtents(forward=100, backward=np.float64(5.0)).forward == 100
+        assert RansacConfig(max_iters=np.int32(10)).max_iters == 10
