@@ -1,3 +1,7 @@
+import multiprocessing as mp
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -26,3 +30,39 @@ def corridor():
     gmap = downsample(GlobalMap.build(scene), 0.1)
     traj = generate_trajectory(TrajectoryConfig(frame_count=4, speed=0.25, seed=1))
     return gmap, traj
+
+
+# arguments every worker of a pool_map call shares, inherited through fork
+_SHARED = ()
+
+
+def _set_shared(shared):
+    global _SHARED
+    _SHARED = shared
+
+
+def _call_shared(fn, item):
+    return fn(*_SHARED, item)
+
+
+@pytest.fixture(scope="session")
+def pool_map():
+    """``pool_map(fn, items, *shared)`` is ``[fn(*shared, item) for item in items]``
+    computed in up to four forked worker processes, one per available core.
+
+    For long acceptance loops whose items are independent seeded runs: each
+    item's result is the one the serial loop gives.  ``fn`` must be a module-
+    level function; ``shared`` reaches the workers through fork, unpickled.
+    Falls back to the serial loop on one core or where fork is unavailable.
+    """
+    def pool_map(fn, items, *shared):
+        items = list(items)
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        workers = min(4, cores, len(items))
+        if workers < 2 or "fork" not in mp.get_all_start_methods():
+            return [fn(*shared, item) for item in items]
+        with ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
+                                 initializer=_set_shared, initargs=(shared,)) as pool:
+            return list(pool.map(_call_shared, [fn] * len(items), items))
+    return pool_map

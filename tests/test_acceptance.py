@@ -190,6 +190,9 @@ def test_criterion_5_asymmetric_noise_rescue(pair_fixture, capsys):
         from lidartrack.pnp import correspondences_from_flow
         ransac = RansacConfig(inlier_threshold=6.0, seed=0)
         corrs_cur = correspondences_from_flow(depth, clean.f_c2d, crop)
+        # the clean frame's inputs do not depend on the seed: one solve
+        pnp_cur = solve_pnp_ransac(corrs_cur, K_PAPER, T_init, ransac)
+        assert pnp_cur.success
         ratios = []
         for seed in range(100):
             corrupt = FlowNoiseModel(gaussian_sigma=4.0, outlier_fraction=0.2,
@@ -197,9 +200,8 @@ def test_criterion_5_asymmetric_noise_rescue(pair_fixture, capsys):
             f_n2d = apply_noise(clean.f_n2d, corrupt,
                                 np.random.default_rng(7000 + seed))
             corrs_next = correspondences_from_flow(depth, f_n2d, crop)
-            pnp_cur = solve_pnp_ransac(corrs_cur, K_PAPER, T_init, ransac)
             pnp_next = solve_pnp_ransac(corrs_next, K_PAPER, T_init, ransac)
-            assert pnp_cur.success and pnp_next.success
+            assert pnp_next.success
             err_pnp = pose_error(pnp_next.pose, T_next)[1]
             consist_pts = corrs_cur.p_world[pnp_cur.inliers][::4]
             out = optimize_pair(pnp_cur.pose, pnp_next.pose,
@@ -251,26 +253,48 @@ def _synth_cli_scenario(tmp_path, frame_count, outages, extra_tracker=None,
     return cfg_path, scen_dir
 
 
-def test_criterion_6_tracking_completion_ordering(tmp_path, capsys):
+def _track_mode(cfg_path, scen_dir, tmp_path, mode):
+    """Exit code of ``track`` on the criterion 6 scenario in one mode."""
+    return cli.main(["track", "--config", str(cfg_path), "--scenario", str(scen_dir),
+                     "--out", str(tmp_path / f"run_{mode}"), "--mode", mode,
+                     "--quiet"])
+
+
+def test_criterion_6_tracking_completion_ordering(tmp_path, capsys, pool_map):
     """300-frame scenario with three scripted 3-frame depth-flow outages:
     frame_by_frame is interrupted; loose_coupled and multi_view finish
     with exit code 0."""
     with criterion(6, "tracking completion ordering", capsys):
         cfg_path, scen_dir = _synth_cli_scenario(
             tmp_path, frame_count=300, outages=[[60, 3], [150, 3], [240, 3]])
-        codes = {}
-        for mode in ("frame_by_frame", "loose_coupled", "multi_view"):
-            out = tmp_path / f"run_{mode}"
-            codes[mode] = cli.main(["track", "--config", str(cfg_path),
-                                    "--scenario", str(scen_dir),
-                                    "--out", str(out), "--mode", mode,
-                                    "--quiet"])
+        modes = ("frame_by_frame", "loose_coupled", "multi_view")
+        codes = dict(zip(modes, pool_map(_track_mode, modes, cfg_path, scen_dir,
+                                         tmp_path)))
         assert codes["frame_by_frame"] == cli.EXIT_INTERRUPTED, codes
         assert codes["loose_coupled"] == cli.EXIT_OK, codes
         assert codes["multi_view"] == cli.EXIT_OK, codes
 
 
-def test_criterion_7_drift_contrast(capsys):
+def _drift_ratio(gmap, gt, seed):
+    """VO ATE over multi_view ATE for one seed of criterion 7."""
+    gt_traj = Trajectory(poses=gt)
+    rels = vo_oracle(gt, VoOracleConfig(transl_drift_sigma=0.05, seed=9000 + seed))
+    vo_traj = Trajectory(poses=integrate_relatives(gt[0], rels))
+    ate_vo = ate(vo_traj, gt_traj)
+
+    cfg = TrackerConfig(
+        camera=K_TINY, mode="multi_view",
+        crop=CropExtents(40.0, 8.0, 16.0),
+        noise=FlowNoiseModel(gaussian_sigma=1.0, seed=9500 + seed),
+        ransac=RansacConfig(inlier_threshold=3.0, seed=9500 + seed),
+        occlusion_window=5, consist_point_cap=800, reproj_point_cap=800)
+    res = Tracker(cfg).run(Scenario(lidar_map=gmap, gt_poses=gt))
+    assert res.complete
+    ate_mv = ate(res.trajectory, gt_traj)
+    return ate_vo / max(ate_mv, 1e-12)
+
+
+def test_criterion_7_drift_contrast(capsys, pool_map):
     """Integrated VO with 0.05 m/frame drift over 400 frames reaches an
     ATE at least 10x that of multi_view tracking with 1 px flow noise,
     median over 20 seeds."""
@@ -281,24 +305,8 @@ def test_criterion_7_drift_contrast(capsys):
         gmap = downsample(GlobalMap.build(scene), 0.1)
         gt = generate_trajectory(TrajectoryConfig(frame_count=400, speed=1.0,
                                                   seed=7))
-        gt_traj = Trajectory(poses=gt)
-        ratios = []
-        for seed in range(20):
-            rels = vo_oracle(gt, VoOracleConfig(transl_drift_sigma=0.05,
-                                                seed=9000 + seed))
-            vo_traj = Trajectory(poses=integrate_relatives(gt[0], rels))
-            ate_vo = ate(vo_traj, gt_traj)
-
-            cfg = TrackerConfig(
-                camera=K_TINY, mode="multi_view",
-                crop=CropExtents(40.0, 8.0, 16.0),
-                noise=FlowNoiseModel(gaussian_sigma=1.0, seed=9500 + seed),
-                ransac=RansacConfig(inlier_threshold=3.0, seed=9500 + seed),
-                occlusion_window=5, consist_point_cap=800, reproj_point_cap=800)
-            res = Tracker(cfg).run(Scenario(lidar_map=gmap, gt_poses=gt))
-            assert res.complete
-            ate_mv = ate(res.trajectory, gt_traj)
-            ratios.append(ate_vo / max(ate_mv, 1e-12))
+        # the 20 seeded runs are independent, so they run side by side
+        ratios = pool_map(_drift_ratio, range(20), gmap, gt)
         med = float(np.median(ratios))
         assert med >= 10.0, f"median ATE ratio {med:.2f}"
 

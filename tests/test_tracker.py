@@ -269,8 +269,25 @@ class TestDiagnostics:
             tracer.disable()
 
 
+def _final_errors(K, gmap, gt, seed):
+    """Final translation error of multi_view and frame_by_frame (inf when
+    the run stops) under one seed of heavy depth-flow corruption."""
+    noise = FlowNoiseModel(gaussian_sigma=2.5, outlier_fraction=0.25,
+                           outlier_magnitude=40.0, seed=seed)
+    ransac = RansacConfig(inlier_threshold=5.0, max_iters=300)
+    errors = []
+    for mode in ("multi_view", "frame_by_frame"):
+        cfg = make_config(K, mode, noise=noise, ransac=ransac,
+                          crop=CropExtents(45.0, 8.0, 18.0))
+        res = Tracker(cfg).run(Scenario(lidar_map=gmap, gt_poses=gt))
+        errors.append(pose_error(res.trajectory.poses[-1], gt[-1])[1]
+                      if res.complete else np.inf)
+    return errors
+
+
 class TestModeDominance:
-    def test_multi_view_beats_frame_by_frame_under_episodic_noise(self, K_small):
+    def test_multi_view_beats_frame_by_frame_under_episodic_noise(self, K_small,
+                                                                  pool_map):
         # paired seeds, heavy every-other-frame corruption of the depth
         # flows; the joint back-end median final error must not exceed the
         # frame-by-frame one
@@ -279,22 +296,9 @@ class TestModeDominance:
                                            seed=20))
         gmap = downsample(GlobalMap.build(scene), 0.1)
         gt = generate_trajectory(TrajectoryConfig(frame_count=6, speed=1.0, seed=20))
-        finals = {"multi_view": [], "frame_by_frame": []}
-        ransac = RansacConfig(inlier_threshold=5.0, max_iters=300)
-        for seed in range(50):
-            noise = FlowNoiseModel(gaussian_sigma=2.5, outlier_fraction=0.25,
-                                   outlier_magnitude=40.0, seed=seed)
-            for mode in finals:
-                cfg = make_config(K_small, mode, noise=noise, ransac=ransac,
-                                  crop=CropExtents(45.0, 8.0, 18.0))
-                scen = Scenario(lidar_map=gmap, gt_poses=gt)
-                res = Tracker(cfg).run(scen)
-                if res.complete:
-                    finals[mode].append(pose_error(res.trajectory.poses[-1], gt[-1])[1])
-                else:
-                    finals[mode].append(np.inf)
-        med_mv = np.median(finals["multi_view"])
-        med_ff = np.median(finals["frame_by_frame"])
+        finals = np.array(pool_map(_final_errors, range(50), K_small, gmap, gt))
+        med_mv = np.median(finals[:, 0])
+        med_ff = np.median(finals[:, 1])
         assert med_mv <= med_ff
 
 
