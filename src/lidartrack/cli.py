@@ -117,11 +117,9 @@ def _build(cfg) -> dict:
         perturb = dict(cfg["init_perturb"])
         check_number("seed", perturb.pop("seed"), int)
         built["init_perturb"] = PerturbBounds(**perturb)
-        check_number("map_resolution", cfg["map_resolution"], float)
+        check_number("map_resolution", cfg["map_resolution"], float, "positive")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
-    if cfg["map_resolution"] <= 0:
-        raise ConfigError("map_resolution must be positive")
     modes = cfg["ablate_modes"]
     if not (isinstance(modes, list) and modes and all(m in MODES for m in modes)):
         raise ConfigError(f"ablate_modes must be a non-empty list of {', '.join(MODES)}")

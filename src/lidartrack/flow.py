@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, PoseSE3, check_fields, project_points
+from .geometry import CameraIntrinsics, PoseSE3, check_fields, pixel_index, project_points
 from .rendering import (DEFAULT_OCCLUSION_APERTURE_DEG, DEFAULT_OCCLUSION_WINDOW,
                         DepthMap, FlowField, _depth_flow_lists, _flow_field, _pixel_lists,
                         render_depth)
@@ -48,13 +48,8 @@ class FlowNoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self)
-        for name in ("outlier_fraction", "dropout_fraction"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        for name in ("gaussian_sigma", "outlier_magnitude"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        check_fields(self, non_negative=("gaussian_sigma", "outlier_magnitude"),
+                     unit=("outlier_fraction", "dropout_fraction"))
 
 
 def warp(field: FlowField, base: FlowField) -> FlowField:
@@ -223,10 +218,7 @@ def _covisible(pts, K: CameraIntrinsics, T_gt: PoseSE3, ids, depth_gt: DepthMap,
     """
     cam = T_gt.apply(pts[ids])
     z = cam[:, 2]
-    uv, front = project_points(K, cam)
-    px = np.rint(uv).astype(np.int64)
-    h, w = K.height, K.width
-    inb = front & (px[:, 0] >= 0) & (px[:, 0] < w) & (px[:, 1] >= 0) & (px[:, 1] < h)
+    px, inb = pixel_index(K, *project_points(K, cam))
     visible = np.zeros(len(ids), dtype=bool)
     sel = np.nonzero(inb)[0]
     d_at = depth_gt.depth[px[sel, 1], px[sel, 0]]

@@ -147,10 +147,18 @@ def _skew(v):
 # domain types
 # ---------------------------------------------------------------------------
 
-def check_number(name: str, value, kind) -> None:
+# The range rules a config field may declare: (test, end of the message).
+# An int field with "positive" must be at least 1.
+_RULES = {"positive": (lambda v: v > 0, "positive"),
+          "non_negative": (lambda v: v >= 0, "non-negative"),
+          "unit": (lambda v: 0 <= v <= 1, "in [0, 1]")}
+
+
+def check_number(name: str, value, kind, rule=None) -> None:
     """Raise ``ValueError("<name> must be ...")`` unless ``value`` is a finite
-    real (``kind`` float) or an integer (``kind`` int), and not a bool.  A
-    ``seed`` must be non-negative, as numpy refuses it otherwise."""
+    real (``kind`` float) or an integer (``kind`` int), and not a bool, and
+    then unless it meets ``rule`` (a key of ``_RULES``).  A ``seed`` must be
+    non-negative, as numpy refuses it otherwise."""
     if kind in (float, "float"):
         try:
             ok = not isinstance(value, bool) and math.isfinite(value)
@@ -161,14 +169,22 @@ def check_number(name: str, value, kind) -> None:
     elif kind in (int, "int"):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer")
-        if name == "seed" and value < 0:
-            raise ValueError("seed must be non-negative")
+        if name == "seed":
+            rule = "non_negative"
+    if rule is not None:
+        test, text = _RULES[rule]
+        if not test(value):
+            raise ValueError(f"{name} must be {text}")
 
 
-def check_fields(config) -> None:
-    """``check_number`` on every field of a config dataclass, by its annotation."""
+def check_fields(config, positive=(), non_negative=(), unit=()) -> None:
+    """``check_number`` on every field of a config dataclass, by its
+    annotation, with the range rule each field is named under."""
+    rules = {**dict.fromkeys(positive, "positive"),
+             **dict.fromkeys(non_negative, "non_negative"),
+             **dict.fromkeys(unit, "unit")}
     for f in dataclasses.fields(config):
-        check_number(f.name, getattr(config, f.name), f.type)
+        check_number(f.name, getattr(config, f.name), f.type, rules.get(f.name))
 
 
 @dataclass(frozen=True)
@@ -183,11 +199,10 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        check_fields(self)
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
-        if not (0 < self.cx < self.width and 0 < self.cy < self.height):
-            raise ValueError("principal point must lie inside the image")
+        check_fields(self, positive=("fx", "fy"))
+        for name, size in (("cx", self.width), ("cy", self.height)):
+            if not 0 < getattr(self, name) < size:
+                raise ValueError(f"{name} must be inside the image")
 
     @property
     def matrix(self):
@@ -208,9 +223,7 @@ class PerturbBounds:
     max_rot_per_axis_deg: float
 
     def __post_init__(self):
-        check_fields(self)
-        if self.max_transl_per_axis < 0 or self.max_rot_per_axis_deg < 0:
-            raise ValueError("perturbation bounds must be non-negative")
+        check_fields(self, non_negative=("max_transl_per_axis", "max_rot_per_axis_deg"))
 
 
 # Default disturbance used to draw initial poses; calibrated so that the
@@ -294,26 +307,38 @@ def project_point(K: CameraIntrinsics, p_cam) -> np.ndarray:
     u = fx * X / Z + cx,  v = fy * Y / Z + cy.  No bounds clamping: callers
     mask out-of-image projections themselves.
     """
-    p = np.asarray(p_cam, dtype=float)
-    if p[2] <= MIN_DEPTH:
-        raise BehindCameraError(f"point has non-positive depth Z={p[2]:g}")
-    return np.array([K.fx * p[0] / p[2] + K.cx, K.fy * p[1] / p[2] + K.cy])
+    uv, in_front = project_points(K, p_cam)
+    if not in_front[0]:
+        raise BehindCameraError(f"point has non-positive depth Z={p_cam[2]:g}")
+    return uv[0]
 
 
 def project_points(K: CameraIntrinsics, pts_cam):
-    """Vectorized pinhole projection.
+    """Vectorized pinhole projection of points (..., 3); a 1-D input is
+    read as rows of 3.
 
-    Returns (uv, in_front): uv is (N, 2) with rows undefined where
+    Returns (uv, in_front): uv is (..., 2) with rows undefined where
     in_front is False.
     """
-    pts_cam = np.asarray(pts_cam, dtype=float).reshape(-1, 3)
-    z = pts_cam[:, 2]
+    pts_cam = np.asarray(pts_cam, dtype=float)
+    if pts_cam.ndim == 1:
+        pts_cam = pts_cam.reshape(-1, 3)
+    z = pts_cam[..., 2]
     in_front = z > MIN_DEPTH
     zs = np.where(in_front, z, 1.0)
-    uv = np.empty((len(pts_cam), 2))
-    uv[:, 0] = K.fx * pts_cam[:, 0] / zs + K.cx
-    uv[:, 1] = K.fy * pts_cam[:, 1] / zs + K.cy
+    uv = np.empty(pts_cam.shape[:-1] + (2,))
+    uv[..., 0] = K.fx * pts_cam[..., 0] / zs + K.cx
+    uv[..., 1] = K.fy * pts_cam[..., 1] / zs + K.cy
     return uv, in_front
+
+
+def pixel_index(K: CameraIntrinsics, uv, in_front):
+    """(px, ok): the nearest pixel (N, 2) of each projection, and the mask
+    of those in front of the camera that fall inside the image."""
+    px = np.rint(uv).astype(np.int64)
+    ok = (in_front & (px[:, 0] >= 0) & (px[:, 0] < K.width)
+          & (px[:, 1] >= 0) & (px[:, 1] < K.height))
+    return px, ok
 
 
 def _exp_v_scalars(theta):
@@ -450,7 +475,8 @@ def reprojection_jacobian(K: CameraIntrinsics, pose, pts_world):
     (B, N, 3); the outputs then gain the leading B axis, and row b equals
     the PoseSE3 form for pose b bit for bit.
 
-    Returns (uv (N,2), z (N,), J (N,2,6)).  Callers must ensure z > 0.
+    Returns (uv (N,2), z (N,), J (N,2,6)).  Rows with z <= MIN_DEPTH are
+    undefined; callers discard them.
     """
     if isinstance(pose, PoseSE3):
         R, t = pose.rotation_matrix(), pose.t
@@ -460,9 +486,7 @@ def reprojection_jacobian(K: CameraIntrinsics, pose, pts_world):
         P = np.asarray(pts_world, dtype=float)
     cam = P @ np.swapaxes(R, -1, -2) + t[..., None, :]
     x, y, z = cam[..., 0], cam[..., 1], cam[..., 2]
-    uv = np.empty(cam.shape[:-1] + (2,))
-    uv[..., 0] = K.fx * x / z + K.cx
-    uv[..., 1] = K.fy * y / z + K.cy
+    uv, _ = project_points(K, cam)
 
     # d p_cam / d xi: rotation block R @ (-[P]x), translation block R
     R = R[..., None, :, :]

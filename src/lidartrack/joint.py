@@ -41,16 +41,10 @@ class EnergyConfig:
     lambda0: float = 1e-4
 
     def __post_init__(self):
-        check_fields(self)
-        for name in ("w_consist", "w_reproj", "lambda0", "rel_tol"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.huber_delta <= 0:
-            raise ValueError("huber_delta must be positive")
+        check_fields(self, positive=("huber_delta", "max_iters"),
+                     non_negative=("w_consist", "w_reproj", "lambda0", "rel_tol"))
         if self.w_consist == 0 and self.w_reproj == 0:
-            raise ValueError("at least one energy term must be active")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise ValueError("w_consist and w_reproj must not both be zero")
 
 
 @dataclass

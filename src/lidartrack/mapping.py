@@ -27,9 +27,7 @@ class CropExtents:
     lateral: float = 25.0
 
     def __post_init__(self):
-        check_fields(self)
-        if self.forward <= 0 or self.backward <= 0 or self.lateral <= 0:
-            raise ValueError("crop extents must be positive")
+        check_fields(self, positive=("forward", "backward", "lateral"))
 
 
 @dataclass

@@ -94,13 +94,8 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.inlier_threshold <= 0:
-            raise ValueError("inlier_threshold must be positive")
-        if self.min_inliers < 0:
-            raise ValueError("min_inliers must be non-negative")
+        check_fields(self, positive=("max_iters", "inlier_threshold"),
+                     non_negative=("min_inliers",))
         if not (0.0 < self.confidence < 1.0):
             raise ValueError("confidence must be in (0, 1)")
 

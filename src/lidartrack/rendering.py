@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MIN_DEPTH, CameraIntrinsics, PoseSE3, project_points
+from .geometry import CameraIntrinsics, PoseSE3, pixel_index, project_points
 
 # z-buffer ties are resolved for depth gaps below this (meters)
 DEPTH_TIE_EPS = 1e-9
@@ -93,9 +93,7 @@ def _render_lists(points, K: CameraIntrinsics, T: PoseSE3,
     h, w = K.height, K.width
     cam = T.apply(pts)
     z = cam[:, 2]
-    uv, in_front = project_points(K, cam)
-    px = np.rint(uv).astype(np.int64)
-    ok = in_front & (px[:, 0] >= 0) & (px[:, 0] < w) & (px[:, 1] >= 0) & (px[:, 1] < h)
+    px, ok = pixel_index(K, *project_points(K, cam))
     idx = np.nonzero(ok)[0]
     if len(idx) == 0:
         return empty
@@ -226,11 +224,11 @@ def _flow_field(height: int, width: int, flat, du, dv) -> FlowField:
 def gt_depth_flow(points, K: CameraIntrinsics, T_init: PoseSE3, T_gt: PoseSE3,
                   occlusion_aperture_deg: float = DEFAULT_OCCLUSION_APERTURE_DEG,
                   occlusion_window: int = DEFAULT_OCCLUSION_WINDOW,
-                  apply_occlusion: bool = True,
                   depth: DepthMap | None = None) -> FlowField:
     """Ground-truth image-to-LiDAR depth flow between two poses.
 
-    Renders the cloud at ``T_init`` (with occlusion removal), then stores
+    Renders the cloud at ``T_init`` (with occlusion removal unless the
+    aperture is <= 0, as in ``render_depth``), then stores
     at each valid pixel the displacement between the source point's
     projections under ``T_gt`` and ``T_init``.  Pixels whose point falls
     behind the camera under ``T_gt`` are invalidated.  ``depth`` may carry
@@ -240,8 +238,8 @@ def gt_depth_flow(points, K: CameraIntrinsics, T_init: PoseSE3, T_gt: PoseSE3,
     if depth is not None:
         flat, ids = _pixel_lists(depth, K)
     else:
-        aperture = occlusion_aperture_deg if apply_occlusion else 0.0
-        flat, _, ids = _render_lists(points, K, T_init, aperture, occlusion_window)
+        flat, _, ids = _render_lists(points, K, T_init, occlusion_aperture_deg,
+                                     occlusion_window)
     if len(flat) == 0:
         return FlowField.invalid(K.height, K.width)
     pts = np.asarray(points, dtype=float).reshape(-1, 3)

@@ -22,6 +22,8 @@ PANEL_HEIGHT = 6.0            # m
 POLE_HEIGHT = 6.0             # m
 POLE_POINT_STEP = 0.1         # m between points along a pole
 
+PROFILES = ("straight", "arc", "s_curve")
+
 
 @dataclass(frozen=True)
 class SceneConfig:
@@ -32,11 +34,8 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self)
-        if self.extent <= 0:
-            raise ValueError("extent must be positive")
-        if self.ground_density < 0 or self.facade_density < 0 or self.pole_count < 0:
-            raise ValueError("densities and pole_count must be non-negative")
+        check_fields(self, positive=("extent",),
+                     non_negative=("ground_density", "facade_density", "pole_count"))
 
 
 @dataclass(frozen=True)
@@ -44,15 +43,13 @@ class TrajectoryConfig:
     frame_count: int = 100
     speed: float = 1.0            # m / frame
     turn_rate_deg: float = 0.0    # deg / frame
-    profile: str = "straight"     # straight | arc | s_curve
+    profile: str = "straight"     # one of PROFILES
     seed: int = 0                 # not read: trajectories draw no randomness
 
     def __post_init__(self):
-        check_fields(self)
-        if self.frame_count < 1:
-            raise ValueError("frame_count must be >= 1")
-        if self.profile not in ("straight", "arc", "s_curve"):
-            raise ValueError(f"unknown profile {self.profile!r}")
+        check_fields(self, positive=("frame_count",))
+        if self.profile not in PROFILES:
+            raise ValueError(f"profile must be one of {', '.join(PROFILES)}")
 
 
 @dataclass(frozen=True)
@@ -62,9 +59,7 @@ class VoOracleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self)
-        if self.rot_drift_sigma_deg < 0 or self.transl_drift_sigma < 0:
-            raise ValueError("drift sigmas must be non-negative")
+        check_fields(self, non_negative=("rot_drift_sigma_deg", "transl_drift_sigma"))
 
 
 def generate_scene(cfg: SceneConfig) -> np.ndarray:

@@ -67,14 +67,10 @@ class TrackerConfig:
     reproj_point_cap: int = 1500  # per-frame inliers fed to the joint stage
 
     def __post_init__(self):
-        check_fields(self)
+        check_fields(self, positive=("consist_point_cap", "reproj_point_cap"),
+                     non_negative=("loose_reproj_threshold",))
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.loose_reproj_threshold < 0:
-            raise ValueError("loose_reproj_threshold must be non-negative")
-        for name in ("consist_point_cap", "reproj_point_cap"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            raise ValueError(f"mode must be one of {', '.join(MODES)}")
 
 
 @dataclass

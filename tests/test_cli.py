@@ -211,7 +211,10 @@ class TestTrack:
         ("trajectory", "speed", float("nan")),
         ("vo", "transl_drift_sigma", float("nan")),
         ("crop", "forward", float("nan")),
-        ("noise", "seed", 2.5)])
+        ("noise", "seed", 2.5),
+        ("tracker", "mode", "warp_drive"),
+        ("trajectory", "profile", "zigzag"),
+        ("camera", "cx", 2000.0)])
     def test_bad_value_is_a_config_error_naming_field(self, scenario_dir, tmp_path,
                                                       section, field, bad):
         # each of these values used to end in a traceback, a run that

@@ -456,15 +456,17 @@ class TestIndexListOracle:
                                                    push_back, aperture, window,
                                                    apply_occlusion, given_map):
         K, pts, T_init, T_gt = _random_scene(seed, h, w, n, behind_frac, push_back)
-        kw = dict(occlusion_aperture_deg=aperture, occlusion_window=window,
-                  apply_occlusion=apply_occlusion)
+        kw = dict(occlusion_aperture_deg=aperture, occlusion_window=window)
         if given_map:
             # a map rendered at T_gt, with T_gt moved forward, holds points
             # that lie behind T_init
             T_map = T_init if given_map == "init" else T_gt
             kw["depth"] = remove_occlusions(render_depth(pts, K, T_map), aperture, window)
-        _assert_same_field(gt_depth_flow(pts, K, T_init, T_gt, **kw),
-                           _gt_depth_flow_reference(pts, K, T_init, T_gt, **kw))
+        # gt_depth_flow skips the filter on an aperture <= 0
+        got = gt_depth_flow(pts, K, T_init, T_gt, **dict(
+            kw, occlusion_aperture_deg=aperture if apply_occlusion else 0.0))
+        _assert_same_field(got, _gt_depth_flow_reference(pts, K, T_init, T_gt,
+                                                         apply_occlusion=apply_occlusion, **kw))
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), h=st.integers(1, 30), w=st.integers(1, 30),

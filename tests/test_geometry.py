@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -266,6 +267,44 @@ FIELD_CASES = [pytest.param(cfg, f.name, bad, id=f"{type(cfg).__name__}-{f.name}
                for cfg in CONFIGS for f in dataclasses.fields(cfg)
                for bad in WRONG.get(getattr(f.type, "__name__", f.type), ())]
 
+# the range rule every config field declares; each must name its field
+RANGE_RULES = [
+    (_K20, "positive", ("fx", "fy")),
+    (PerturbBounds(1.0, 1.0), "non_negative", ("max_transl_per_axis", "max_rot_per_axis_deg")),
+    (CropExtents(), "positive", ("forward", "backward", "lateral")),
+    (SceneConfig(), "positive", ("extent",)),
+    (SceneConfig(), "non_negative", ("ground_density", "facade_density", "pole_count")),
+    (TrajectoryConfig(), "positive", ("frame_count",)),
+    (VoOracleConfig(), "non_negative", ("rot_drift_sigma_deg", "transl_drift_sigma")),
+    (FlowNoiseModel(), "non_negative", ("gaussian_sigma", "outlier_magnitude")),
+    (FlowNoiseModel(), "unit", ("outlier_fraction", "dropout_fraction")),
+    (RansacConfig(), "positive", ("max_iters", "inlier_threshold")),
+    (RansacConfig(), "non_negative", ("min_inliers",)),
+    (EnergyConfig(), "positive", ("huber_delta", "max_iters")),
+    (EnergyConfig(), "non_negative", ("w_consist", "w_reproj", "lambda0", "rel_tol")),
+    (TrackerConfig(camera=_K20), "positive", ("consist_point_cap", "reproj_point_cap")),
+    (TrackerConfig(camera=_K20), "non_negative", ("loose_reproj_threshold",)),
+]
+
+# per rule: its message, values out of range, and boundary values it accepts
+# (an int field under "positive" must be at least 1)
+RULE_CASES = {"positive": ("positive", (0, -1), (1,)),
+              "non_negative": ("non-negative", (-1,), (0,)),
+              "unit": ("in [0, 1]", (-0.1, 1.5), (0, 1))}
+
+
+def _range_cases(accepted):
+    """(config, field, value cast to the field's type, message end) cases."""
+    cases = []
+    for cfg, rule, names in RANGE_RULES:
+        text, bad, good = RULE_CASES[rule]
+        types = {f.name: {"float": float, "int": int}.get(f.type)
+                 for f in dataclasses.fields(cfg)}
+        cases += [pytest.param(cfg, name, types[name](v), text,
+                               id=f"{type(cfg).__name__}-{name}-{types[name](v)!r}")
+                  for name in names for v in (good if accepted else bad)]
+    return cases
+
 
 class TestConfigFields:
     """Every config dataclass checks its numeric fields by annotation."""
@@ -278,6 +317,30 @@ class TestConfigFields:
     def test_wrong_type_raises_naming_field(self, cfg, field, bad):
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             dataclasses.replace(cfg, **{field: bad})
+
+    def test_range_rules_cover_thirty_fields(self):
+        assert sum(len(names) for _, _, names in RANGE_RULES) == 30
+
+    @pytest.mark.parametrize("cfg,field,bad,text", _range_cases(accepted=False))
+    def test_out_of_range_raises_naming_field(self, cfg, field, bad, text):
+        with pytest.raises(ValueError, match=rf"^{field} must be {re.escape(text)}$"):
+            dataclasses.replace(cfg, **{field: bad})
+
+    @pytest.mark.parametrize("cfg,field,value,text", _range_cases(accepted=True))
+    def test_range_boundary_accepted(self, cfg, field, value, text):
+        assert getattr(dataclasses.replace(cfg, **{field: value}), field) == value
+
+    @pytest.mark.parametrize("make,field", [
+        (lambda: dataclasses.replace(_K20, cx=20.0), "cx"),
+        (lambda: dataclasses.replace(_K20, cy=0.0), "cy"),
+        (lambda: TrajectoryConfig(profile="zigzag"), "profile"),
+        (lambda: TrackerConfig(camera=_K20, mode="warp_drive"), "mode"),
+        (lambda: RansacConfig(confidence=1.0), "confidence"),
+        (lambda: EnergyConfig(w_consist=0.0, w_reproj=0.0), "w_consist")],
+        ids=["cx", "cy", "profile", "mode", "confidence", "both-weights-zero"])
+    def test_other_rules_name_their_field(self, make, field):
+        with pytest.raises(ValueError, match=rf"^{field} "):
+            make()
 
     @pytest.mark.parametrize("cfg", [c for c in CONFIGS if hasattr(c, "seed")],
                              ids=lambda c: type(c).__name__)
