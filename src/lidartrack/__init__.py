@@ -11,11 +11,11 @@ __version__ = "0.1.0"
 from .geometry import (BehindCameraError, CameraIntrinsics, PerturbBounds,
                        PoseSE3, perturb_pose, pose_error, project_point,
                        se3_exp, se3_log)
-from .mapping import CropExtents, GlobalMap, aggregate_scans, crop_local, downsample
+from .mapping import CropExtents, GlobalMap, crop_local, downsample
 from .rendering import DepthMap, FlowField, gt_depth_flow, remove_occlusions, render_depth
 from .flow import (EmptyMaskError, FlowNoiseModel, FlowTriplet, apply_noise,
                    consistency_residual, epe, oracle_depth_flow, oracle_flows,
-                   sample_flow, total_loss, warp)
+                   sample_flow, warp)
 from .pnp import (Correspondences, DegenerateConfigurationError, PnPResult,
                   RansacConfig, TooFewCorrespondencesError,
                   correspondences_from_flow, refine_pose, solve_pnp_ransac)
@@ -28,4 +28,4 @@ from .evaluation import (MetricsReport, Trajectory, ate, build_report,
                          emit_report, load_trajectory, pose_error_stats, rpe,
                          save_trajectory, write_per_frame_csv)
 from .tracker import (RunResult, Scenario, Tracker, TrackerConfig,
-                      TrackerState, build_scenario, scenario_from_cloud)
+                      TrackerState, scenario_from_cloud)

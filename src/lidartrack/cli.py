@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evaluation, formats
-from .evaluation import Trajectory, build_report, emit_report, format_report
+from .evaluation import build_report, emit_report, format_report
 from .flow import FlowNoiseModel
 from .geometry import (CameraIntrinsics, PerturbBounds, PoseSE3, check_number,
                        perturb_pose, pose_error)

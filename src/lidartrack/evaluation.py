@@ -20,19 +20,9 @@ FAILURE_THRESHOLD_M = 4.0
 
 @dataclass
 class Trajectory:
-    """Time-ordered pose sequence with optional timestamps (seconds)."""
+    """Time-ordered pose sequence."""
 
     poses: list
-    timestamps: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.timestamps is not None:
-            ts = np.asarray(self.timestamps, dtype=float)
-            if len(ts) != len(self.poses):
-                raise ValueError("timestamps length mismatch")
-            if np.any(np.diff(ts) < 0):
-                raise ValueError("timestamps must be non-decreasing")
-            self.timestamps = ts
 
     def __len__(self):
         return len(self.poses)

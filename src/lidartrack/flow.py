@@ -149,22 +149,6 @@ def epe(f_pre: FlowField, f_gt: FlowField) -> float:
     return float(np.mean(np.hypot(du, dv)))
 
 
-def mean_residual_norm(res: FlowField) -> float:
-    """Mean l2 norm of a residual field over its valid mask."""
-    if not res.valid.any():
-        raise EmptyMaskError("no valid residual pixels")
-    m = res.valid
-    return float(np.mean(np.hypot(res.du[m], res.dv[m])))
-
-
-def total_loss(f_c2d_pre: FlowField, f_c2d_gt: FlowField,
-               f_n2d_pre: FlowField, f_n2d_gt: FlowField,
-               t: FlowTriplet) -> float:
-    """Diagnostic sum: both masked EPE terms plus the consistency term."""
-    return (epe(f_c2d_pre, f_c2d_gt) + epe(f_n2d_pre, f_n2d_gt)
-            + mean_residual_norm(consistency_residual(t)))
-
-
 def _noise_lists(du, dv, model: FlowNoiseModel, rng: np.random.Generator):
     """Jitter, outliers, then dropout on row-major per-pixel flow values.
 

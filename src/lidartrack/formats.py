@@ -1,9 +1,8 @@
-"""File codecs: point clouds, KITTI pose files, depth/flow debug dumps.
+"""File codecs: point clouds and KITTI pose files.
 
 Trajectory files follow the KITTI odometry convention (12 reals per line,
 row-major 3x4 [R|t], camera-to-world); in memory the package tracks
 world->camera extrinsics, so trajectory save/load invert at the boundary.
-Scan-aggregation pose files are used as written (sensor-to-world).
 """
 from __future__ import annotations
 
@@ -14,7 +13,6 @@ import numpy as np
 from .geometry import PoseSE3
 
 CLOUD_MAGIC = b"XMPC"
-FLOW_MAGIC = b"XMFL"
 FORMAT_VERSION = 1
 
 # shortest round-trip float formatting keeps reruns byte-identical
@@ -53,17 +51,9 @@ def load_xyz(path) -> np.ndarray:
     return np.asarray(rows, dtype=float).reshape(-1, 3)
 
 
-def save_cloud_binary(points, path):
-    """Little-endian float32 triples behind a 16-byte XMPC header."""
-    points = np.asarray(points, dtype=np.float32).reshape(-1, 3)
-    with open(path, "wb") as fh:
-        fh.write(CLOUD_MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(points)))
-        fh.write(points.astype("<f4").tobytes())
-
-
 def load_cloud_binary(path) -> np.ndarray:
+    """Little-endian float32 triples behind a 16-byte header: magic XMPC,
+    u32 version, u64 point count."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) < 16 or header[:4] != CLOUD_MAGIC:
@@ -126,90 +116,3 @@ def load_trajectory_poses(path) -> list[PoseSE3]:
     """Read KITTI camera-to-world rows back into world->camera poses."""
     return [T.inverse() for T in load_kitti_poses(path)]
 
-
-# ---------------------------------------------------------------------------
-# depth / flow debug dumps
-# ---------------------------------------------------------------------------
-
-def save_depth_pgm(depth_map, path, scale: float = 256.0):
-    """16-bit PGM; pixel value = round(depth_m * scale), 0 where invalid.
-
-    The scale factor is declared in a header comment so readers can
-    recover meters.
-    """
-    px = np.zeros(depth_map.depth.shape, dtype=np.uint16)
-    vals = np.clip(np.rint(depth_map.depth[depth_map.valid] * scale), 1, 65535)
-    px[depth_map.valid] = vals.astype(np.uint16)
-    h, w = px.shape
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n")
-        fh.write(f"# depth-scale {_FLOAT_FMT % scale}\n".encode())
-        fh.write(f"{w} {h}\n65535\n".encode())
-        fh.write(px.astype(">u2").tobytes())
-
-
-def load_depth_pgm(path):
-    """Returns (depth_m (H,W), valid (H,W), scale)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P5"):
-        raise FormatError(f"{path}: not a P5 PGM")
-    scale = None
-    pos = 2
-    tokens = []
-    while len(tokens) < 3:
-        # skip whitespace and comments
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            end = data.index(b"\n", pos)
-            comment = data[pos + 1:end].decode().strip()
-            if comment.startswith("depth-scale"):
-                scale = float(comment.split()[1])
-            pos = end + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
-    w, h, maxval = (int(t) for t in tokens)
-    if maxval != 65535:
-        raise FormatError(f"{path}: expected 16-bit PGM, maxval={maxval}")
-    if scale is None:
-        raise FormatError(f"{path}: missing depth-scale header comment")
-    pos += 1  # single whitespace after maxval
-    px = np.frombuffer(data[pos:pos + 2 * w * h], dtype=">u2").reshape(h, w)
-    valid = px > 0
-    return px.astype(float) / scale, valid, scale
-
-
-def save_flow(field, path):
-    """Binary float32 planes (du, dv, valid) behind a 16-byte XMFL header."""
-    h, w = field.shape
-    with open(path, "wb") as fh:
-        fh.write(FLOW_MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<II", w, h))
-        fh.write(field.du.astype("<f4").tobytes())
-        fh.write(field.dv.astype("<f4").tobytes())
-        fh.write(field.valid.astype("<f4").tobytes())
-
-
-def load_flow(path):
-    from .rendering import FlowField
-
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16 or header[:4] != FLOW_MAGIC:
-            raise FormatError(f"{path}: not an XMFL flow file")
-        version, = struct.unpack("<I", header[4:8])
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        w, h = struct.unpack("<II", header[8:16])
-        buf = fh.read()
-        data = np.frombuffer(buf[:len(buf) - len(buf) % 4], dtype="<f4")
-    if len(data) != 3 * w * h:
-        raise FormatError(f"{path}: truncated flow data")
-    planes = data.reshape(3, h, w)
-    return FlowField(du=planes[0].astype(float), dv=planes[1].astype(float),
-                     valid=planes[2] > 0.5)

@@ -452,7 +452,7 @@ def perturb_pose(T: PoseSE3, bounds: PerturbBounds, seed) -> PoseSE3:
     ``pose_error(T, perturbed)`` returns exactly the drawn magnitudes.
     Deterministic for a fixed seed.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     dt = rng.uniform(-bounds.max_transl_per_axis, bounds.max_transl_per_axis, 3)
     rv = np.radians(rng.uniform(-bounds.max_rot_per_axis_deg,
                                 bounds.max_rot_per_axis_deg, 3))

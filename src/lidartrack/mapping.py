@@ -1,4 +1,4 @@
-"""Global LiDAR map handling: scan aggregation, voxel downsampling, local crops.
+"""Global LiDAR map handling: voxel downsampling and local crops.
 
 Point clouds are plain float64 arrays of shape (N, 3) in world coordinates;
 a point's id is its row index.  ``GlobalMap`` adds a 2D (x, y) cell index
@@ -6,7 +6,6 @@ used to accelerate local crops, whose vertical extent is unbounded.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,20 +31,19 @@ class CropExtents:
 
 @dataclass
 class GlobalMap:
-    """Immutable aggregated map with a uniform (x, y) cell hash."""
+    """Immutable map with a uniform (x, y) cell hash."""
 
     points: np.ndarray
-    cell_size: float = DEFAULT_CELL_SIZE
     _cells: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def build(cls, points, cell_size: float = DEFAULT_CELL_SIZE) -> "GlobalMap":
+    def build(cls, points) -> "GlobalMap":
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         if not np.all(np.isfinite(points)):
             raise ValueError("map points must be finite")
         cells = {}
         if len(points):
-            keys = np.floor(points[:, :2] / cell_size).astype(np.int64)
+            keys = np.floor(points[:, :2] / DEFAULT_CELL_SIZE).astype(np.int64)
             order = np.lexsort((keys[:, 1], keys[:, 0]))
             sk = keys[order]
             breaks = np.nonzero(np.any(sk[1:] != sk[:-1], axis=1))[0] + 1
@@ -54,33 +52,10 @@ class GlobalMap:
                 idx = order[a:b]
                 k = (int(keys[idx[0], 0]), int(keys[idx[0], 1]))
                 cells[k] = np.sort(idx)
-        return cls(points=points, cell_size=cell_size, _cells=cells)
+        return cls(points=points, _cells=cells)
 
     def __len__(self):
         return len(self.points)
-
-
-def aggregate_scans(scans, poses) -> GlobalMap:
-    """Transform sensor-frame scans into the world frame and merge them.
-
-    Each pose maps its scan's sensor coordinates to world coordinates
-    (a KITTI ground-truth pose row used directly).  The merged map keeps
-    every input point; downsampling is a separate step.
-    """
-    scans = list(scans)
-    poses = list(poses)
-    if len(scans) != len(poses):
-        raise ValueError(f"got {len(scans)} scans but {len(poses)} poses")
-    parts = []
-    for scan, pose in zip(scans, poses):
-        scan = np.asarray(scan, dtype=float).reshape(-1, 3)
-        if len(scan):
-            parts.append(pose.apply(scan))
-    if parts:
-        merged = np.vstack(parts)
-    else:
-        merged = np.zeros((0, 3))
-    return GlobalMap.build(merged)
 
 
 def downsample(gmap: GlobalMap, resolution: float) -> GlobalMap:
@@ -89,7 +64,7 @@ def downsample(gmap: GlobalMap, resolution: float) -> GlobalMap:
         raise ValueError("resolution must be positive")
     pts = gmap.points
     if len(pts) == 0:
-        return GlobalMap.build(pts, gmap.cell_size)
+        return GlobalMap.build(pts)
     keys = np.floor(pts / resolution).astype(np.int64)
     # np.unique sorts voxel keys, so the output order is deterministic
     # regardless of input ordering
@@ -98,7 +73,7 @@ def downsample(gmap: GlobalMap, resolution: float) -> GlobalMap:
     out = np.zeros((len(counts), 3))
     for axis in range(3):
         out[:, axis] = np.bincount(inverse, weights=pts[:, axis]) / counts
-    return GlobalMap.build(out, gmap.cell_size)
+    return GlobalMap.build(out)
 
 
 def _crop_axes(pose: PoseSE3):
@@ -153,8 +128,8 @@ def _candidate_indices(gmap, center, fwd, lat, extents):
         for b in (-extents.lateral, extents.lateral):
             corners.append(center[:2] + a * fwd[:2] + b * lat[:2])
     corners = np.array(corners)
-    lo = np.floor(corners.min(axis=0) / gmap.cell_size).astype(int)
-    hi = np.floor(corners.max(axis=0) / gmap.cell_size).astype(int)
+    lo = np.floor(corners.min(axis=0) / DEFAULT_CELL_SIZE).astype(int)
+    hi = np.floor(corners.max(axis=0) / DEFAULT_CELL_SIZE).astype(int)
     n_cells = (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1)
     if n_cells > 4 * len(gmap._cells):
         # box covers most of the map; linear scan is cheaper

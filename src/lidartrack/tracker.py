@@ -45,7 +45,7 @@ from .rendering import (DEFAULT_OCCLUSION_APERTURE_DEG, DEFAULT_OCCLUSION_WINDOW
                         DepthMap, FlowField, render_depth)
 # perfbench/tracing.py wraps tracker.remove_occlusions, so the name stays importable here
 from .rendering import remove_occlusions  # noqa: F401
-from .synth import generate_scene, generate_trajectory, vo_oracle
+from .synth import vo_oracle
 
 MODES = ("frame_by_frame", "loose_coupled", "multi_view")
 
@@ -303,17 +303,20 @@ class Tracker:
         Candidate A is the frame-by-frame flow-PnP pose, accepted when its
         inlier reprojection RMSE beats the threshold; otherwise candidate
         B, the previous estimate composed with the VO relative pose, wins.
+        A crop that renders no pixel fails the run, as in the other modes.
         """
         diag = {"frame": state.frame_index, "mode": "loose_coupled"}
-        prev = state.history[-1] if state.history else state.T_init_next
-        candidate_b = vo_relative.compose(prev) if vo_relative is not None else prev
         fe = self._front_end(diag, lidar_map, state, (T_gt_cur,), (outage,), (kill,))
-        pnp = fe.pnps[0] if fe is not None else None
-        diag["pnp_rmse"] = pnp.rmse if pnp is not None and pnp.success else float("inf")
+        if fe is None:
+            return self._fail(state, diag, "no_render")
+        pnp = fe.pnps[0]
+        diag["pnp_rmse"] = pnp.rmse if pnp.success else float("inf")
         if diag["pnp_rmse"] < self.config.loose_reproj_threshold:
             pose, diag["candidate"] = pnp.pose, "pnp"
         else:
-            pose, diag["candidate"] = candidate_b, "vo"
+            prev = state.history[-1] if state.history else state.T_init_next
+            pose = vo_relative.compose(prev) if vo_relative is not None else prev
+            diag["candidate"] = "vo"
         self._advance(state, pose, pose)
         return state, pose, diag
 
@@ -384,26 +387,6 @@ def scenario_from_cloud(cloud, gt, map_resolution: float = 0.1, vo_cfg=None,
                     vo_relatives=vo_oracle(gt, vo_cfg) if vo_cfg is not None else None,
                     outage_frames=frozenset(outage_frames),
                     flow_kill_frames=frozenset(flow_kill_frames))
-
-
-def build_scenario(scene_cfg, traj_cfg, camera: CameraIntrinsics,
-                   vo_cfg=None, outage_frames=(), flow_kill_frames=(),
-                   map_resolution: float = 0.1,
-                   min_visible: int = 500) -> Scenario:
-    """Generate a scene + trajectory and wrap them as a tracking scenario.
-
-    Asserts the visibility guarantee: every trajectory pose must see at
-    least ``min_visible`` rendered pixels of the downsampled map.
-    """
-    scenario = scenario_from_cloud(generate_scene(scene_cfg), generate_trajectory(traj_cfg),
-                                   map_resolution, vo_cfg, outage_frames, flow_kill_frames)
-    for i, pose in enumerate(scenario.gt_poses):
-        local = crop_local(scenario.lidar_map, pose, CropExtents())
-        n = int(render_depth(local, camera, pose).valid.sum())
-        if n < min_visible:
-            raise ValueError(
-                f"visibility guarantee violated at frame {i}: {n} < {min_visible}")
-    return scenario
 
 
 DIAGNOSTIC_COLUMNS = ["frame", "mode", "rot_err_deg", "transl_err_cm",

@@ -170,11 +170,6 @@ class TestTrajectoryIO:
         with pytest.raises(FormatError, match="line 1"):
             load_trajectory(path)
 
-    def test_timestamps_must_be_sorted(self):
-        t = random_trajectory(3, 15)
-        with pytest.raises(ValueError):
-            Trajectory(poses=t.poses, timestamps=[0.0, 2.0, 1.0])
-
 
 class TestPerFrameCsv:
     def test_columns_and_values(self, tmp_path):

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from lidartrack.flow import (EmptyMaskError, FlowNoiseModel, FlowTriplet,
                              apply_noise, consistency_residual, epe,
-                             mean_residual_norm, oracle_depth_flow,
-                             oracle_flows, sample_flow, total_loss, warp)
+                             oracle_depth_flow, oracle_flows, sample_flow, warp)
 from lidartrack.geometry import (CameraIntrinsics, PerturbBounds, PoseSE3,
                                  perturb_pose, project_points)
 from lidartrack.mapping import CropExtents, crop_local
@@ -317,30 +316,6 @@ class TestConsistencyResidual:
             assert m.sum() > 100
             worst = max(np.abs(res.du[m]).max(), np.abs(res.dv[m]).max())
             assert worst < 0.5
-
-
-class TestTotalLoss:
-    def test_all_zero_flows_equal_poses(self):
-        z = full_field(10, 10)
-        t = FlowTriplet(z.copy(), z.copy(), z.copy())
-        assert total_loss(z.copy(), z.copy(), z.copy(), z.copy(), t) == 0.0
-
-    def test_offset_increases_epe_term(self):
-        z = full_field(10, 10)
-        t0 = FlowTriplet(z.copy(), z.copy(), z.copy())
-        base = total_loss(z.copy(), z.copy(), z.copy(), z.copy(), t0)
-        pre = full_field(10, 10, du=1.0)
-        t1 = FlowTriplet(pre.copy(), z.copy(), z.copy())
-        bumped = total_loss(pre.copy(), z.copy(), z.copy(), z.copy(), t1)
-        assert bumped >= base + 1.0
-
-    def test_consistent_gt_flows_below_one(self, K, corridor):
-        gmap, traj = corridor
-        T_init = perturb_pose(traj[0], PerturbBounds(1.0, 5.0), 7)
-        crop = crop_local(gmap, T_init, CropExtents())
-        t = oracle_flows(crop, K, T_init, traj[0], traj[1], FlowNoiseModel())
-        val = total_loss(t.f_c2d, t.f_c2d, t.f_n2d, t.f_n2d, t)
-        assert val < 1.0
 
 
 class TestOracle:

@@ -1,10 +1,18 @@
+import struct
+
 import numpy as np
 import pytest
 
 from lidartrack import formats
 from lidartrack.formats import FormatError
-from lidartrack.geometry import PoseSE3, pose_error, se3_exp
-from lidartrack.rendering import FlowField, render_depth
+from lidartrack.geometry import pose_error, se3_exp
+
+
+def write_xmpc(path, points, version=1, count=None):
+    """An XMPC cloud file: 16-byte header, then little-endian float32 triples."""
+    points = np.asarray(points, dtype="<f4").reshape(-1, 3)
+    count = len(points) if count is None else count
+    path.write_bytes(b"XMPC" + struct.pack("<IQ", version, count) + points.tobytes())
 
 
 class TestCloudIO:
@@ -25,15 +33,8 @@ class TestCloudIO:
         rng = np.random.default_rng(1)
         pts = rng.normal(0, 50, (321, 3)).astype(np.float32).astype(float)
         path = tmp_path / "cloud.xmpc"
-        formats.save_cloud_binary(pts, path)
+        write_xmpc(path, pts)
         assert np.allclose(formats.load_cloud_binary(path), pts, atol=1e-6)
-
-    def test_binary_header(self, tmp_path):
-        path = tmp_path / "cloud.xmpc"
-        formats.save_cloud_binary(np.zeros((7, 3)), path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"XMPC"
-        assert len(raw) == 16 + 7 * 3 * 4
 
     def test_binary_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -41,12 +42,24 @@ class TestCloudIO:
         with pytest.raises(FormatError):
             formats.load_cloud_binary(path)
 
+    def test_binary_bad_version(self, tmp_path):
+        path = tmp_path / "cloud.xmpc"
+        write_xmpc(path, np.zeros((2, 3)), version=2)
+        with pytest.raises(FormatError, match="version 2"):
+            formats.load_cloud_binary(path)
+
+    def test_binary_count_mismatch(self, tmp_path):
+        path = tmp_path / "cloud.xmpc"
+        write_xmpc(path, np.zeros((2, 3)), count=3)
+        with pytest.raises(FormatError, match="expected 9 floats, got 6"):
+            formats.load_cloud_binary(path)
+
     def test_sniffing_loader(self, tmp_path):
         pts = np.arange(12.0).reshape(4, 3)
         t = tmp_path / "a.xyz"
         b = tmp_path / "b.bin"
         formats.save_xyz(pts, t)
-        formats.save_cloud_binary(pts, b)
+        write_xmpc(b, pts)
         assert np.allclose(formats.load_cloud(t), pts)
         assert np.allclose(formats.load_cloud(b), pts, atol=1e-6)
 
@@ -74,52 +87,3 @@ class TestKittiPoses:
         rot, transl = pose_error(back, T)
         assert rot < 1e-9 and transl < 1e-9
 
-
-class TestDepthDump:
-    def test_pgm_roundtrip(self, tmp_path, K):
-        pts = np.array([[0.0, 0.0, 10.0], [1.0, 1.0, 25.0]])
-        d = render_depth(pts, K, PoseSE3.identity())
-        path = tmp_path / "depth.pgm"
-        formats.save_depth_pgm(d, path, scale=256.0)
-        depth, valid, scale = formats.load_depth_pgm(path)
-        assert scale == 256.0
-        assert np.array_equal(valid, d.valid)
-        assert np.allclose(depth[valid], d.depth[d.valid], atol=1.0 / 256.0)
-
-    def test_pgm_header(self, tmp_path, K):
-        d = render_depth(np.array([[0.0, 0, 5.0]]), K, PoseSE3.identity())
-        path = tmp_path / "depth.pgm"
-        formats.save_depth_pgm(d, path)
-        head = path.read_bytes()[:64]
-        assert head.startswith(b"P5")
-        assert b"depth-scale" in head
-
-
-class TestFlowDump:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        f = FlowField(du=rng.normal(size=(40, 60)).astype(np.float32).astype(float),
-                      dv=rng.normal(size=(40, 60)).astype(np.float32).astype(float),
-                      valid=rng.random((40, 60)) > 0.5)
-        path = tmp_path / "flow.xmfl"
-        formats.save_flow(f, path)
-        back = formats.load_flow(path)
-        assert np.array_equal(back.valid, f.valid)
-        assert np.allclose(back.du, f.du, atol=1e-6)
-        assert np.allclose(back.dv, f.dv, atol=1e-6)
-
-    def test_header(self, tmp_path):
-        f = FlowField.invalid(8, 16)
-        path = tmp_path / "flow.xmfl"
-        formats.save_flow(f, path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"XMFL"
-        assert len(raw) == 16 + 3 * 8 * 16 * 4
-
-    def test_truncated(self, tmp_path):
-        f = FlowField.invalid(8, 16)
-        path = tmp_path / "flow.xmfl"
-        formats.save_flow(f, path)
-        path.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(FormatError):
-            formats.load_flow(path)

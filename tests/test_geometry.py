@@ -4,13 +4,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidartrack.flow import FlowNoiseModel
 from lidartrack.geometry import (DEFAULT_PERTURB, BehindCameraError,
                                  CameraIntrinsics, PerturbBounds, PoseSE3,
                                  perturb_pose, pose_error, project_point,
-                                 project_points, reprojection_jacobian,
-                                 se3_exp, se3_log)
+                                 SMALL_ANGLE, project_points,
+                                 reprojection_jacobian, se3_exp, se3_log)
 from lidartrack.joint import EnergyConfig
 from lidartrack.mapping import CropExtents
 from lidartrack.pnp import RansacConfig
@@ -110,14 +112,14 @@ class TestGroupOps:
         assert np.allclose(inv.q, [1, 0, 0, 0])
         assert np.allclose(inv.t, 0)
 
-    def test_compose_with_inverse(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            T = se3_exp(rng.uniform(-2, 2, 6))
-            I = T.compose(T.inverse())
-            assert abs(np.linalg.norm(I.q) - 1) < 1e-9
-            assert pose_error(I, PoseSE3.identity())[0] < 1e-9
-            assert np.linalg.norm(I.t) < 1e-9
+    @settings(max_examples=300, deadline=None)
+    @given(xi=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))
+    def test_compose_with_inverse(self, xi):
+        T = se3_exp(xi)
+        I = T.compose(T.inverse())
+        assert abs(np.linalg.norm(I.q) - 1) < 1e-9
+        assert pose_error(I, PoseSE3.identity())[0] < 1e-9
+        assert np.linalg.norm(I.t) < 1e-9
 
     def test_rotation_stays_normalized(self):
         rng = np.random.default_rng(4)
@@ -125,6 +127,22 @@ class TestGroupOps:
         for _ in range(2000):
             T = T.compose(se3_exp(rng.uniform(-0.1, 0.1, 6)))
         assert abs(np.linalg.norm(T.q) - 1.0) < 1e-12
+
+
+# a rotation axis as (polar, azimuth) angles, and a translation block
+AXES = st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+TRANSLATIONS = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
+
+
+def assert_log_inverts_exp(angle, axis, rho):
+    polar, azimuth = axis
+    u = [math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth),
+         math.cos(polar)]
+    xi = np.concatenate([angle * np.array(u), rho])
+    # se3_exp's closed-form (1 - cos t) / t^2 cancels to ~eps / t^2 just
+    # above SMALL_ANGLE, which moves the translation by up to ~eps |rho| / t
+    tol = 1e-9 + 4 * np.finfo(float).eps * np.linalg.norm(rho) / max(angle, SMALL_ANGLE)
+    assert np.linalg.norm(se3_log(se3_exp(xi)) - xi) < tol
 
 
 class TestExpLog:
@@ -138,20 +156,16 @@ class TestExpLog:
         assert np.allclose(T.t, [1, 2, 3])
         assert np.allclose(T.q, [1, 0, 0, 0])
 
-    def test_roundtrip_random(self):
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            xi = rng.uniform(-1, 1, 6)
-            assert np.linalg.norm(se3_log(se3_exp(xi)) - xi) < 1e-9
+    @settings(max_examples=300, deadline=None)
+    @given(angle=st.floats(0.0, math.pi, exclude_max=True), axis=AXES, rho=TRANSLATIONS)
+    def test_roundtrip_random(self, angle, axis, rho):
+        assert_log_inverts_exp(angle, axis, rho)
 
-    def test_roundtrip_near_pi(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            angle = math.pi - 1e-3
-            xi = np.concatenate([axis * angle, rng.uniform(-3, 3, 3)])
-            assert np.linalg.norm(se3_log(se3_exp(xi)) - xi) < 1e-9
+    @settings(max_examples=100, deadline=None)
+    @given(angle=st.floats(math.pi - 1e-3, math.pi, exclude_max=True), axis=AXES,
+           rho=TRANSLATIONS)
+    def test_roundtrip_near_pi(self, angle, axis, rho):
+        assert_log_inverts_exp(angle, axis, rho)
 
     def test_small_angle_branch(self):
         xi = np.array([1e-10, -2e-10, 1e-10, 0.5, -0.5, 0.25])

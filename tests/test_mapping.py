@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from lidartrack.geometry import PoseSE3, se3_exp
-from lidartrack.mapping import (CropExtents, GlobalMap, aggregate_scans,
-                                crop_local, downsample)
+from lidartrack.mapping import CropExtents, GlobalMap, crop_local, downsample
 
 
 def brute_force_crop(points, pose, extents):
@@ -20,43 +19,6 @@ def brute_force_crop(points, pose, extents):
     b = d @ lat
     keep = (a >= -extents.backward) & (a <= extents.forward) & (np.abs(b) <= extents.lateral)
     return points[keep]
-
-
-class TestAggregate:
-    def test_identity_pose_keeps_scan(self):
-        scan = np.array([[1.0, 2, 3], [4, 5, 6]])
-        m = aggregate_scans([scan], [PoseSE3.identity()])
-        assert np.allclose(m.points, scan)
-
-    def test_translation_moves_point(self):
-        pose = PoseSE3(PoseSE3.identity().q, np.zeros(3))
-        pose = PoseSE3(pose.q, np.array([5.0, 0, 0]))
-        m = aggregate_scans([np.array([[0.0, 0, 1]])], [pose])
-        assert np.allclose(m.points, [[5.0, 0, 1]])
-
-    def test_empty_scan_list(self):
-        m = aggregate_scans([], [])
-        assert len(m) == 0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            aggregate_scans([np.zeros((1, 3))], [])
-
-    def test_point_count_is_sum_of_scans(self):
-        rng = np.random.default_rng(0)
-        scans = [rng.normal(size=(n, 3)) for n in (10, 0, 25, 7)]
-        poses = [se3_exp(rng.uniform(-1, 1, 6)) for _ in scans]
-        m = aggregate_scans(scans, poses)
-        assert len(m) == 42
-
-    def test_equivariance_under_common_transform(self):
-        rng = np.random.default_rng(1)
-        scans = [rng.normal(size=(30, 3)) for _ in range(3)]
-        poses = [se3_exp(rng.uniform(-1, 1, 6)) for _ in range(3)]
-        G = se3_exp(rng.uniform(-1, 1, 6))
-        base = aggregate_scans(scans, poses)
-        pre = aggregate_scans(scans, [G.compose(p) for p in poses])
-        assert np.allclose(pre.points, G.apply(base.points), atol=1e-9)
 
 
 class TestDownsample:
@@ -131,27 +93,6 @@ class TestCrop:
     def test_validation(self):
         with pytest.raises(ValueError):
             CropExtents(forward=-1.0)
-
-
-class TestPoseFileIngestion:
-    def test_aggregate_from_kitti_pose_file(self, tmp_path):
-        # scan-aggregation poses are the file's transforms used directly
-        from lidartrack import formats
-        rng = np.random.default_rng(9)
-        poses = [se3_exp(rng.uniform(-1, 1, 6)) for _ in range(3)]
-        pose_path = tmp_path / "poses.txt"
-        formats.save_kitti_poses(poses, pose_path)
-        scans = [rng.normal(size=(20, 3)) for _ in range(3)]
-        scan_paths = []
-        for i, scan in enumerate(scans):
-            sp = tmp_path / f"scan{i}.xyz"
-            formats.save_xyz(scan, sp)
-            scan_paths.append(sp)
-        loaded_poses = formats.load_kitti_poses(pose_path)
-        loaded_scans = [formats.load_xyz(sp) for sp in scan_paths]
-        m = aggregate_scans(loaded_scans, loaded_poses)
-        ref = np.vstack([p.apply(s) for s, p in zip(scans, poses)])
-        assert np.allclose(m.points, ref, atol=1e-9)
 
 
 def _pose_looking_along_x():

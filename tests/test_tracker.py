@@ -20,8 +20,7 @@ from lidartrack.synth import (SceneConfig, TrajectoryConfig, VoOracleConfig,
                               generate_scene, generate_trajectory,
                               integrate_relatives, vo_oracle)
 from lidartrack.tracker import (DIAGNOSTIC_COLUMNS, Scenario, Tracker,
-                                TrackerConfig, build_scenario,
-                                write_diagnostics_csv)
+                                TrackerConfig, write_diagnostics_csv)
 
 
 @pytest.fixture(scope="module")
@@ -303,16 +302,6 @@ class TestModeDominance:
 
 
 class TestScenarioBuilder:
-    def test_visibility_guarantee_asserted(self, K):
-        scen = build_scenario(SceneConfig(extent=30.0, seed=1),
-                              TrajectoryConfig(frame_count=3, speed=1.0), K)
-        assert len(scen.gt_poses) == 3
-        with pytest.raises(ValueError, match="visibility"):
-            build_scenario(
-                SceneConfig(extent=30.0, ground_density=0.0, facade_density=0.0,
-                            pole_count=1, seed=1),
-                TrajectoryConfig(frame_count=2, speed=1.0), K)
-
     def test_mode_validation(self, K_small):
         with pytest.raises(ValueError):
             TrackerConfig(camera=K_small, mode="warp_drive")
@@ -513,25 +502,28 @@ class ReferenceTracker(Tracker):
 
         crop, depth, times = self._crop_and_render(lidar_map, T_init)
         diag.update(times)
+        if depth is None or not depth.valid.any():
+            state.failed = True
+            return state, None, diag
+
         candidate_a = None
         rmse = float("inf")
-        if depth is not None and depth.valid.any():
-            t0 = time.perf_counter()
-            f_c2d = T.oracle_depth_flow(crop, K, T_init, T_gt_cur,
-                                        self._frame_noise(frame), stream=0,
-                                        depth=depth)
-            if outage or kill:
-                T._invalidate(f_c2d)
-            diag["ms_flow"] = 1e3 * (time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            corrs = T.correspondences_from_flow(depth, f_c2d, crop)
-            result = self._solve_pnp(corrs, T_init, frame, side=0)
-            diag["ms_pnp"] = 1e3 * (time.perf_counter() - t0)
-            diag["inliers_cur"] = int(result.inliers.sum())
-            diag["ransac_hyp_cur"] = result.hypotheses
-            if result.success:
-                candidate_a = result.pose
-                rmse = result.rmse
+        t0 = time.perf_counter()
+        f_c2d = T.oracle_depth_flow(crop, K, T_init, T_gt_cur,
+                                    self._frame_noise(frame), stream=0,
+                                    depth=depth)
+        if outage or kill:
+            T._invalidate(f_c2d)
+        diag["ms_flow"] = 1e3 * (time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        corrs = T.correspondences_from_flow(depth, f_c2d, crop)
+        result = self._solve_pnp(corrs, T_init, frame, side=0)
+        diag["ms_pnp"] = 1e3 * (time.perf_counter() - t0)
+        diag["inliers_cur"] = int(result.inliers.sum())
+        diag["ransac_hyp_cur"] = result.hypotheses
+        if result.success:
+            candidate_a = result.pose
+            rmse = result.rmse
         diag["pnp_rmse"] = rmse
 
         if candidate_a is not None and rmse < cfg.loose_reproj_threshold:
@@ -639,7 +631,6 @@ class TestMatchesReferenceTracker:
         ("loose_coupled", dict(outage_frames={2}), dict(noise=NOISY), False),
         ("multi_view", {}, {}, True),
         ("frame_by_frame", {}, {}, True),
-        ("loose_coupled", {}, {}, True),  # no render at all: VO carries every frame
     ])
     def test_matches_reference(self, K_small, small_world, mode, scen, cfg, far_start):
         gmap, gt, vo = small_world
@@ -672,6 +663,7 @@ class TestFailReasons:
     @pytest.mark.parametrize("mode,patched,outages,far_start,reason,tracked", [
         ("multi_view", (), (), True, "no_render", 0),
         ("frame_by_frame", (), (), True, "no_render", 0),
+        ("loose_coupled", (), (), True, "no_render", 0),
         ("frame_by_frame", (), (4,), False, "pnp_failed", 4),
         ("multi_view", ("optimize_pair",), (3,), False, "next_unobservable", 3),
         ("multi_view", ("optimize_next_only",), (3, 4), False, "consistency_degenerate", 3),
@@ -681,8 +673,9 @@ class TestFailReasons:
                                   mode, patched, outages, far_start, reason, tracked):
         for name in patched:
             monkeypatch.setattr(T, name, _degenerate)
-        gmap, gt, _ = small_world
-        scenario = Scenario(lidar_map=gmap, gt_poses=gt, outage_frames=frozenset(outages))
+        gmap, gt, vo = small_world
+        scenario = Scenario(lidar_map=gmap, gt_poses=gt, vo_relatives=vo,
+                            outage_frames=frozenset(outages))
         T0 = PoseSE3(gt[0].q, gt[0].t + FAR) if far_start else None
         config = make_config(K_small, mode)
         with caplog.at_level(logging.WARNING, logger="lidartrack.tracker"):
