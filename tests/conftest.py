@@ -2,7 +2,6 @@ import multiprocessing as mp
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
 import pytest
 
 from lidartrack.geometry import CameraIntrinsics

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from lidartrack.evaluation import (Trajectory, ate, build_report, emit_report,
-                                   load_trajectory, pose_error_stats, rpe,
-                                   save_trajectory)
+from lidartrack.evaluation import (MetricsReport, Trajectory, ate, build_report,
+                                   emit_report, format_report, load_trajectory,
+                                   pose_error_stats, rpe, save_trajectory,
+                                   write_per_frame_csv)
 from lidartrack.geometry import PoseSE3, pose_error, se3_exp
 
 
@@ -43,6 +44,21 @@ class TestAte:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ate(random_trajectory(5, 3), random_trajectory(6, 3))
+
+    def test_empty_is_zero(self):
+        assert ate([], []) == 0.0
+        assert ate(Trajectory(poses=[]), Trajectory(poses=[]), align=True) == 0.0
+
+    def test_aligned_absorbs_rigid_motion(self):
+        # moving every estimated center by one rigid transform is undone
+        # by the alignment, not by the unaligned RMSE
+        t = random_trajectory(30, 5, scale=3.0)
+        G = se3_exp([0.3, -0.5, 0.8, 2.0, -1.0, 0.5])
+        centers = G.apply(t.centers())
+        moved = Trajectory(poses=[
+            PoseSE3(p.q, -(p.rotation_matrix() @ c)) for p, c in zip(t.poses, centers)])
+        assert ate(moved, t, align=False) > 0.5
+        assert ate(moved, t, align=True) < 1e-9
 
     def test_equals_rmse_of_perturbation_norms(self):
         # brute-force reference: perturb each pose's center by a known
@@ -99,6 +115,10 @@ class TestRpe:
         with pytest.raises(ValueError):
             rpe(random_trajectory(3, 8), random_trajectory(3, 8), delta=3)
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            rpe(random_trajectory(4, 8), random_trajectory(5, 8))
+
 
 class TestPoseErrorStats:
     def test_identical(self):
@@ -140,6 +160,14 @@ class TestPoseErrorStats:
         assert abs(med_t - np.sort(errs[:, 1])[15]) < 1e-12
 
 
+    def test_empty_is_zero(self):
+        assert pose_error_stats([], []) == (0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            pose_error_stats(random_trajectory(2, 12), random_trajectory(3, 12))
+
+
 class TestTrajectoryIO:
     def test_roundtrip_bit_faithful(self, tmp_path):
         t = random_trajectory(100, 14, scale=3.0)
@@ -173,7 +201,6 @@ class TestTrajectoryIO:
 
 class TestPerFrameCsv:
     def test_columns_and_values(self, tmp_path):
-        from lidartrack.evaluation import write_per_frame_csv
         t = random_trajectory(5, 30)
         est = shift_centers(t, np.array([0.5, 0.0, 0.0]))
         path = tmp_path / "per_frame.csv"
@@ -187,6 +214,12 @@ class TestPerFrameCsv:
         assert abs(float(first[1]) - c[0]) < 1e-12
 
 
+    def test_length_mismatch(self, tmp_path):
+        path = tmp_path / "per_frame.csv"
+        with pytest.raises(ValueError, match="length mismatch"):
+            write_per_frame_csv(random_trajectory(3, 31), random_trajectory(4, 31), path)
+
+
 class TestReport:
     def test_emit_report_writes_csv(self, tmp_path):
         est = random_trajectory(20, 16)
@@ -198,3 +231,28 @@ class TestReport:
         assert len(lines) == 2
         assert "ate_rmse" in lines[0]
         assert "trajectory metrics" in text
+
+    def test_build_report_combines_the_metrics(self):
+        est = random_trajectory(12, 17)
+        gt = random_trajectory(12, 18)
+        report = build_report(est, gt, rpe_delta=2, align=True,
+                              fail_threshold=0.5, complete=False)
+        (t_mean, t_std), (r_mean, r_std) = rpe(est, gt, delta=2)
+        stats = pose_error_stats(est, gt, fail_threshold=0.5)
+        assert report.ate_rmse == ate(est, gt, align=True)
+        assert (report.rpe_transl_mean, report.rpe_transl_std,
+                report.rpe_rot_mean, report.rpe_rot_std) == (t_mean, t_std, r_mean, r_std)
+        assert (report.mean_rot_deg, report.median_rot_deg, report.mean_transl_m,
+                report.median_transl_m, report.failure_rate) == stats
+        assert report.complete is False
+
+    def test_format_report_units(self):
+        # translations print in cm, rotations in degrees, the rate in percent
+        text = format_report(MetricsReport(ate_rmse=0.0123, rpe_rot_mean=1.5,
+                                           failure_rate=0.25, complete=False))
+        lines = text.splitlines()
+        assert lines[0] == "trajectory metrics"
+        assert lines[1].split(":")[1].split() == ["1.230", "cm"]
+        assert lines[3].split(":")[1].split()[0] == "1.5000"
+        assert lines[6].split(":")[1].split() == ["25.00", "%"]
+        assert lines[7].endswith("False")

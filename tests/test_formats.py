@@ -29,6 +29,20 @@ class TestCloudIO:
         with pytest.raises(FormatError, match="line 2"):
             formats.load_xyz(path)
 
+    def test_xyz_non_numeric(self, tmp_path):
+        path = tmp_path / "bad.xyz"
+        path.write_text("1 2 3\n4 five 6\n")
+        with pytest.raises(FormatError, match="line 2: non-numeric"):
+            formats.load_xyz(path)
+
+    def test_xyz_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "gaps.xyz"
+        path.write_text("1 2 3\n\n   \n4 5 6\n\n")
+        assert np.array_equal(formats.load_xyz(path), [[1.0, 2, 3], [4, 5, 6]])
+        path.write_text("1 2 3\n\n4 5\n")
+        with pytest.raises(FormatError, match="line 3"):
+            formats.load_xyz(path)
+
     def test_binary_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
         pts = rng.normal(0, 50, (321, 3)).astype(np.float32).astype(float)
@@ -41,6 +55,18 @@ class TestCloudIO:
         path.write_bytes(b"JUNK" + b"\x00" * 20)
         with pytest.raises(FormatError):
             formats.load_cloud_binary(path)
+
+    def test_binary_short_header(self, tmp_path):
+        path = tmp_path / "short.xmpc"
+        path.write_bytes(b"XMPC" + struct.pack("<I", 1))
+        with pytest.raises(FormatError, match="not an XMPC cloud file"):
+            formats.load_cloud_binary(path)
+
+    def test_binary_empty_cloud(self, tmp_path):
+        path = tmp_path / "empty.xmpc"
+        write_xmpc(path, np.zeros((0, 3)))
+        cloud = formats.load_cloud(path)
+        assert cloud.shape == (0, 3) and cloud.dtype == float
 
     def test_binary_bad_version(self, tmp_path):
         path = tmp_path / "cloud.xmpc"

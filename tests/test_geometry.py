@@ -222,6 +222,13 @@ class TestPerturb:
         c = perturb_pose(T, DEFAULT_PERTURB, seed=100)
         assert not np.array_equal(a.t, c.t)
 
+    def test_generator_seed_matches_integer_seed(self):
+        # a Generator passes through np.random.default_rng unchanged
+        T = se3_exp([0.1, 0.2, 0.3, 1, 2, 3])
+        a = perturb_pose(T, DEFAULT_PERTURB, seed=7)
+        b = perturb_pose(T, DEFAULT_PERTURB, seed=np.random.default_rng(7))
+        assert np.array_equal(a.q, b.q) and np.array_equal(a.t, b.t)
+
     def test_error_equals_drawn_magnitudes(self):
         # the disturbance is applied about the camera center, so the
         # reported errors factor exactly into the drawn offsets

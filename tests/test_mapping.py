@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lidartrack.geometry import PoseSE3, se3_exp
-from lidartrack.mapping import CropExtents, GlobalMap, crop_local, downsample
+from lidartrack.mapping import (DEFAULT_CELL_SIZE, CropExtents, GlobalMap,
+                                crop_local, downsample)
 
 
 def brute_force_crop(points, pose, extents):
@@ -19,6 +20,33 @@ def brute_force_crop(points, pose, extents):
     b = d @ lat
     keep = (a >= -extents.backward) & (a <= extents.forward) & (np.abs(b) <= extents.lateral)
     return points[keep]
+
+
+class TestGlobalMap:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.zeros((4, 3))
+        pts[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GlobalMap.build(pts)
+
+    def test_flat_input_read_as_rows_of_three(self):
+        m = GlobalMap.build([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        assert m.points.shape == (2, 3) and len(m) == 2
+        assert np.array_equal(m.points[1], [4.0, 5.0, 6.0])
+
+    def test_cells_partition_point_ids(self):
+        # every row id sits in exactly one cell, the one its (x, y) floors to
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-40, 40, (2000, 3))
+        pts[:50, :2] = np.round(pts[:50, :2] / DEFAULT_CELL_SIZE) * DEFAULT_CELL_SIZE
+        m = GlobalMap.build(pts)
+        ids = np.concatenate(list(m._cells.values()))
+        assert np.array_equal(np.sort(ids), np.arange(2000))
+        for (i, j), idx in m._cells.items():
+            assert np.array_equal(idx, np.sort(idx))
+            keys = np.floor(pts[idx, :2] / DEFAULT_CELL_SIZE)
+            assert np.all(keys == [i, j])
 
 
 class TestDownsample:
@@ -89,6 +117,23 @@ class TestCrop:
             ref = brute_force_crop(pts, pose, extents)
             assert got.shape == ref.shape
             assert np.allclose(got, ref)
+
+    def test_box_edges_on_cell_boundaries_match_brute_force(self):
+        # points and box edges on multiples of the grid's cell size: the
+        # cell lookup must not lose a point that lies exactly on an edge
+        c = DEFAULT_CELL_SIZE
+        g = np.arange(-30, 31) * c
+        xx, yy = np.meshgrid(g, g)
+        pts = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(xx.size)])
+        m = GlobalMap.build(pts)
+        base = _pose_looking_along_x()
+        center = np.array([3 * c, -2 * c, 0.0])
+        pose = PoseSE3.from_rt(base.rotation_matrix(), -base.rotation_matrix() @ center)
+        extents = CropExtents(8 * c, 2 * c, 5 * c)
+        got = crop_local(m, pose, extents)
+        ref = brute_force_crop(pts, pose, extents)
+        assert len(ref) == 11 * 11
+        assert np.array_equal(got, ref)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from lidartrack.geometry import (CameraIntrinsics, PerturbBounds, PoseSE3,
                                  perturb_pose, project_points)
-from lidartrack.rendering import (DepthMap, FlowField, gt_depth_flow,
-                                  remove_occlusions, render_depth)
+from lidartrack.rendering import (DepthMap, gt_depth_flow, remove_occlusions,
+                                  render_depth)
 
 
 def _remove_occlusions_reference(d, cone_aperture_deg=10.0, window=7):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lidartrack.geometry import PoseSE3, pose_error
+from lidartrack.geometry import pose_error
 from lidartrack.synth import (CAMERA_HEIGHT, FACADE_HEIGHT, SceneConfig,
                               TrajectoryConfig, VoOracleConfig, generate_scene,
                               generate_trajectory, integrate_relatives,

@@ -10,17 +10,16 @@ import pytest
 import lidartrack.tracker as T
 from lidartrack.evaluation import Trajectory
 from lidartrack.flow import FlowNoiseModel
-from lidartrack.geometry import (CameraIntrinsics, PerturbBounds, PoseSE3,
-                                 perturb_pose, pose_error)
-from lidartrack.joint import EnergyConfig, JointResult
+from lidartrack.geometry import PerturbBounds, PoseSE3, perturb_pose, pose_error
+from lidartrack.joint import JointResult
 from lidartrack.mapping import CropExtents, GlobalMap, downsample
 from lidartrack.pnp import (DegenerateConfigurationError, PnPResult, RansacConfig,
                             TooFewCorrespondencesError)
 from lidartrack.synth import (SceneConfig, TrajectoryConfig, VoOracleConfig,
-                              generate_scene, generate_trajectory,
-                              integrate_relatives, vo_oracle)
+                              generate_scene, generate_trajectory, vo_oracle)
 from lidartrack.tracker import (DIAGNOSTIC_COLUMNS, Scenario, Tracker,
-                                TrackerConfig, write_diagnostics_csv)
+                                TrackerConfig, scenario_from_cloud,
+                                write_diagnostics_csv)
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +301,38 @@ class TestModeDominance:
 
 
 class TestScenarioBuilder:
+    def test_map_is_the_downsampled_cloud(self):
+        cloud = generate_scene(SceneConfig(extent=30.0, seed=3))
+        gt = generate_trajectory(TrajectoryConfig(frame_count=3, speed=1.0))
+        scen = scenario_from_cloud(cloud, gt, map_resolution=0.2)
+        ref = downsample(GlobalMap.build(cloud), 0.2)
+        assert np.array_equal(scen.lidar_map.points, ref.points)
+        assert scen.gt_poses is gt
+        assert 0 < len(scen.lidar_map) < len(cloud)
+
+    def test_vo_relatives_from_oracle(self):
+        gt = generate_trajectory(TrajectoryConfig(frame_count=5, speed=1.0))
+        vo_cfg = VoOracleConfig(seed=4)
+        scen = scenario_from_cloud(np.zeros((1, 3)), gt, vo_cfg=vo_cfg,
+                                   outage_frames=[2, 2, 3], flow_kill_frames=(1,))
+        ref = vo_oracle(gt, vo_cfg)
+        assert len(scen.vo_relatives) == 4
+        for a, b in zip(scen.vo_relatives, ref):
+            assert np.array_equal(a.q, b.q) and np.array_equal(a.t, b.t)
+        assert scen.outage_frames == frozenset({2, 3})
+        assert scen.flow_kill_frames == frozenset({1})
+        single = scenario_from_cloud(np.zeros((1, 3)), gt[:1], vo_cfg=vo_cfg)
+        assert single.vo_relatives == []
+
+    def test_defaults_no_vo_no_events_ten_cm_map(self):
+        rng = np.random.default_rng(6)
+        cloud = rng.uniform(-2, 2, (3000, 3))
+        scen = scenario_from_cloud(cloud, [PoseSE3.identity()])
+        assert scen.vo_relatives is None
+        assert scen.outage_frames == frozenset() == scen.flow_kill_frames
+        ref = downsample(GlobalMap.build(cloud), 0.1)
+        assert np.array_equal(scen.lidar_map.points, ref.points)
+
     def test_mode_validation(self, K_small):
         with pytest.raises(ValueError):
             TrackerConfig(camera=K_small, mode="warp_drive")
