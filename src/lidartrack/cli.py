@@ -133,8 +133,8 @@ def _outage_frames(outages) -> frozenset:
     try:
         for entry in outages:
             start, length = entry if isinstance(entry, list) else (entry, 1)
-            check_number("outages", start, int)
-            check_number("outages", length, int)
+            check_number("outages", start, int, "non_negative")
+            check_number("outages", length, int, "positive")
             frames.update(range(start, start + length))
     except (TypeError, ValueError):
         raise ConfigError("outages must be a list of frames or [start_frame, length] pairs")
@@ -247,6 +247,9 @@ def cmd_eval(est_path, gt_path, out_dir=None, rpe_delta=1, align=False) -> int:
     gt = evaluation.load_trajectory(gt_path)
     if len(est) != len(gt):
         raise ConfigError(f"trajectory length mismatch: {len(est)} vs {len(gt)}")
+    if not 1 <= rpe_delta < len(gt):
+        raise ConfigError(f"rpe_delta must be at least 1 and below the trajectory "
+                          f"length ({len(gt)})")
     report = build_report(est, gt, rpe_delta=rpe_delta, align=align)
     text = format_report(report)
     if out_dir is not None:

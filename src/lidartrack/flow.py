@@ -14,8 +14,7 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, PoseSE3, check_fields, pixel_index, project_points
 from .rendering import (DEFAULT_OCCLUSION_APERTURE_DEG, DEFAULT_OCCLUSION_WINDOW,
-                        DepthMap, FlowField, _depth_flow_lists, _flow_field, _pixel_lists,
-                        render_depth)
+                        DepthMap, FlowField, _depth_flow_lists, lookup, render_depth)
 # perfbench/tracing.py wraps flow.remove_occlusions, so the name stays importable here
 from .rendering import remove_occlusions  # noqa: F401
 
@@ -61,17 +60,9 @@ def warp(field: FlowField, base: FlowField) -> FlowField:
     """
     if field.shape != base.shape:
         raise ValueError(f"dimension mismatch: {field.shape} vs {base.shape}")
-    h, w = base.shape
-    out = FlowField.invalid(h, w)
-    rows, cols = np.nonzero(base.valid)
-    if len(rows) == 0:
-        return out
-    pos = np.stack([cols + base.du[rows, cols], rows + base.dv[rows, cols]], axis=1)
-    values, ok = sample_flow(field, pos)
-    out.du[rows[ok], cols[ok]] = values[ok, 0]
-    out.dv[rows[ok], cols[ok]] = values[ok, 1]
-    out.valid[rows[ok], cols[ok]] = True
-    return out
+    rows, cols = np.divmod(base.flat, base.shape[1])
+    values, ok = sample_flow(field, np.stack([cols + base.du, rows + base.dv], axis=1))
+    return FlowField(base.shape, base.flat[ok], values[ok, 0], values[ok, 1])
 
 
 def sample_flow(field: FlowField, positions) -> tuple[np.ndarray, np.ndarray]:
@@ -85,17 +76,15 @@ def sample_flow(field: FlowField, positions) -> tuple[np.ndarray, np.ndarray]:
     n = len(pos)
     values = np.zeros((n, 2))
     ok = np.zeros(n, dtype=bool)
-    if n == 0:
-        return values, ok
     x0 = np.floor(pos[:, 0]).astype(np.int64)
     y0 = np.floor(pos[:, 1]).astype(np.int64)
     inside = (x0 >= 0) & (x0 + 1 <= w - 1) & (y0 >= 0) & (y0 + 1 <= h - 1)
-    xi, yi = x0[inside], y0[inside]
-    corners_ok = (field.valid[yi, xi] & field.valid[yi, xi + 1]
-                  & field.valid[yi + 1, xi] & field.valid[yi + 1, xi + 1])
-    sel = np.nonzero(inside)[0][corners_ok]
-    if len(sel) == 0:
-        return values, ok
+    sel = np.nonzero(inside)[0]
+    # corner rows: (x0, y0), (x0 + 1, y0), (x0, y0 + 1), (x0 + 1, y0 + 1)
+    corners = y0[sel] * w + x0[sel] + np.array([[0], [1], [w], [w + 1]])
+    at, found = lookup(field.flat, corners)
+    full = found.all(axis=0)
+    sel, at = sel[full], at[:, full]
     xi, yi = x0[sel], y0[sel]
     wx = pos[sel, 0] - xi
     wy = pos[sel, 1] - yi
@@ -104,8 +93,8 @@ def sample_flow(field: FlowField, positions) -> tuple[np.ndarray, np.ndarray]:
     w01 = (1 - wx) * wy
     w11 = wx * wy
     for k, comp in enumerate((field.du, field.dv)):
-        values[sel, k] = (w00 * comp[yi, xi] + w10 * comp[yi, xi + 1]
-                          + w01 * comp[yi + 1, xi] + w11 * comp[yi + 1, xi + 1])
+        values[sel, k] = (w00 * comp[at[0]] + w10 * comp[at[1]]
+                          + w01 * comp[at[2]] + w11 * comp[at[3]])
     ok[sel] = True
     return values, ok
 
@@ -125,12 +114,13 @@ def consistency_residual(t: FlowTriplet) -> FlowField:
     noiseless pose-consistent flows, the residual is sub-pixel.
     """
     warped = warp(t.f_c2n, t.f_c2d)
-    res = FlowField.invalid(*t.f_c2d.shape)
-    res.valid[:] = t.f_c2d.valid & t.f_n2d.valid & warped.valid
-    m = res.valid
-    res.du[m] = (t.f_n2d.du[m] - t.f_c2d.du[m]) - warped.du[m]
-    res.dv[m] = (t.f_n2d.dv[m] - t.f_c2d.dv[m]) - warped.dv[m]
-    return res
+    at_c, in_c = lookup(t.f_c2d.flat, warped.flat)
+    at_n, in_n = lookup(t.f_n2d.flat, warped.flat)
+    m = in_c & in_n
+    c, n = at_c[m], at_n[m]
+    return FlowField(warped.shape, warped.flat[m],
+                     (t.f_n2d.du[n] - t.f_c2d.du[c]) - warped.du[m],
+                     (t.f_n2d.dv[n] - t.f_c2d.dv[c]) - warped.dv[m])
 
 
 def epe(f_pre: FlowField, f_gt: FlowField) -> float:
@@ -141,23 +131,22 @@ def epe(f_pre: FlowField, f_gt: FlowField) -> float:
     """
     if f_pre.shape != f_gt.shape:
         raise ValueError("dimension mismatch")
-    mask = f_gt.valid & f_pre.valid
-    if not mask.any():
+    at, m = lookup(f_pre.flat, f_gt.flat)
+    if not m.any():
         raise EmptyMaskError("no jointly valid pixels for EPE")
-    du = f_pre.du[mask] - f_gt.du[mask]
-    dv = f_pre.dv[mask] - f_gt.dv[mask]
+    du = f_pre.du[at[m]] - f_gt.du[m]
+    dv = f_pre.dv[at[m]] - f_gt.dv[m]
     return float(np.mean(np.hypot(du, dv)))
 
 
-def _noise_lists(du, dv, model: FlowNoiseModel, rng: np.random.Generator):
-    """Jitter, outliers, then dropout on row-major per-pixel flow values.
+def apply_noise(field: FlowField, model: FlowNoiseModel, rng: np.random.Generator) -> FlowField:
+    """One noisy draw of a flow field: jitter, outliers, then dropout.
 
-    Returns (du, dv, keep); dropped pixels read 0 in du and dv and False
-    in ``keep``.  May write into the arrays it is given.  The draws
-    depend only on the number of pixels, so a list in ``np.flatnonzero``
-    order draws what the dense field's valid pixels would.
+    Dropped pixels become invalid.  The draws depend only on the number
+    of valid pixels, and the result keeps the field's dtype.
     """
-    n = len(du)
+    n = len(field.flat)
+    du, dv = field.du.copy(), field.dv.copy()
     keep = np.ones(n, dtype=bool)
     if model.gaussian_sigma > 0:
         du = du + rng.normal(0.0, model.gaussian_sigma, n)
@@ -172,24 +161,9 @@ def _noise_lists(du, dv, model: FlowNoiseModel, rng: np.random.Generator):
     if model.dropout_fraction > 0:
         k = int(round(model.dropout_fraction * n))
         if k > 0:
-            pick = rng.choice(n, size=k, replace=False)
-            keep[pick] = False
-            du[pick] = 0.0
-            dv[pick] = 0.0
-    return du, dv, keep
-
-
-def apply_noise(field: FlowField, model: FlowNoiseModel, rng: np.random.Generator) -> FlowField:
-    """One noisy draw of a flow field: jitter, outliers, then dropout."""
-    out = field.copy()
-    flat = np.flatnonzero(out.valid)
-    if len(flat) == 0:
-        return out
-    du, dv, keep = _noise_lists(out.du.ravel()[flat], out.dv.ravel()[flat], model, rng)
-    out.du.reshape(-1)[flat] = du
-    out.dv.reshape(-1)[flat] = dv
-    out.valid.reshape(-1)[flat[~keep]] = False
-    return out
+            keep[rng.choice(n, size=k, replace=False)] = False
+    return FlowField(field.shape, field.flat[keep], du[keep].astype(field.du.dtype, copy=False),
+                     dv[keep].astype(field.dv.dtype, copy=False))
 
 
 def _covisible(pts, K: CameraIntrinsics, T_gt: PoseSE3, ids, depth_gt: DepthMap,
@@ -204,11 +178,11 @@ def _covisible(pts, K: CameraIntrinsics, T_gt: PoseSE3, ids, depth_gt: DepthMap,
     z = cam[:, 2]
     px, inb = pixel_index(K, *project_points(K, cam))
     visible = np.zeros(len(ids), dtype=bool)
-    sel = np.nonzero(inb)[0]
-    d_at = depth_gt.depth[px[sel, 1], px[sel, 0]]
-    v_at = depth_gt.valid[px[sel, 1], px[sel, 0]]
+    at, found = lookup(depth_gt.flat, px[inb, 1] * K.width + px[inb, 0])
+    sel = np.nonzero(inb)[0][found]
+    d_at = depth_gt.depth[at[found]]
     gap_allowed = d_at / (K.mean_focal * math.tan(math.radians(aperture_deg)))
-    visible[sel] = v_at & (z[sel] - d_at <= gap_allowed)
+    visible[sel] = z[sel] - d_at <= gap_allowed
     return visible
 
 
@@ -222,25 +196,22 @@ def oracle_depth_flow(points, K: CameraIntrinsics, T_init: PoseSE3, T_gt: PoseSE
     Pixels whose source point is occluded under the target pose are
     masked: the true displacement of an invisible point is not something
     a flow network could observe, and keeping it would poison the
-    cross-modal identity.  Depth flow, co-visibility and noise run on
-    row-major pixel lists; the dense field is built once, at return.
+    cross-modal identity.
     """
     if depth is None:
         depth = render_depth(points, K, T_init, occlusion_aperture_deg, occlusion_window)
-    flat, ids = _pixel_lists(depth, K)
-    if len(flat) == 0:
-        return FlowField.invalid(K.height, K.width)
+    elif depth.shape != (K.height, K.width):
+        raise ValueError("depth map and camera dimensions differ")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    keep, du, dv = _depth_flow_lists(pts, K, T_init, T_gt, flat, ids)
-    flat, ids = flat[keep], ids[keep]
+    keep, du, dv = _depth_flow_lists(pts, K, T_init, T_gt, depth.source)
+    flat, ids = depth.flat[keep], depth.source[keep]
     if len(flat) and not occlusion_aperture_deg <= 0:  # a NaN aperture masks every pixel
         if depth_gt is None:
             depth_gt = render_depth(points, K, T_gt, occlusion_aperture_deg, occlusion_window)
         keep = _covisible(pts, K, T_gt, ids, depth_gt, occlusion_aperture_deg)
         flat, du, dv = flat[keep], du[keep], dv[keep]
     rng = np.random.default_rng(np.random.SeedSequence((noise.seed, stream)))
-    du, dv, keep = _noise_lists(du, dv, noise, rng)
-    return _flow_field(K.height, K.width, flat[keep], du[keep], dv[keep])
+    return apply_noise(FlowField(depth.shape, flat, du, dv), noise, rng)
 
 
 def oracle_flows(points, K: CameraIntrinsics, T_init: PoseSE3,

@@ -55,6 +55,7 @@ class JointResult:
     final_energy: float
     iterations: int
     converged: bool
+    consist_pts: int = 0   # consistency points in the LM; 0 when the term was dropped
     energy_trace: list = field(default_factory=list)
 
 
@@ -150,7 +151,7 @@ def optimize_pair(T_cur0: PoseSE3, T_next0: PoseSE3,
     T_cur0 projections, frozen) or per-point (N, 2) samples.  A rank-
     deficient system returns the input poses with ``converged=False``.
     """
-    terms = []
+    terms, n_consist = [], 0
     if cfg.w_reproj > 0:
         for corrs, which, T0 in ((corrs_cur, "cur", T_cur0),
                                  (corrs_next, "next", T_next0)):
@@ -165,6 +166,7 @@ def optimize_pair(T_cur0: PoseSE3, T_next0: PoseSE3,
         term = term.restrict_visible(K, T_cur0, T_next0)
         if len(term) >= 3:
             terms.append((cfg.w_consist, term))
+            n_consist = len(term)
 
     # a rank-deficient system (e.g. the consistency-only gauge) is
     # reported, not optimized
@@ -174,11 +176,13 @@ def optimize_pair(T_cur0: PoseSE3, T_next0: PoseSE3,
     if out is None:
         return JointResult(T_cur_star=T_cur0, T_next_star=T_next0,
                            initial_energy=np.inf, final_energy=np.inf,
-                           iterations=0, converged=False, energy_trace=[])
+                           iterations=0, converged=False, consist_pts=n_consist,
+                           energy_trace=[])
     T_cur, T_next, trace, it, converged = out
     return JointResult(T_cur_star=T_cur, T_next_star=T_next,
                        initial_energy=trace[0], final_energy=trace[-1],
-                       iterations=it, converged=converged, energy_trace=trace)
+                       iterations=it, converged=converged, consist_pts=n_consist,
+                       energy_trace=trace)
 
 
 def optimize_next_only(T_cur: PoseSE3, T_next0: PoseSE3,

@@ -28,7 +28,7 @@ import numpy as np
 from .geometry import (MIN_DEPTH, CameraIntrinsics, PoseSE3, check_fields,
                        compose_batch, project_points, quat_to_matrix_batch,
                        reprojection_jacobian, se3_exp, se3_exp_batch)
-from .rendering import DepthMap, FlowField
+from .rendering import DepthMap, FlowField, lookup
 
 
 class TooFewCorrespondencesError(ValueError):
@@ -123,13 +123,13 @@ def correspondences_from_flow(d: DepthMap, f: FlowField, points) -> Corresponden
     Pairs whose pixel or point is not finite (a NaN flow sample) are
     dropped: RANSAC cannot score them, and one would end the fit.
     """
-    if d.depth.shape != f.shape:
+    if d.shape != f.shape:
         raise ValueError("depth map and flow field dimensions differ")
-    mask = d.valid & f.valid
-    rows, cols = np.nonzero(mask)
+    at, m = lookup(d.flat, f.flat)
+    rows, cols = np.divmod(f.flat[m], f.shape[1])
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    p_world = pts[d.source[rows, cols]]
-    x_img = np.stack([cols + f.du[rows, cols], rows + f.dv[rows, cols]], axis=1)
+    p_world = pts[d.source[at[m]]]
+    x_img = np.stack([cols + f.du[m], rows + f.dv[m]], axis=1)
     if not (np.isfinite(x_img).all() and np.isfinite(p_world).all()):
         finite = np.isfinite(x_img).all(axis=1) & np.isfinite(p_world).all(axis=1)
         p_world, x_img = p_world[finite], x_img[finite]

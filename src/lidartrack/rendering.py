@@ -5,13 +5,16 @@ z-buffer; ties within 1e-9 m break toward the smaller point id so the
 output is bit-identical regardless of input ordering.  Flow fields are
 anchored at integer pixel positions but store real-valued displacements.
 
-The z-buffer winners, the visibility-cone occlusion filter and the depth
-flow all work on row-major lists of the valid pixels (flat pixel index,
-value, source point); a dense ``DepthMap`` or ``FlowField`` is built once,
-when a public function returns.  ``render_depth`` takes the filter's
-``occlusion_aperture_deg``/``occlusion_window`` keywords: with a positive
-aperture it returns what ``remove_occlusions`` would make of its
-unfiltered map, without building that map.
+There is one raster format.  A ``DepthMap`` or ``FlowField`` holds only
+its valid pixels: their row-major indices ``flat`` in ascending order (the
+order ``np.flatnonzero`` gives over a mask) and one value per pixel in
+each per-pixel array.  A projected LiDAR scan covers under 1 % of a
+960x320 image, and sparse ground-truth flow is stored per valid pixel in
+the same way (KITTI flow, Menze & Geiger 2015).  Every random-access read
+of a raster is one binary search over ``flat``: ``lookup``.
+``render_depth`` takes the occlusion filter's ``occlusion_aperture_deg``/
+``occlusion_window`` keywords and applies ``remove_occlusions`` to its
+winners.
 """
 from __future__ import annotations
 
@@ -29,86 +32,48 @@ DEFAULT_OCCLUSION_APERTURE_DEG = 10.0
 DEFAULT_OCCLUSION_WINDOW = 7
 
 
-@dataclass
+@dataclass(frozen=True)
 class DepthMap:
-    """Per-pixel depth with validity mask and source-point back-pointers.
+    """Depth and source point of the valid pixels of a (height, width) raster.
 
-    ``source`` holds the row index of the winning cloud point (-1 where
-    invalid).  ``focal`` is the mean focal length of the rendering camera,
-    kept so occlusion removal can convert pixel distances to meters.
+    ``source`` holds the row index of each pixel's winning cloud point.
+    ``focal`` is the mean focal length of the rendering camera, kept so
+    occlusion removal can convert pixel distances to meters.
     """
 
+    shape: tuple
+    flat: np.ndarray
     depth: np.ndarray
-    valid: np.ndarray
     source: np.ndarray
     focal: float
 
-    @property
-    def height(self):
-        return self.depth.shape[0]
 
-    @property
-    def width(self):
-        return self.depth.shape[1]
-
-    def copy(self) -> "DepthMap":
-        return DepthMap(self.depth.copy(), self.valid.copy(), self.source.copy(), self.focal)
-
-
-@dataclass
+@dataclass(frozen=True)
 class FlowField:
-    """Per-pixel 2D displacement (du, dv) with a validity mask."""
+    """2D displacement (du, dv) of the valid pixels of a (height, width) raster."""
 
+    shape: tuple
+    flat: np.ndarray
     du: np.ndarray
     dv: np.ndarray
-    valid: np.ndarray
-
-    @property
-    def shape(self):
-        return self.du.shape
 
     @classmethod
     def invalid(cls, height: int, width: int) -> "FlowField":
-        return cls(np.zeros((height, width)), np.zeros((height, width)),
-                   np.zeros((height, width), dtype=bool))
-
-    def copy(self) -> "FlowField":
-        return FlowField(self.du.copy(), self.dv.copy(), self.valid.copy())
+        return cls((height, width), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
 
 
+def lookup(flat, pixels):
+    """Where each row-major pixel index of ``pixels`` sits in the ascending ``flat``.
 
-
-def _render_lists(points, K: CameraIntrinsics, T: PoseSE3,
-                  occlusion_aperture_deg: float, occlusion_window: int):
-    """z-buffer winners as row-major lists: (flat pixel index, depth, point id).
-
-    The lexsort's primary key is the flat index, so the winners come out
-    in the order ``np.flatnonzero`` gives over the rendered mask.  A
-    positive aperture keeps only the winners that pass ``_visible``.
+    Returns (at, found), both shaped like ``pixels``:
+    ``flat[at[found]] == pixels[found]``, and ``at`` indexes ``flat``
+    wherever ``flat`` is not empty.
     """
-    empty = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64))
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if len(pts) == 0:
-        return empty
-    h, w = K.height, K.width
-    cam = T.apply(pts)
-    z = cam[:, 2]
-    px, ok = pixel_index(K, *project_points(K, cam))
-    idx = np.nonzero(ok)[0]
-    if len(idx) == 0:
-        return empty
-    flat = px[idx, 1] * w + px[idx, 0]
-    qz = np.round(z[idx] / DEPTH_TIE_EPS).astype(np.int64)
-    order = np.lexsort((idx, qz, flat))
-    flat_sorted = flat[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = flat_sorted[1:] != flat_sorted[:-1]
-    win = idx[order[first]]
-    flat, z, win = flat_sorted[first], z[win], win
-    if occlusion_aperture_deg > 0:
-        keep = _visible(flat, z, h, w, K.mean_focal, occlusion_aperture_deg, occlusion_window)
-        flat, z, win = flat[keep], z[keep], win[keep]
-    return flat, z, win
+    at = np.searchsorted(flat, pixels)
+    if len(flat) == 0:
+        return at, np.zeros(at.shape, dtype=bool)
+    np.minimum(at, len(flat) - 1, out=at)
+    return at, flat[at] == pixels
 
 
 def _visible(flat, z, height: int, width: int, focal: float,
@@ -137,32 +102,32 @@ def _visible(flat, z, height: int, width: int, focal: float,
     return ~kill
 
 
-def _densify(height: int, width: int, flat, z, source, focal: float) -> DepthMap:
-    """The dense map of row-major pixel lists: 0 / False / -1 elsewhere."""
-    depth = np.zeros(height * width, dtype=z.dtype)
-    valid = np.zeros(height * width, dtype=bool)
-    src = np.full(height * width, -1, dtype=source.dtype)
-    depth[flat] = z
-    valid[flat] = True
-    src[flat] = source
-    shape = (height, width)
-    return DepthMap(depth.reshape(shape), valid.reshape(shape), src.reshape(shape), focal)
-
-
 def render_depth(points, K: CameraIntrinsics, T: PoseSE3,
                  occlusion_aperture_deg: float = 0.0,
                  occlusion_window: int = DEFAULT_OCCLUSION_WINDOW) -> DepthMap:
     """Project a world-frame cloud into a depth map at pose T.
 
     Every point with positive depth that lands inside the image competes
-    for its nearest pixel; the minimum-depth point wins.  A positive
-    ``occlusion_aperture_deg`` also applies the visibility-cone filter of
-    ``remove_occlusions`` to the winners, with the same result as
-    ``remove_occlusions(render_depth(points, K, T), aperture, window)``
-    but without building the unfiltered map.
+    for its nearest pixel; the minimum-depth point wins.  The lexsort's
+    primary key is the flat index, so the winners come out in ascending
+    pixel order.  A positive ``occlusion_aperture_deg`` also applies
+    ``remove_occlusions`` to the winners, with the given window.
     """
-    flat, z, source = _render_lists(points, K, T, occlusion_aperture_deg, occlusion_window)
-    return _densify(K.height, K.width, flat, z, source, K.mean_focal)
+    h, w = K.height, K.width
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    cam = T.apply(pts)
+    z = cam[:, 2]
+    px, ok = pixel_index(K, *project_points(K, cam))
+    idx = np.nonzero(ok)[0]
+    flat = px[idx, 1] * w + px[idx, 0]
+    qz = np.round(z[idx] / DEPTH_TIE_EPS).astype(np.int64)
+    order = np.lexsort((idx, qz, flat))
+    flat_sorted = flat[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = flat_sorted[1:] != flat_sorted[:-1]
+    win = idx[order[first]]
+    d = DepthMap((h, w), flat_sorted[first], z[win], win, K.mean_focal)
+    return remove_occlusions(d, occlusion_aperture_deg, occlusion_window)
 
 
 def remove_occlusions(d: DepthMap,
@@ -176,30 +141,17 @@ def remove_occlusions(d: DepthMap,
     (z - z_n) * tan(aperture) > dist_px * z_n / focal.
     Never adds valid pixels.  Every pixel is tested against the input map
     alone, so the result does not depend on scan order.  Its cost grows
-    with the number of valid pixels; only the padded neighbor grid, the
-    outputs and one ``np.flatnonzero`` pass are image-sized.
+    with the number of valid pixels; only the padded neighbor grid is
+    image-sized.  An aperture <= 0 returns the map itself.
     """
-    flat = np.flatnonzero(d.valid)
-    if len(flat) == 0 or cone_aperture_deg <= 0:
-        return d.copy()
-    h, w = d.depth.shape
-    z = d.depth.ravel()[flat]
-    keep = _visible(flat, z, h, w, d.focal, cone_aperture_deg, window)
-    flat = flat[keep]
-    return _densify(h, w, flat, z[keep], d.source.ravel()[flat], d.focal)
+    if len(d.flat) == 0 or cone_aperture_deg <= 0:
+        return d
+    keep = _visible(d.flat, d.depth, *d.shape, d.focal, cone_aperture_deg, window)
+    return DepthMap(d.shape, d.flat[keep], d.depth[keep], d.source[keep], d.focal)
 
 
-def _pixel_lists(d: DepthMap, K: CameraIntrinsics):
-    """Row-major (flat pixel index, source point id) of a map's valid pixels."""
-    if d.depth.shape != (K.height, K.width):
-        raise ValueError("depth map and camera dimensions differ")
-    flat = np.flatnonzero(d.valid)
-    return flat, d.source.ravel()[flat]
-
-
-def _depth_flow_lists(pts, K: CameraIntrinsics, T_init: PoseSE3, T_gt: PoseSE3,
-                      flat, ids):
-    """Depth flow over row-major pixels whose source points are ``pts[ids]``.
+def _depth_flow_lists(pts, K: CameraIntrinsics, T_init: PoseSE3, T_gt: PoseSE3, ids):
+    """Depth flow over the pixels whose source points are ``pts[ids]``.
 
     Returns (keep, du, dv): ``keep`` drops the pixels whose point is
     behind the camera under either pose; du, dv hold the kept pixels'
@@ -210,15 +162,6 @@ def _depth_flow_lists(pts, K: CameraIntrinsics, T_init: PoseSE3, T_gt: PoseSE3,
     uv_gt, front_gt = project_points(K, T_gt.apply(P))
     keep = front_init & front_gt
     return keep, uv_gt[keep, 0] - uv_init[keep, 0], uv_gt[keep, 1] - uv_init[keep, 1]
-
-
-def _flow_field(height: int, width: int, flat, du, dv) -> FlowField:
-    """The dense field of row-major pixel lists: zero and invalid elsewhere."""
-    field = FlowField.invalid(height, width)
-    field.du.reshape(-1)[flat] = du
-    field.dv.reshape(-1)[flat] = dv
-    field.valid.reshape(-1)[flat] = True
-    return field
 
 
 def gt_depth_flow(points, K: CameraIntrinsics, T_init: PoseSE3, T_gt: PoseSE3,
@@ -235,13 +178,10 @@ def gt_depth_flow(points, K: CameraIntrinsics, T_init: PoseSE3, T_gt: PoseSE3,
     a pre-rendered (already occlusion-filtered) T_init depth map to avoid
     re-rendering.
     """
-    if depth is not None:
-        flat, ids = _pixel_lists(depth, K)
-    else:
-        flat, _, ids = _render_lists(points, K, T_init, occlusion_aperture_deg,
-                                     occlusion_window)
-    if len(flat) == 0:
-        return FlowField.invalid(K.height, K.width)
+    if depth is None:
+        depth = render_depth(points, K, T_init, occlusion_aperture_deg, occlusion_window)
+    elif depth.shape != (K.height, K.width):
+        raise ValueError("depth map and camera dimensions differ")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    keep, du, dv = _depth_flow_lists(pts, K, T_init, T_gt, flat, ids)
-    return _flow_field(K.height, K.width, flat[keep], du, dv)
+    keep, du, dv = _depth_flow_lists(pts, K, T_init, T_gt, depth.source)
+    return FlowField(depth.shape, depth.flat[keep], du, dv)

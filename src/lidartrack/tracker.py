@@ -120,12 +120,6 @@ def _derived_seed(base: int, *key) -> int:
                .generate_state(1)[0])
 
 
-def _invalidate(flow_field):
-    flow_field.valid[:] = False
-    flow_field.du[:] = 0.0
-    flow_field.dv[:] = 0.0
-
-
 @contextmanager
 def _stage(diag, name: str):
     """Time the block into ``diag["ms_<name>"]`` (wall-clock milliseconds)."""
@@ -174,26 +168,25 @@ class Tracker:
         with _stage(diag, "render"):
             depth = (render_depth(crop, K, T_init, cfg.occlusion_aperture_deg,
                                   cfg.occlusion_window) if len(crop) else None)
-        if depth is None or not depth.valid.any():
+        if depth is None or len(depth.flat) == 0:
             return None
 
         with _stage(diag, "flow"):
             noise = self._frame_noise(frame)
+            dead = FlowField.invalid(K.height, K.width)
             if len(gt_poses) == 2:
                 flows = oracle_flows(crop, K, T_init, *gt_poses, noise,
                                      cfg.occlusion_aperture_deg, cfg.occlusion_window,
                                      depth_init=depth)
-                to_depth, image_flow = [flows.f_c2d, flows.f_n2d], flows.f_c2n
-                if any(kills):
-                    _invalidate(image_flow)
+                to_depth = [flows.f_c2d, flows.f_n2d]
+                image_flow = dead if any(kills) else flows.f_c2n
             else:
                 # default occlusion settings: cfg's would move single-frame trajectories
                 to_depth = [oracle_depth_flow(crop, K, T_init, gt_poses[0], noise,
                                               stream=0, depth=depth)]
                 image_flow = None
-            for flow_field, outage, kill in zip(to_depth, outages, kills):
-                if outage or kill:
-                    _invalidate(flow_field)
+            to_depth = [dead if outage or kill else f
+                        for f, outage, kill in zip(to_depth, outages, kills)]
 
         with _stage(diag, "pnp"):
             corrs = [correspondences_from_flow(depth, f, crop) for f in to_depth]
@@ -245,7 +238,7 @@ class Tracker:
         elif pnp_next.success:
             consist_pts = corrs_next.p_world[pnp_next.inliers]
         else:
-            consist_pts = fe.crop[fe.depth.source[fe.depth.valid]]
+            consist_pts = fe.crop[fe.depth.source]
         consist_pts = _stride_cap(consist_pts, cfg.consist_point_cap)
         T_cur0 = pnp_cur.pose if pnp_cur.success else T_init
         T_next0 = pnp_next.pose if pnp_next.success else T_cur0
@@ -260,6 +253,7 @@ class Tracker:
             else:
                 result = optimize_next_only(T_init, T_init, consist_pts,
                                             fe.image_flow, cfg.camera, cfg.energy)
+        diag["consist_pts"] = result.consist_pts
         degenerate = result.iterations == 0 and not result.converged
         if not (pnp_cur.success or pnp_next.success):
             if degenerate:
@@ -392,8 +386,8 @@ def scenario_from_cloud(cloud, gt, map_resolution: float = 0.1, vo_cfg=None,
 DIAGNOSTIC_COLUMNS = ["frame", "mode", "rot_err_deg", "transl_err_cm",
                       "inliers_cur", "inliers_next", "ransac_hyp_cur",
                       "ransac_hyp_next", "e_initial", "e_final",
-                      "opt_iters", "opt_converged", "rescued", "fail_reason",
-                      "candidate", "pnp_rmse",
+                      "opt_iters", "opt_converged", "consist_pts", "rescued",
+                      "fail_reason", "candidate", "pnp_rmse",
                       "ms_crop", "ms_render", "ms_flow", "ms_pnp", "ms_opt"]
 
 

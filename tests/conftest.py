@@ -1,11 +1,14 @@
 import multiprocessing as mp
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from lidartrack.geometry import CameraIntrinsics
 from lidartrack.mapping import GlobalMap, downsample
+from lidartrack.rendering import DepthMap, FlowField
 from lidartrack.synth import SceneConfig, TrajectoryConfig, generate_scene, generate_trajectory
 
 
@@ -65,3 +68,77 @@ def pool_map():
                                  initializer=_set_shared, initargs=(shared,)) as pool:
             return list(pool.map(_call_shared, [fn] * len(items), items))
     return pool_map
+
+
+# -- dense rasters: full-image arrays with a validity mask ---------------------
+#
+# The package holds a raster as its valid pixels only.  Tests build inputs
+# and inspect outputs as full images, and keep the dense forms of the
+# raster functions as references, through these two types and converters.
+
+@dataclass
+class DenseDepth:
+    """A depth map as full images: 0 / False / -1 at invalid pixels."""
+
+    depth: np.ndarray
+    valid: np.ndarray
+    source: np.ndarray
+    focal: float
+
+    @property
+    def shape(self):
+        return self.depth.shape
+
+    def copy(self):
+        return DenseDepth(self.depth.copy(), self.valid.copy(), self.source.copy(), self.focal)
+
+
+@dataclass
+class DenseFlow:
+    """A flow field as full images: zero and invalid outside the mask."""
+
+    du: np.ndarray
+    dv: np.ndarray
+    valid: np.ndarray
+
+    @property
+    def shape(self):
+        return self.du.shape
+
+    @classmethod
+    def invalid(cls, height, width):
+        return cls(np.zeros((height, width)), np.zeros((height, width)),
+                   np.zeros((height, width), dtype=bool))
+
+    def copy(self):
+        return DenseFlow(self.du.copy(), self.dv.copy(), self.valid.copy())
+
+
+def dense(raster):
+    """The full-image form of a ``DepthMap`` or ``FlowField``."""
+    n = raster.shape[0] * raster.shape[1]
+    valid = np.zeros(n, dtype=bool)
+    valid[raster.flat] = True
+    if isinstance(raster, DepthMap):
+        depth = np.zeros(n, dtype=raster.depth.dtype)
+        source = np.full(n, -1, dtype=raster.source.dtype)
+        depth[raster.flat] = raster.depth
+        source[raster.flat] = raster.source
+        return DenseDepth(depth.reshape(raster.shape), valid.reshape(raster.shape),
+                          source.reshape(raster.shape), raster.focal)
+    du = np.zeros(n, dtype=raster.du.dtype)
+    dv = np.zeros(n, dtype=raster.dv.dtype)
+    du[raster.flat] = raster.du
+    dv[raster.flat] = raster.dv
+    return DenseFlow(du.reshape(raster.shape), dv.reshape(raster.shape),
+                     valid.reshape(raster.shape))
+
+
+def sparse(raster):
+    """The package form of a ``DenseDepth`` or ``DenseFlow``: its valid pixels;
+    whatever the arrays hold at invalid pixels is dropped."""
+    flat = np.flatnonzero(raster.valid)
+    if isinstance(raster, DenseDepth):
+        return DepthMap(raster.shape, flat, raster.depth.ravel()[flat],
+                        raster.source.ravel()[flat], raster.focal)
+    return FlowField(raster.shape, flat, raster.du.ravel()[flat], raster.dv.ravel()[flat])

@@ -99,10 +99,8 @@ def test_criterion_1_cross_modal_consistency_identity(capsys):
             t = oracle_flows(crop, K_PAPER, T_init, traj[0], traj[1],
                              FlowNoiseModel())
             res = consistency_residual(t)
-            m = res.valid
-            assert m.sum() > 100, f"seed {seed}: near-empty residual mask"
-            worst = max(worst, float(np.abs(res.du[m]).max()),
-                        float(np.abs(res.dv[m]).max()))
+            assert len(res.flat) > 100, f"seed {seed}: near-empty residual mask"
+            worst = max(worst, float(np.abs(res.du).max()), float(np.abs(res.dv).max()))
         assert worst < 0.5, f"worst residual {worst:.3f} px"
 
 

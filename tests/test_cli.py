@@ -197,6 +197,10 @@ class TestTrack:
         (None, "outages", ["x"]),
         (None, "outages", [[1, 2, 3]]),
         (None, "outages", "x"),
+        (None, "outages", [[-3, 2]]),
+        (None, "outages", [-1]),
+        (None, "outages", [[5, 0]]),
+        (None, "outages", [[5, -2]]),
         (None, "map_resolution", "0.1"),
         (None, "map_resolution", float("nan")),
         (None, "map_resolution", 0.0),
@@ -298,6 +302,24 @@ class TestEval:
         short.write_text("\n".join(lines[:-1]) + "\n")
         assert main(["eval", str(short), str(scen / "gt_poses.txt"),
                      "--quiet"]) == EXIT_ERROR
+
+    @pytest.mark.parametrize("delta,frames", [(0, 6), (-2, 6), (6, 6), (9, 6), (None, 1)])
+    def test_bad_rpe_delta_is_a_config_error(self, scenario_dir, tmp_path, delta, frames):
+        # RPE needs a delta in [1, frames - 1]; run as a program so that a
+        # traceback would show on stderr
+        _, scen = scenario_dir
+        traj = tmp_path / "traj.txt"
+        lines = (scen / "gt_poses.txt").read_text().strip().splitlines()
+        assert len(lines) >= frames
+        traj.write_text("\n".join(lines[:frames]) + "\n")
+        flag = [] if delta is None else [f"--rpe-delta={delta}"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lidartrack.cli", "eval", str(traj), str(traj), *flag],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == EXIT_ERROR
+        assert "ERROR lidartrack: rpe_delta must be" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_align_flag(self, scenario_dir, tmp_path):
         from lidartrack.evaluation import load_trajectory, save_trajectory

@@ -99,7 +99,7 @@ def _optimize_pair_reference(T_cur0, T_next0, corrs_cur, corrs_next, consist_pts
                              f_c2n, K, cfg, free=("cur", "next")):
     """``optimize_pair`` as its own Levenberg-Marquardt loop: the form that
     the shared ``_huber_lm`` core must match bit for bit."""
-    terms = []
+    terms, n_consist = [], 0
     if cfg.w_reproj > 0:
         for corrs, which, T0 in ((corrs_cur, "cur", T_cur0),
                                  (corrs_next, "next", T_next0)):
@@ -113,11 +113,13 @@ def _optimize_pair_reference(T_cur0, T_next0, corrs_cur, corrs_next, consist_pts
         term = term.restrict_visible(K, T_cur0, T_next0)
         if len(term) >= 3:
             terms.append((cfg.w_consist, _ConsistReference(term)))
+            n_consist = len(term)
 
     n_free = 6 * len(free)
     failure = JointResult(T_cur_star=T_cur0, T_next_star=T_next0,
                           initial_energy=np.inf, final_energy=np.inf,
-                          iterations=0, converged=False, energy_trace=[])
+                          iterations=0, converged=False, consist_pts=n_consist,
+                          energy_trace=[])
     if not terms:
         return failure
 
@@ -199,7 +201,8 @@ def _optimize_pair_reference(T_cur0, T_next0, corrs_cur, corrs_next, consist_pts
             break
     return JointResult(T_cur_star=T_cur, T_next_star=T_next,
                        initial_energy=trace[0], final_energy=energy,
-                       iterations=it, converged=converged, energy_trace=trace)
+                       iterations=it, converged=converged, consist_pts=n_consist,
+                       energy_trace=trace)
 
 
 @pytest.fixture(scope="module")
@@ -261,7 +264,7 @@ class TestEConsist:
         # candidate points must be visible in the current view, as the
         # tracker's PnP inliers are
         d_cur = remove_occlusions(render_depth(crop, K, T_cur))
-        pts = crop[d_cur.source[d_cur.valid]][::7]
+        pts = crop[d_cur.source][::7]
         term = ConsistencyTerm.from_field(pts, K, t.f_c2n, T_cur)
         # many candidates land on sparse raster regions without a full
         # 2x2 valid block; enough survive on the dense surfaces
@@ -528,3 +531,4 @@ class TestMatchesReferenceLoop:
         assert got.final_energy == ref.final_energy
         assert got.energy_trace == ref.energy_trace
         assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+        assert got.consist_pts == ref.consist_pts

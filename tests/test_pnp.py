@@ -20,6 +20,8 @@ from lidartrack.pnp import (REFINE_POINT_CAP, Correspondences,
                             solve_pnp_ransac)
 from lidartrack.rendering import FlowField, remove_occlusions, render_depth
 
+from conftest import DenseFlow, dense, sparse
+
 
 def _fit_minimal_reference(corrs, K, T0):
     """One minimal Gauss-Newton fit at a time: the sequential form that
@@ -277,11 +279,10 @@ class TestCorrespondencesFromFlow:
         T = traj[0]
         crop = crop_local(gmap, T, CropExtents())
         d = remove_occlusions(render_depth(crop, K, T))
-        zero = FlowField(np.zeros(d.depth.shape), np.zeros(d.depth.shape),
-                         d.valid.copy())
+        zero = FlowField(d.shape, d.flat, np.zeros(len(d.flat)), np.zeros(len(d.flat)))
         corrs = correspondences_from_flow(d, zero, crop)
-        assert len(corrs) == d.valid.sum()
-        rows, cols = np.nonzero(d.valid)
+        assert len(corrs) == len(d.flat)
+        rows, cols = np.nonzero(dense(d).valid)
         assert np.allclose(corrs.x_img[:, 0], cols)
         assert np.allclose(corrs.x_img[:, 1], rows)
 
@@ -289,7 +290,7 @@ class TestCorrespondencesFromFlow:
         gmap, traj = corridor
         crop = crop_local(gmap, traj[0], CropExtents())
         d = remove_occlusions(render_depth(crop, K, traj[0]))
-        empty = FlowField.invalid(*d.depth.shape)
+        empty = FlowField.invalid(*d.shape)
         assert len(correspondences_from_flow(d, empty, crop)) == 0
 
     def test_gt_flow_lands_near_gt_projection(self, K, corridor):
@@ -315,13 +316,13 @@ class TestCorrespondencesFromFlow:
         gmap, traj = corridor
         T = traj[0]
         crop = crop_local(gmap, T, CropExtents()).copy()
-        d = remove_occlusions(render_depth(crop, K, T))
-        f = FlowField(np.zeros(d.depth.shape), np.zeros(d.depth.shape), d.valid.copy())
+        d = dense(remove_occlusions(render_depth(crop, K, T)))
+        f = DenseFlow(np.zeros(d.shape), np.zeros(d.shape), d.valid.copy())
         rows, cols = np.nonzero(d.valid)
         f.du[rows[::2], cols[::2]] = np.nan
         f.dv[rows[1::4], cols[1::4]] = np.inf
         crop[d.source[rows[3], cols[3]]] = np.nan  # a non-finite map point
-        corrs = correspondences_from_flow(d, f, crop)
+        corrs = correspondences_from_flow(sparse(d), sparse(f), crop)
         kept = np.ones(len(rows), dtype=bool)
         kept[::2] = False
         kept[1::4] = False

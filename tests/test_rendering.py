@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from lidartrack.geometry import (CameraIntrinsics, PerturbBounds, PoseSE3,
                                  perturb_pose, project_points)
-from lidartrack.rendering import (DepthMap, gt_depth_flow, remove_occlusions,
-                                  render_depth)
+from lidartrack.rendering import DepthMap, gt_depth_flow, remove_occlusions, render_depth
+
+from conftest import DenseDepth, dense, sparse
 
 
 def _remove_occlusions_reference(d, cone_aperture_deg=10.0, window=7):
@@ -50,7 +51,7 @@ def _render_depth_reference(points, K, T):
     depth = np.zeros((h, w))
     valid = np.zeros((h, w), dtype=bool)
     source = np.full((h, w), -1, dtype=np.int64)
-    d = DepthMap(depth, valid, source, K.mean_focal)
+    d = DenseDepth(depth, valid, source, K.mean_focal)
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
         return d
@@ -94,6 +95,8 @@ def _random_cloud(seed, h, w, n):
 
 
 def _assert_same_depth_map(a, b):
+    """Equal as full images, dtypes included; either side may be dense."""
+    a, b = (dense(x) if isinstance(x, DepthMap) else x for x in (a, b))
     for name in ("depth", "valid", "source"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype, name
@@ -103,14 +106,14 @@ def _assert_same_depth_map(a, b):
 
 def _all_valid(depth, focal=100.0):
     depth = np.asarray(depth, dtype=float)
-    return DepthMap(depth, np.ones(depth.shape, dtype=bool),
-                    np.arange(depth.size, dtype=np.int64).reshape(depth.shape),
-                    focal)
+    return sparse(DenseDepth(depth, np.ones(depth.shape, dtype=bool),
+                             np.arange(depth.size, dtype=np.int64).reshape(depth.shape),
+                             focal))
 
 
 class TestRenderDepth:
     def test_single_point_on_axis(self, K):
-        d = render_depth(np.array([[0.0, 0.0, 10.0]]), K, PoseSE3.identity())
+        d = dense(render_depth(np.array([[0.0, 0.0, 10.0]]), K, PoseSE3.identity()))
         assert d.valid.sum() == 1
         assert d.valid[160, 480]
         assert d.depth[160, 480] == 10.0
@@ -118,32 +121,34 @@ class TestRenderDepth:
 
     def test_zbuffer_keeps_nearest(self, K):
         pts = np.array([[0.0, 0.0, 10.0], [0.0, 0.0, 5.0]])
-        d = render_depth(pts, K, PoseSE3.identity())
+        d = dense(render_depth(pts, K, PoseSE3.identity()))
         assert d.valid.sum() == 1
         assert d.depth[160, 480] == 5.0
         assert d.source[160, 480] == 1
 
     def test_tie_breaks_by_smaller_id(self, K):
         pts = np.array([[0.0, 0.0, 7.0], [0.0, 0.0, 7.0], [0.0, 0.0, 7.0]])
-        d = render_depth(pts, K, PoseSE3.identity())
+        d = dense(render_depth(pts, K, PoseSE3.identity()))
         assert d.source[160, 480] == 0
-        d2 = render_depth(pts[::-1], K, PoseSE3.identity())
+        d2 = dense(render_depth(pts[::-1], K, PoseSE3.identity()))
         assert d2.source[160, 480] == 0  # ids renumber, smallest still wins
 
     def test_empty_cloud(self, K):
         d = render_depth(np.zeros((0, 3)), K, PoseSE3.identity())
-        assert not d.valid.any()
+        assert len(d.flat) == 0
+        _assert_same_depth_map(d, _render_depth_reference(np.zeros((0, 3)), K,
+                                                          PoseSE3.identity()))
 
     def test_behind_camera_ignored(self, K):
         d = render_depth(np.array([[0.0, 0.0, -5.0]]), K, PoseSE3.identity())
-        assert not d.valid.any()
+        assert len(d.flat) == 0
 
     def test_zbuffer_minimality_brute_force(self, K):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-1, 1, (5000, 3)) * [30, 10, 0] + [0, 0, 0]
         pts[:, 2] = rng.uniform(2.0, 40.0, 5000)
         pose = PoseSE3.identity()
-        d = render_depth(pts, K, pose)
+        d = dense(render_depth(pts, K, pose))
         uv, front = project_points(K, pose.apply(pts))
         px = np.rint(uv).astype(int)
         ok = front & (px[:, 0] >= 0) & (px[:, 0] < K.width) & (px[:, 1] >= 0) & (px[:, 1] < K.height)
@@ -156,8 +161,8 @@ class TestRenderDepth:
         rng = np.random.default_rng(1)
         pts = rng.uniform(-1, 1, (4000, 3)) * [20, 6, 1] + [0, 0, 25]
         perm = rng.permutation(len(pts))
-        a = render_depth(pts, K, PoseSE3.identity())
-        b = render_depth(pts[perm], K, PoseSE3.identity())
+        a = dense(render_depth(pts, K, PoseSE3.identity()))
+        b = dense(render_depth(pts[perm], K, PoseSE3.identity()))
         assert np.array_equal(a.valid, b.valid)
         assert np.array_equal(a.depth, b.depth)
         # winners are the same 3D points even though ids renumber
@@ -203,7 +208,7 @@ class TestRenderDepth:
     def test_default_keywords_do_not_filter(self, K, corridor):
         gmap, traj = corridor
         d = render_depth(gmap.points, K, traj[0])
-        assert remove_occlusions(d).valid.sum() < d.valid.sum()
+        assert len(remove_occlusions(d).flat) < len(d.flat)
         _assert_same_depth_map(d, render_depth(gmap.points, K, traj[0], 0.0))
 
 
@@ -211,7 +216,7 @@ class TestRemoveOcclusions:
     def test_isolated_pixel_unchanged(self, K):
         d = render_depth(np.array([[0.0, 0.0, 10.0]]), K, PoseSE3.identity())
         out = remove_occlusions(d, 10.0)
-        assert out.valid.sum() == 1
+        assert len(out.flat) == 1
 
     def test_two_plane_scene_far_point_culled(self, K):
         # near wall fragment at z=2 with a far point at z=20 leaking
@@ -225,8 +230,8 @@ class TestRemoveOcclusions:
         far = [[0.0, 0.0, 20.0]]
         pts = np.array(near + far)
         d = render_depth(pts, K, PoseSE3.identity())
-        assert d.valid[160, 480] and d.depth[160, 480] == 20.0
-        out = remove_occlusions(d, 10.0)
+        assert dense(d).valid[160, 480] and dense(d).depth[160, 480] == 20.0
+        out = dense(remove_occlusions(d, 10.0))
         assert not out.valid[160, 480]
 
     def test_equal_depth_plane_unchanged(self, K):
@@ -234,20 +239,20 @@ class TestRemoveOcclusions:
         pts = np.array([[x, y, 10.0] for x in xs for y in xs])
         d = render_depth(pts, K, PoseSE3.identity())
         out = remove_occlusions(d, 10.0)
-        assert out.valid.sum() == d.valid.sum()
+        assert len(out.flat) == len(d.flat)
 
     def test_monotone_never_adds(self, K, corridor):
         gmap, traj = corridor
         d = render_depth(gmap.points, K, traj[0])
         out = remove_occlusions(d, 10.0)
-        assert not np.any(out.valid & ~d.valid)
+        assert not np.any(dense(out).valid & ~dense(d).valid)
 
     def test_globally_nearest_point_survives(self, K):
         rng = np.random.default_rng(2)
         for _ in range(5):
             pts = rng.uniform(-1, 1, (2000, 3)) * [10, 4, 1] + [0, 0, 15]
-            d = render_depth(pts, K, PoseSE3.identity())
-            out = remove_occlusions(d, 10.0)
+            d = dense(render_depth(pts, K, PoseSE3.identity()))
+            out = dense(remove_occlusions(sparse(d), 10.0))
             sel = d.valid
             nearest = d.depth[sel].min()
             rows, cols = np.nonzero(d.valid & (d.depth == nearest))
@@ -257,20 +262,20 @@ class TestRemoveOcclusions:
         gmap, traj = corridor
         d = render_depth(gmap.points, K, traj[0])
         out = remove_occlusions(d, 0.0)
-        assert np.array_equal(out.valid, d.valid)
+        _assert_same_depth_map(out, d)
 
     def test_window_wider_than_tiny_image(self):
         # window // 2 exceeds both image sides: every pixel neighbors
         # every other, and out-of-image neighbors count as invalid
         d = _all_valid([[1.0, 1.0], [1.0, 5.0]])
-        out = remove_occlusions(d, 10.0, window=7)
+        out = dense(remove_occlusions(d, 10.0, window=7))
         assert out.valid.tolist() == [[True, True], [True, False]]
         assert out.depth.tolist() == [[1.0, 1.0], [1.0, 0.0]]
         assert out.source.tolist() == [[0, 1], [2, -1]]
 
         far = np.full((4, 4), 10.0)
         far[0, 0] = 2.0  # the one near pixel hides the whole map
-        out = remove_occlusions(_all_valid(far), 10.0, window=11)
+        out = dense(remove_occlusions(_all_valid(far), 10.0, window=11))
         expected = np.zeros((4, 4), dtype=bool)
         expected[0, 0] = True
         assert np.array_equal(out.valid, expected)
@@ -290,7 +295,7 @@ class TestRemoveOcclusions:
                 d = render_depth(gmap.points, cam, pose)
                 _assert_same_depth_map(
                     remove_occlusions(d, aperture, window),
-                    _remove_occlusions_reference(d, aperture, window))
+                    _remove_occlusions_reference(dense(d), aperture, window))
 
     @settings(max_examples=300, deadline=None)
     @given(h=st.integers(4, 40), w=st.integers(4, 60),
@@ -299,15 +304,14 @@ class TestRemoveOcclusions:
            focal=st.floats(10.0, 1000.0))
     def test_matches_dense_reference(self, h, w, density, seed, window,
                                      aperture, focal):
-        # integer depths make exact ties common; invalid pixels carry
-        # stale depths and sources that the filter must clear
+        # integer depths make exact ties common
         rng = np.random.default_rng(seed)
-        d = DepthMap(np.rint(rng.uniform(1.0, 30.0, (h, w))),
-                     rng.random((h, w)) < density,
-                     np.arange(h * w, dtype=np.int64).reshape(h, w), focal)
-        before = d.copy()
+        d = sparse(DenseDepth(np.rint(rng.uniform(1.0, 30.0, (h, w))),
+                              rng.random((h, w)) < density,
+                              np.arange(h * w, dtype=np.int64).reshape(h, w), focal))
+        before = dense(d)
         _assert_same_depth_map(remove_occlusions(d, aperture, window),
-                               _remove_occlusions_reference(d, aperture, window))
+                               _remove_occlusions_reference(dense(d), aperture, window))
         _assert_same_depth_map(d, before)
 
 
@@ -315,7 +319,7 @@ class TestGtDepthFlow:
     def test_equal_poses_zero_flow(self, K, corridor):
         gmap, traj = corridor
         T = traj[0]
-        f = gt_depth_flow(gmap.points, K, T, T)
+        f = dense(gt_depth_flow(gmap.points, K, T, T))
         assert f.valid.any()
         assert np.abs(f.du[f.valid]).max() < 1e-9
         assert np.abs(f.dv[f.valid]).max() < 1e-9
@@ -328,7 +332,7 @@ class TestGtDepthFlow:
                         for y in np.linspace(-0.5, 0.5, 5)])
         T_init = PoseSE3.identity()
         T_gt = PoseSE3(T_init.q, np.array([-delta, 0.0, 0.0]))
-        f = gt_depth_flow(pts, K, T_init, T_gt)
+        f = dense(gt_depth_flow(pts, K, T_init, T_gt))
         assert f.valid.any()
         expected = -K.fx * delta / Z
         got = f.du[f.valid]
@@ -343,7 +347,7 @@ class TestGtDepthFlow:
         T_init = PoseSE3.identity()
         T_gt = PoseSE3(T_init.q, np.array([0.0, 0.0, -10.0]))  # pushes it behind
         f = gt_depth_flow(pts, K, T_init, T_gt)
-        assert not f.valid.any()
+        assert len(f.flat) == 0
 
     def test_flow_warps_to_gt_projection(self, K, corridor):
         # moving each anchored pixel by its flow lands within 0.5 px
@@ -354,7 +358,8 @@ class TestGtDepthFlow:
         crop = gmap.points
         from lidartrack.rendering import render_depth as rd
         d = remove_occlusions(rd(crop, K, T_init))
-        f = gt_depth_flow(crop, K, T_init, T_gt, depth=d)
+        f = dense(gt_depth_flow(crop, K, T_init, T_gt, depth=d))
+        d = dense(d)
         rows, cols = np.nonzero(f.valid)
         ids = d.source[rows, cols]
         uv_gt, front = project_points(K, T_gt.apply(crop[ids]))

@@ -11,10 +11,11 @@ import lidartrack.tracker as T
 from lidartrack.evaluation import Trajectory
 from lidartrack.flow import FlowNoiseModel
 from lidartrack.geometry import PerturbBounds, PoseSE3, perturb_pose, pose_error
-from lidartrack.joint import JointResult
+from lidartrack.joint import ConsistencyTerm, EnergyConfig, JointResult
 from lidartrack.mapping import CropExtents, GlobalMap, downsample
 from lidartrack.pnp import (DegenerateConfigurationError, PnPResult, RansacConfig,
                             TooFewCorrespondencesError)
+from lidartrack.rendering import FlowField
 from lidartrack.synth import (SceneConfig, TrajectoryConfig, VoOracleConfig,
                               generate_scene, generate_trajectory, vo_oracle)
 from lidartrack.tracker import (DIAGNOSTIC_COLUMNS, Scenario, Tracker,
@@ -123,6 +124,30 @@ class TestMultiView:
             assert np.array_equal(pa.q, pb.q)
             assert np.array_equal(pa.t, pb.t)
 
+    @pytest.mark.parametrize("w_consist", [1.0, 0.0])
+    def test_consist_pts_column_counts_the_term(self, K_small, small_world, monkeypatch,
+                                                w_consist):
+        # the column is the size of the consistency term the joint LM got,
+        # rebuilt here from the arguments the step handed optimize_pair;
+        # 0 when the term is dropped
+        calls = []
+        real = T.optimize_pair
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(T, "optimize_pair", spy)
+        gmap, gt, _ = small_world
+        tracker = Tracker(make_config(K_small, "multi_view",
+                                      energy=EnergyConfig(w_consist=w_consist)))
+        _, _, diag = tracker.step_multi_view(tracker.init(gt[0]), gmap, gt[0], gt[1])
+        T_cur0, T_next0, _, _, pts, f_c2n, K, _ = calls[0]
+        term = ConsistencyTerm.from_field(pts, K, f_c2n, T_cur0)
+        term = term.restrict_visible(K, T_cur0, T_next0)
+        assert len(term) >= 3
+        assert diag["consist_pts"] == (len(term) if w_consist else 0)
+
 
 class TestFrameByFrame:
     def test_noiseless_accuracy(self, K_small, small_world):
@@ -150,9 +175,8 @@ class TestFrameByFrame:
 
         def nan_oracle(*args, **kwargs):
             f = real(*args, **kwargs)
-            rows, cols = np.nonzero(f.valid)
-            f.du[rows[::2], cols[::2]] = np.nan
-            f.dv[rows[::2], cols[::2]] = np.nan
+            f.du[::2] = np.nan
+            f.dv[::2] = np.nan
             return f
 
         monkeypatch.setattr(tracker_module, "oracle_depth_flow", nan_oracle)
@@ -398,7 +422,7 @@ class ReferenceTracker(Tracker):
 
         crop, depth, times = self._crop_and_render(lidar_map, T_init)
         diag.update(times)
-        if depth is None or not depth.valid.any():
+        if depth is None or len(depth.flat) == 0:
             state.failed = True
             return state, None, diag
 
@@ -407,12 +431,13 @@ class ReferenceTracker(Tracker):
                                self._frame_noise(frame),
                                cfg.occlusion_aperture_deg, cfg.occlusion_window,
                                depth_init=depth)
+        dead = FlowField.invalid(K.height, K.width)
         if outage_cur or kill_cur:
-            T._invalidate(flows.f_c2d)
+            flows = replace(flows, f_c2d=dead)
         if outage_next or kill_next:
-            T._invalidate(flows.f_n2d)
+            flows = replace(flows, f_n2d=dead)
         if kill_cur or kill_next:
-            T._invalidate(flows.f_c2n)
+            flows = replace(flows, f_c2n=dead)
         diag["ms_flow"] = 1e3 * (time.perf_counter() - t0)
 
         t0 = time.perf_counter()
@@ -431,7 +456,7 @@ class ReferenceTracker(Tracker):
         elif pnp_next.success:
             consist_pts = corrs_next.p_world[pnp_next.inliers]
         else:
-            consist_pts = crop[depth.source[depth.valid]]
+            consist_pts = crop[depth.source]
         consist_pts = T._stride_cap(consist_pts, cfg.consist_point_cap)
 
         T_cur0 = pnp_cur.pose if pnp_cur.success else T_init
@@ -452,6 +477,7 @@ class ReferenceTracker(Tracker):
         if pnp_cur.success or pnp_next.success:
             result = T.optimize_pair(T_cur0, T_next0, inl_cur, inl_next,
                                      consist_pts, flows.f_c2n, K, cfg.energy)
+            diag["consist_pts"] = result.consist_pts
             degenerate = result.iterations == 0 and not result.converged
             if degenerate and not pnp_next.success:
                 diag["ms_opt"] = 1e3 * (time.perf_counter() - t0)
@@ -468,6 +494,7 @@ class ReferenceTracker(Tracker):
         else:
             result = T.optimize_next_only(T_init, T_init, consist_pts,
                                           flows.f_c2n, K, cfg.energy)
+            diag["consist_pts"] = result.consist_pts
             if result.iterations == 0 and not result.converged:
                 diag["ms_opt"] = 1e3 * (time.perf_counter() - t0)
                 state.failed = True
@@ -494,7 +521,7 @@ class ReferenceTracker(Tracker):
 
         crop, depth, times = self._crop_and_render(lidar_map, T_init)
         diag.update(times)
-        if depth is None or not depth.valid.any():
+        if depth is None or len(depth.flat) == 0:
             state.failed = True
             return state, None, diag
 
@@ -503,7 +530,7 @@ class ReferenceTracker(Tracker):
         f_c2d = T.oracle_depth_flow(crop, K, T_init, T_gt_cur, noise, stream=0,
                                     depth=depth)
         if outage or kill:
-            T._invalidate(f_c2d)
+            f_c2d = FlowField.invalid(K.height, K.width)
         diag["ms_flow"] = 1e3 * (time.perf_counter() - t0)
 
         t0 = time.perf_counter()
@@ -533,7 +560,7 @@ class ReferenceTracker(Tracker):
 
         crop, depth, times = self._crop_and_render(lidar_map, T_init)
         diag.update(times)
-        if depth is None or not depth.valid.any():
+        if depth is None or len(depth.flat) == 0:
             state.failed = True
             return state, None, diag
 
@@ -544,7 +571,7 @@ class ReferenceTracker(Tracker):
                                     self._frame_noise(frame), stream=0,
                                     depth=depth)
         if outage or kill:
-            T._invalidate(f_c2d)
+            f_c2d = FlowField.invalid(K.height, K.width)
         diag["ms_flow"] = 1e3 * (time.perf_counter() - t0)
         t0 = time.perf_counter()
         corrs = T.correspondences_from_flow(depth, f_c2d, crop)
