@@ -105,9 +105,10 @@ def load_config(path) -> dict:
 
 
 def _build(cfg) -> dict:
-    """The typed config of each section, plus ``tracker``, ``init_perturb``
-    and ``outages``.  Every bad value raises ConfigError naming its field,
-    so a config is checked whole before any work starts."""
+    """The typed config of each section, plus ``tracker`` and
+    ``init_perturb``.  Every bad value, ``outages`` included, raises
+    ConfigError naming its field, so a config is checked whole before any
+    work starts."""
     try:
         built = {name: type(section)(**cfg[name]) for name, section in _SECTIONS.items()}
         built["tracker"] = TrackerConfig(
@@ -123,22 +124,23 @@ def _build(cfg) -> dict:
     modes = cfg["ablate_modes"]
     if not (isinstance(modes, list) and modes and all(m in MODES for m in modes)):
         raise ConfigError(f"ablate_modes must be a non-empty list of {', '.join(MODES)}")
-    built["outages"] = _outage_frames(cfg["outages"])
+    _outage_frames(cfg["outages"], 0)  # the check alone
     return built
 
 
-def _outage_frames(outages) -> frozenset:
-    """The frames of single frame entries and ``[start, length]`` pairs."""
-    frames = set()
+def _outage_frames(outages, frames: int) -> frozenset:
+    """The frames below ``frames`` of single frame entries and
+    ``[start, length]`` pairs; later frames are ignored."""
+    out = set()
     try:
         for entry in outages:
             start, length = entry if isinstance(entry, list) else (entry, 1)
             check_number("outages", start, int, "non_negative")
             check_number("outages", length, int, "positive")
-            frames.update(range(start, start + length))
+            out.update(range(start, min(start + length, frames)))
     except (TypeError, ValueError):
         raise ConfigError("outages must be a list of frames or [start_frame, length] pairs")
-    return frozenset(frames)
+    return frozenset(out)
 
 
 def _write_manifest(out_dir, command, cfg, artifacts, timings):
@@ -198,9 +200,10 @@ def _load_scenario(cfg, scenario_dir):
         raise ConfigError(f"missing scene file: {scene_path}")
     if not gt_path.exists():
         raise ConfigError(f"missing ground-truth poses: {gt_path}")
-    return scenario_from_cloud(formats.load_cloud(scene_path),
-                               formats.load_trajectory_poses(gt_path), cfg["map_resolution"],
-                               VoOracleConfig(**cfg["vo"]), _outage_frames(cfg["outages"]))
+    cloud = formats.load_cloud(scene_path)
+    gt = formats.load_trajectory_poses(gt_path)
+    return scenario_from_cloud(cloud, gt, cfg["map_resolution"], VoOracleConfig(**cfg["vo"]),
+                               _outage_frames(cfg["outages"], len(gt)))
 
 
 def _initial_pose(cfg, gt, bounds: PerturbBounds):
@@ -272,10 +275,10 @@ def cmd_ablate(config_path, out_dir, seed_override=None) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    scenario = scenario_from_cloud(generate_scene(built["scene"]),
-                                   generate_trajectory(built["trajectory"]),
-                                   cfg["map_resolution"], built["vo"], built["outages"])
-    gt = scenario.gt_poses
+    cloud = generate_scene(built["scene"])
+    gt = generate_trajectory(built["trajectory"])
+    scenario = scenario_from_cloud(cloud, gt, cfg["map_resolution"], built["vo"],
+                                   _outage_frames(cfg["outages"], len(gt)))
     T0 = _initial_pose(cfg, gt, built["init_perturb"])
 
     rows = []

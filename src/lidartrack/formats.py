@@ -20,7 +20,32 @@ _FLOAT_FMT = "%.17g"
 
 
 class FormatError(ValueError):
-    """Malformed input file (wrong field count, bad header, non-numeric)."""
+    """Malformed input file (wrong field count, bad header, non-numeric or
+    non-finite value)."""
+
+
+def _rows(path, fields) -> np.ndarray:
+    """(N, fields) reals of the non-blank text lines; every value finite."""
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != fields:
+                raise FormatError(f"{path}: line {lineno}: expected {fields} fields, "
+                                  f"got {len(parts)}")
+            try:
+                rows.append([float(x) for x in parts])
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {lineno}: non-numeric value") from exc
+    out = np.asarray(rows, dtype=float).reshape(-1, fields)
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        with open(path) as fh:
+            lineno = [k for k, line in enumerate(fh, start=1) if line.split()][np.argmax(bad)]
+        raise FormatError(f"{path}: line {lineno}: non-finite value")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -36,19 +61,7 @@ def save_xyz(points, path):
 
 
 def load_xyz(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise FormatError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                rows.append([float(x) for x in parts])
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: non-numeric value") from exc
-    return np.asarray(rows, dtype=float).reshape(-1, 3)
+    return _rows(path, 3)
 
 
 def load_cloud_binary(path) -> np.ndarray:
@@ -66,6 +79,8 @@ def load_cloud_binary(path) -> np.ndarray:
         data = np.frombuffer(buf[:len(buf) - len(buf) % 4], dtype="<f4")
     if len(data) != 3 * count:
         raise FormatError(f"{path}: expected {3 * count} floats, got {len(data)}")
+    if not np.isfinite(data).all():
+        raise FormatError(f"{path}: non-finite value")
     return data.reshape(-1, 3).astype(float)
 
 
@@ -91,20 +106,8 @@ def save_kitti_poses(transforms, path):
 
 def load_kitti_poses(path) -> list[PoseSE3]:
     """Read raw [R|t] transforms exactly as stored in the file."""
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 12:
-                raise FormatError(f"{path}: line {lineno}: expected 12 fields, got {len(parts)}")
-            try:
-                vals = np.array([float(x) for x in parts]).reshape(3, 4)
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: non-numeric value") from exc
-            out.append(PoseSE3.from_rt(vals[:, :3], vals[:, 3]))
-    return out
+    return [PoseSE3.from_rt(rt[:, :3], rt[:, 3])
+            for rt in _rows(path, 12).reshape(-1, 3, 4)]
 
 
 def save_trajectory_poses(extrinsics, path):

@@ -41,31 +41,24 @@ class DegenerateConfigurationError(ValueError):
 
 @dataclass
 class Correspondences:
-    """Vectorized set of weighted 2D-3D matches."""
+    """Vectorized set of 2D-3D matches."""
 
     p_world: np.ndarray   # (N, 3)
     x_img: np.ndarray     # (N, 2)
-    weight: np.ndarray    # (N,)
 
     @classmethod
-    def from_arrays(cls, p_world, x_img, weight=None) -> "Correspondences":
+    def from_arrays(cls, p_world, x_img) -> "Correspondences":
         p_world = np.asarray(p_world, dtype=float).reshape(-1, 3)
         x_img = np.asarray(x_img, dtype=float).reshape(-1, 2)
         if len(p_world) != len(x_img):
             raise ValueError("p_world and x_img length mismatch")
-        if weight is None:
-            weight = np.ones(len(p_world))
-        else:
-            weight = np.asarray(weight, dtype=float).reshape(-1)
-            if np.any(weight < 0):
-                raise ValueError("weights must be non-negative")
-        return cls(p_world, x_img, weight)
+        return cls(p_world, x_img)
 
     def __len__(self):
         return len(self.p_world)
 
     def subset(self, idx) -> "Correspondences":
-        return Correspondences(self.p_world[idx], self.x_img[idx], self.weight[idx])
+        return Correspondences(self.p_world[idx], self.x_img[idx])
 
 
 # final refinement uses at most this many inliers (deterministic stride);
@@ -183,10 +176,7 @@ def _huber_energy(terms, K, T_cur, T_next, delta):
         r = term.residual(K, T_cur, T_next)
         if r is None:
             return np.inf
-        per = _huber_cost(np.linalg.norm(r, axis=1), delta)
-        if hasattr(term, "corrs"):
-            per = per * term.corrs.weight
-        e += weight * float(np.sum(per))
+        e += weight * float(np.sum(_huber_cost(np.linalg.norm(r, axis=1), delta)))
     return e
 
 
@@ -210,8 +200,6 @@ def _normal_equations(terms, K, T_cur, T_next, free, delta):
                 if blocks[name] is not None:
                     J[:, :, 6 * k:6 * k + 6] = blocks[name]
         irls = _huber_weights(np.linalg.norm(r, axis=1), delta)
-        if hasattr(term, "corrs"):
-            irls = irls * term.corrs.weight
         sw = np.sqrt(weight * irls)[:, None]
         A = (J * sw[:, :, None]).reshape(-1, n)
         b = (r * sw).reshape(-1)
@@ -290,16 +278,19 @@ def _huber_lm(terms, K, T_cur, T_next, free, delta, max_iters, rel_tol, lambda0,
 def refine_pose(corrs: Correspondences, K: CameraIntrinsics, T0: PoseSE3,
                 huber_delta: float = 2.0, max_iters: int = 30,
                 rel_tol: float = 1e-12, lambda0: float = 1e-4) -> RefineResult:
-    """Minimize the weighted Huber reprojection cost from T0.
+    """Minimize the Huber reprojection cost from T0.
 
     ``_huber_lm`` on one reprojection term with T0 free; accepted steps
     never increase the cost.  Points behind the camera at T0 are dropped
     up front, and trial steps that would push a retained point behind the
-    camera are rejected.
+    camera are rejected.  Raises TooFewCorrespondencesError below four
+    points (in all, or in front of the camera at T0) and
+    DegenerateConfigurationError on collinear points.
     """
     if len(corrs) < 4:
         raise TooFewCorrespondencesError(f"need >= 4 correspondences, got {len(corrs)}")
-    _check_not_collinear(corrs.p_world)
+    if _collinear(corrs.p_world):
+        raise DegenerateConfigurationError("3D points are collinear")
     kept = corrs.subset(T0.apply(corrs.p_world)[:, 2] > MIN_DEPTH)
     if len(kept) < 4:
         raise TooFewCorrespondencesError("fewer than 4 correspondences in front of camera")
@@ -310,12 +301,10 @@ def refine_pose(corrs: Correspondences, K: CameraIntrinsics, T0: PoseSE3,
     return RefineResult(pose=pose, cost=trace[-1], iterations=it, converged=converged)
 
 
-def _check_not_collinear(p_world):
-    p = np.asarray(p_world, dtype=float)
-    c = p - p.mean(axis=0)
+def _collinear(p_world) -> bool:
+    c = p_world - p_world.mean(axis=0)
     s = np.linalg.svd(c, compute_uv=False)
-    if s[1] <= 1e-9 * max(s[0], 1.0):
-        raise DegenerateConfigurationError("3D points are collinear")
+    return bool(s[1] <= 1e-9 * max(s[0], 1.0))
 
 
 def _fit_minimal_batch(P, x, K, T0):
@@ -323,20 +312,18 @@ def _fit_minimal_batch(P, x, K, T0):
 
     Sample b holds world points ``P[b]`` (4, 3) and pixels ``x[b]`` (4, 2);
     every fit starts from T0 and runs up to six steps.  A fit leaves the
-    batch when its step falls below 1e-8, when a point lands behind the
-    camera or when its normal equations are singular; the last two fail.
+    batch when its step falls below 1e-8; it fails when a point lands
+    behind the camera, when its normal equations are singular or when its
+    step or new translation is not finite.
 
-    Returns (R (B, 3, 3), t (B, 3), fitted (B,), errors): every row is a
-    finite pose, the last one reached, and ``errors`` maps a sample whose
-    step was not finite to the ValueError that the sequential fit raised
-    on it (``se3_exp`` or ``PoseSE3`` on a non-finite step).
+    Returns (R (B, 3, 3), t (B, 3), fitted (B,)): every row is a finite
+    pose, the last one reached.
     """
     b = len(P)
     q = np.tile(T0.q, (b, 1))
     R = np.tile(T0.rotation_matrix(), (b, 1, 1))
     t = np.tile(T0.t, (b, 1))
     fitted = np.ones(b, dtype=bool)
-    errors = {}
     live = np.arange(b)
     for _ in range(6):
         uv, z, J = reprojection_jacobian(K, (R[live], t[live]), P[live])
@@ -354,22 +341,19 @@ def _fit_minimal_batch(P, x, K, T0):
         live, delta = live[solved], delta[solved, :, 0]
 
         finite = np.all(np.isfinite(delta), axis=1)
-        for i in np.nonzero(~finite)[0]:
-            errors[live[i]] = _raised(se3_exp, delta[i])
+        fitted[live[~finite]] = False
         live, delta = live[finite], delta[finite]
         dq, dt = se3_exp_batch(delta)
         q_new, t_new = compose_batch(q[live], R[live], t[live], dq, dt)
         finite = np.all(np.isfinite(t_new), axis=1)
-        for i in np.nonzero(~finite)[0]:
-            errors[live[i]] = _raised(PoseSE3, q_new[i], t_new[i])
-        live = live[finite]
+        fitted[live[~finite]] = False
+        live, delta = live[finite], delta[finite]
         q[live], t[live] = q_new[finite], t_new[finite]
         R[live] = quat_to_matrix_batch(q[live])
-        live = live[np.abs(delta[finite]).max(axis=1) >= 1e-8]
+        live = live[np.abs(delta).max(axis=1) >= 1e-8]
         if not len(live):
             break
-    fitted[list(errors)] = False
-    return R, t, fitted, errors
+    return R, t, fitted
 
 
 def _solve_stack(H, g):
@@ -392,12 +376,10 @@ def _solve_stack(H, g):
     return out, solved
 
 
-def _raised(fn, *args):
-    try:
-        fn(*args)
-    except ValueError as exc:
-        return exc
-    raise AssertionError("a non-finite pose step must raise")
+def _failed(T_init, n, hypotheses) -> PnPResult:
+    """The one "no pose" result of ``solve_pnp_ransac``."""
+    return PnPResult(pose=T_init, inliers=np.zeros(n, dtype=bool), success=False,
+                     rmse=float("inf"), hypotheses=hypotheses)
 
 
 def _reproj_errors(corrs, K, R, t, cam=None):
@@ -438,16 +420,18 @@ def solve_pnp_ransac(corrs: Correspondences, K: CameraIntrinsics, T_init: PoseSE
     then walked in order with the sequential best-count and early-stop
     rule.  Samples are drawn one hypothesis at a time from a generator
     local to the call, so a batch drawn past the early stop changes
-    nothing: the samples, the pose, the inliers, ``rmse``, ``hypotheses``
-    and any error raised are those of fitting one hypothesis at a time.
+    nothing: the samples, the pose, the inliers, ``rmse`` and
+    ``hypotheses`` are those of fitting one hypothesis at a time.
 
-    Falls back to T_init with ``success=False`` when the best consensus
-    set stays below ``min_inliers``.  Deterministic for a fixed seed.
+    Raises nothing on bad input: ``success=False``, with T_init as the
+    pose and no inliers, is the one "no pose" answer.  It is returned
+    with no hypothesis drawn for fewer than four or collinear points, and
+    after RANSAC when the best consensus set stays below ``min_inliers``
+    or ``refine_pose`` rejects it.  Deterministic for a fixed seed.
     """
     n = len(corrs)
-    if n < 4:
-        raise TooFewCorrespondencesError(f"need >= 4 correspondences, got {n}")
-    _check_not_collinear(corrs.p_world)
+    if n < 4 or _collinear(corrs.p_world):
+        return _failed(T_init, n, 0)
     rng = np.random.default_rng(cfg.seed)
 
     best_count = 0
@@ -458,8 +442,8 @@ def solve_pnp_ransac(corrs: Correspondences, K: CameraIntrinsics, T_init: PoseSE
     while it < min(needed, cfg.max_iters):
         b = min(RANSAC_BATCH, min(needed, cfg.max_iters) - it)
         samples = np.array([rng.choice(n, size=4, replace=False) for _ in range(b)])
-        R, t, fitted, errors = _fit_minimal_batch(corrs.p_world[samples],
-                                                  corrs.x_img[samples], K, T_init)
+        R, t, fitted = _fit_minimal_batch(corrs.p_world[samples], corrs.x_img[samples],
+                                          K, T_init)
         # rows that did not fit are scored too, but count no inliers
         masks = _reproj_errors(corrs, K, R, t, cam[:b]) < cfg.inlier_threshold
         counts = np.where(fitted, np.count_nonzero(masks, axis=1), 0)
@@ -467,8 +451,6 @@ def solve_pnp_ransac(corrs: Correspondences, K: CameraIntrinsics, T_init: PoseSE
             if it >= min(needed, cfg.max_iters):
                 break
             it += 1
-            if k in errors:
-                raise errors[k]
             count = int(counts[k])
             if count > best_count:
                 best_count = count
@@ -482,12 +464,13 @@ def solve_pnp_ransac(corrs: Correspondences, K: CameraIntrinsics, T_init: PoseSE
                                        / math.log(1.0 - p_good))
 
     if best_count < max(cfg.min_inliers, 4):
-        return PnPResult(pose=T_init, inliers=np.zeros(n, dtype=bool),
-                         success=False, rmse=float("inf"), hypotheses=it)
+        return _failed(T_init, n, it)
 
     refine_idx = _stride_cap(np.nonzero(best_mask)[0], REFINE_POINT_CAP)
-    refined = refine_pose(corrs.subset(refine_idx), K, T_init)
-    pose = refined.pose
+    try:
+        pose = refine_pose(corrs.subset(refine_idx), K, T_init).pose
+    except (TooFewCorrespondencesError, DegenerateConfigurationError):
+        return _failed(T_init, n, it)
     err = _reproj_errors(corrs, K, pose.rotation_matrix()[None], pose.t[None])[0]
     final_mask = err < cfg.inlier_threshold
     if int(final_mask.sum()) < max(cfg.min_inliers, 4):

@@ -38,9 +38,8 @@ from .flow import FlowNoiseModel, oracle_depth_flow, oracle_flows
 from .geometry import CameraIntrinsics, PoseSE3, check_fields, pose_error
 from .joint import EnergyConfig, optimize_next_only, optimize_pair
 from .mapping import CropExtents, GlobalMap, crop_local
-from .pnp import (Correspondences, DegenerateConfigurationError, PnPResult,
-                  RansacConfig, TooFewCorrespondencesError, _stride_cap,
-                  correspondences_from_flow, solve_pnp_ransac)
+from .pnp import (Correspondences, RansacConfig, _stride_cap, correspondences_from_flow,
+                  solve_pnp_ransac)
 from .rendering import (DEFAULT_OCCLUSION_APERTURE_DEG, DEFAULT_OCCLUSION_WINDOW,
                         DepthMap, FlowField, render_depth)
 # perfbench/tracing.py wraps tracker.remove_occlusions, so the name stays importable here
@@ -146,11 +145,7 @@ class Tracker:
     def _solve_pnp(self, corrs: Correspondences, T_init, frame: int, side: int):
         cfg = replace(self.config.ransac,
                       seed=_derived_seed(self.config.ransac.seed, frame, side))
-        try:
-            return solve_pnp_ransac(corrs, self.config.camera, T_init, cfg)
-        except (TooFewCorrespondencesError, DegenerateConfigurationError):
-            return PnPResult(pose=T_init, inliers=np.zeros(len(corrs), dtype=bool),
-                             success=False, rmse=float("inf"), hypotheses=0)
+        return solve_pnp_ransac(corrs, self.config.camera, T_init, cfg)
 
     def _front_end(self, diag, lidar_map, state, gt_poses, outages, kills):
         """Crop, render, flow oracle, correspondences and PnP of one step.

@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,13 @@ import pytest
 
 from lidartrack import cli
 from lidartrack.cli import EXIT_ERROR, EXIT_INTERRUPTED, EXIT_OK, main
+
+
+def run_program(*args):
+    """``lidartrack.cli`` as a program, so that a traceback would show on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "lidartrack.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=300)
 
 
 def write_config(path, **overrides):
@@ -76,13 +84,8 @@ class TestSynth:
         assert documented == cli.DEFAULT_CONFIG
 
     def test_fractional_width_is_a_config_error(self, tmp_path):
-        # run as a program so that a traceback would show on stderr
         cfg = write_config(tmp_path / "cfg.json", camera={"width": 960.5})
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "lidartrack.cli", "synth", "--config", str(cfg),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=300)
+        proc = run_program("synth", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert proc.returncode == EXIT_ERROR
         assert "ERROR lidartrack: width must be an integer" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -113,13 +116,9 @@ class TestSynth:
         assert "unknown config field seed" in caplog.text
 
     def test_negative_seed_is_a_config_error(self, tmp_path):
-        # run as a program so that a traceback would show on stderr
         cfg = write_config(tmp_path / "cfg.json")
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "lidartrack.cli", "synth", "--config", str(cfg),
-             "--out", str(tmp_path / "o"), "--seed", "-1"],
-            capture_output=True, text=True, env=env, timeout=300)
+        proc = run_program("synth", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                           "--seed", "-1")
         assert proc.returncode == EXIT_ERROR
         assert "ERROR lidartrack: seed must be non-negative" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -167,6 +166,50 @@ class TestTrack:
         reason = rows[0].split(",").index("fail_reason")
         assert [r.split(",")[reason] for r in rows[1:]] == ["", "", "", "pnp_failed"]
 
+    def test_all_outlier_flows_interrupt(self, scenario_dir, tmp_path):
+        # every flow vector replaced by a 100 px one: PnP finds no pose
+        _, scen = scenario_dir
+        cfg = write_config(tmp_path / "cfg.json",
+                           noise={"outlier_fraction": 1.0, "outlier_magnitude": 100.0},
+                           tracker={"mode": "frame_by_frame", "occlusion_window": 5})
+        out = tmp_path / "run"
+        code = main(["track", "--config", str(cfg), "--scenario", str(scen),
+                     "--out", str(out), "--quiet"])
+        assert code == EXIT_INTERRUPTED
+        assert (out / "est_traj.txt").read_text() == ""
+        rows = (out / "diagnostics.csv").read_text().splitlines()
+        assert len(rows) == 2
+        assert rows[1].split(",")[rows[0].split(",").index("fail_reason")] == "pnp_failed"
+
+    def test_outages_past_the_end_are_ignored(self, scenario_dir, tmp_path):
+        _, scen = scenario_dir
+        cfg = write_config(tmp_path / "cfg.json", outages=[[5, 10**6], 2, [40, 3]])
+        assert cli._load_scenario(cli.load_config(cfg), scen).outage_frames == {2, 5}
+        assert cli._outage_frames([[5, 10**6]], 10) == frozenset(range(5, 10))
+        # frames past the end are never listed, so no length can exhaust memory
+        assert cli._outage_frames([[0, 2**63]], 10) == frozenset(range(10))
+
+    @pytest.mark.parametrize("command,bad_file", [
+        ("track", "scene.xyz"), ("track", "gt_poses.txt"), ("eval", "gt_poses.txt")])
+    def test_non_finite_input_is_a_format_error(self, scenario_dir, tmp_path,
+                                                command, bad_file):
+        cfg, scen = scenario_dir
+        bad = tmp_path / "scen"
+        shutil.copytree(scen, bad)
+        lines = (bad / bad_file).read_text().splitlines()
+        fields = lines[1].split()
+        fields[-1] = "nan" if bad_file == "scene.xyz" else "1e400"
+        lines[1] = " ".join(fields)
+        (bad / bad_file).write_text("\n".join(lines) + "\n")
+        if command == "track":
+            proc = run_program("track", "--config", str(cfg), "--scenario", str(bad),
+                               "--out", str(tmp_path / "run"))
+        else:
+            proc = run_program("eval", str(bad / bad_file), str(scen / "gt_poses.txt"))
+        assert proc.returncode == EXIT_ERROR
+        assert f"ERROR lidartrack: {bad / bad_file}: line 2: non-finite value" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_scene_errors_without_outputs(self, scenario_dir, tmp_path):
         cfg, _ = scenario_dir
         out = tmp_path / "run"
@@ -176,13 +219,9 @@ class TestTrack:
         assert not (out / "est_traj.txt").exists()
 
     def test_negative_seed_is_a_config_error(self, scenario_dir, tmp_path):
-        # run as a program so that a traceback would show on stderr
         cfg, scen = scenario_dir
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "lidartrack.cli", "track", "--config", str(cfg),
-             "--scenario", str(scen), "--out", str(tmp_path / "run"), "--seed", "-1"],
-            capture_output=True, text=True, env=env, timeout=300)
+        proc = run_program("track", "--config", str(cfg), "--scenario", str(scen),
+                           "--out", str(tmp_path / "run"), "--seed", "-1")
         assert proc.returncode == EXIT_ERROR
         assert "ERROR lidartrack: seed must be non-negative" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -221,16 +260,12 @@ class TestTrack:
     def test_bad_value_is_a_config_error_naming_field(self, scenario_dir, tmp_path,
                                                       section, field, bad):
         # each of these values used to end in a traceback, a run that
-        # tracks nothing, a silently wrong run or a misleading message;
-        # run as a program so that a traceback would show
+        # tracks nothing, a silently wrong run or a misleading message
         _, scen = scenario_dir
         override = {section: {field: bad}} if section else {field: bad}
         cfg = write_config(tmp_path / "cfg.json", **override)
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "lidartrack.cli", "track", "--config", str(cfg),
-             "--scenario", str(scen), "--out", str(tmp_path / "run")],
-            capture_output=True, text=True, env=env, timeout=300)
+        proc = run_program("track", "--config", str(cfg), "--scenario", str(scen),
+                           "--out", str(tmp_path / "run"))
         assert proc.returncode == EXIT_ERROR
         assert f"ERROR lidartrack: {field} must be" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -305,18 +340,14 @@ class TestEval:
 
     @pytest.mark.parametrize("delta,frames", [(0, 6), (-2, 6), (6, 6), (9, 6), (None, 1)])
     def test_bad_rpe_delta_is_a_config_error(self, scenario_dir, tmp_path, delta, frames):
-        # RPE needs a delta in [1, frames - 1]; run as a program so that a
-        # traceback would show on stderr
+        # RPE needs a delta in [1, frames - 1]
         _, scen = scenario_dir
         traj = tmp_path / "traj.txt"
         lines = (scen / "gt_poses.txt").read_text().strip().splitlines()
         assert len(lines) >= frames
         traj.write_text("\n".join(lines[:frames]) + "\n")
         flag = [] if delta is None else [f"--rpe-delta={delta}"]
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "lidartrack.cli", "eval", str(traj), str(traj), *flag],
-            capture_output=True, text=True, env=env, timeout=300)
+        proc = run_program("eval", str(traj), str(traj), *flag)
         assert proc.returncode == EXIT_ERROR
         assert "ERROR lidartrack: rpe_delta must be" in proc.stderr
         assert "Traceback" not in proc.stderr

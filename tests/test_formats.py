@@ -43,6 +43,14 @@ class TestCloudIO:
         with pytest.raises(FormatError, match="line 3"):
             formats.load_xyz(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e400"])
+    def test_xyz_non_finite(self, tmp_path, value):
+        path = tmp_path / "bad.xyz"
+        path.write_text(f"1 2 3\n\n{value} 1 2\n")
+        with pytest.raises(FormatError) as err:
+            formats.load_xyz(path)
+        assert str(err.value) == f"{path}: line 3: non-finite value"
+
     def test_binary_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
         pts = rng.normal(0, 50, (321, 3)).astype(np.float32).astype(float)
@@ -80,6 +88,13 @@ class TestCloudIO:
         with pytest.raises(FormatError, match="expected 9 floats, got 6"):
             formats.load_cloud_binary(path)
 
+    def test_binary_non_finite(self, tmp_path):
+        path = tmp_path / "bad.xmpc"
+        write_xmpc(path, [[1.0, 2.0, 3.0], [np.inf, 1.0, 2.0]])
+        with pytest.raises(FormatError) as err:
+            formats.load_cloud(path)
+        assert str(err.value) == f"{path}: non-finite value"
+
     def test_sniffing_loader(self, tmp_path):
         pts = np.arange(12.0).reshape(4, 3)
         t = tmp_path / "a.xyz"
@@ -113,3 +128,13 @@ class TestKittiPoses:
         rot, transl = pose_error(back, T)
         assert rot < 1e-9 and transl < 1e-9
 
+
+    @pytest.mark.parametrize("value", ["nan", "1e400"])
+    def test_non_finite_value(self, tmp_path, value):
+        path = tmp_path / "poses.txt"
+        path.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n"
+                        f"1 0 0 {value} 0 1 0 0 0 0 1 0\n")
+        for load in (formats.load_kitti_poses, formats.load_trajectory_poses):
+            with pytest.raises(FormatError) as err:
+                load(path)
+            assert str(err.value) == f"{path}: line 2: non-finite value"

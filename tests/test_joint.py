@@ -75,8 +75,6 @@ def _assemble_reference(terms, K, T_cur, T_next, delta):
         r, Jc, Jn = got
         norms = np.linalg.norm(r, axis=1)
         irls = _huber_weights(norms, delta)
-        if hasattr(term, "corrs"):
-            irls = irls * term.corrs.weight
         rows.append((r, Jc, Jn, irls, weight))
     return rows
 
@@ -88,10 +86,7 @@ def _energy_reference(terms, K, T_cur, T_next, delta):
         if r is None:
             return np.inf
         norms = np.linalg.norm(r, axis=1)
-        per = _huber_cost(norms, delta)
-        if hasattr(term, "corrs"):
-            per = per * term.corrs.weight
-        e += weight * float(np.sum(per))
+        e += weight * float(np.sum(_huber_cost(norms, delta)))
     return e
 
 
@@ -481,23 +476,22 @@ class TestMatchesReferenceLoop:
                ["pair", "one_sided", "next_only", "gauge", "pair_reversed_free"]),
            n=st.integers(0, 80), n_consist=st.integers(0, 80),
            sigma=st.sampled_from([0.0, 0.3, 3.0]), pert=st.sampled_from([0.0, 0.01, 0.2]),
-           weights=st.sampled_from(["ones", "random", "zeros"]),
-           weight_exp=st.integers(-16, 0), near=st.integers(0, 5),
-           near_exp=st.integers(-16, -1), near_z=st.sampled_from([MIN_DEPTH, ZMIN]),
+           near=st.integers(0, 5), near_exp=st.integers(-16, -1),
+           near_z=st.sampled_from([MIN_DEPTH, ZMIN]),
            w=st.sampled_from([(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (4.0, 0.3)]),
            max_iters=st.sampled_from([1, 2, 50]),
            lambda0=st.sampled_from([0.0, 1e-4, 1.0]),
            rel_tol=st.sampled_from([0.0, 1e-12, 1e-6]),
            huber_delta=st.sampled_from([0.5, 2.0, 20.0]))
-    def test_matches_reference_loop(self, seed, case, n, n_consist, sigma, pert, weights,
-                                    weight_exp, near, near_exp, near_z, w, max_iters,
-                                    lambda0, rel_tol, huber_delta):
+    def test_matches_reference_loop(self, seed, case, n, n_consist, sigma, pert, near,
+                                    near_exp, near_z, w, max_iters, lambda0, rel_tol,
+                                    huber_delta):
         rng = np.random.default_rng(seed)
         Tc = se3_exp(rng.uniform(-0.1, 0.1, 6))
         Tn = se3_exp(np.r_[rng.uniform(-0.02, 0.02, 3), 0.0, 0.0, -0.5]).compose(Tc)
         Tc0 = Tc.compose(se3_exp(rng.uniform(-pert, pert, 6)))
         Tn0 = Tn.compose(se3_exp(rng.uniform(-pert, pert, 6)))
-        args = (sigma, weights, weight_exp, near, near_exp, near_z)
+        args = (sigma, near, near_exp, near_z)
         cc = make_lm_corrs(rng, Tc, Tc0, n, *args)
         cn = make_lm_corrs(rng, Tn, Tn0, n, *args)
         # consistency points: in front of both poses, plus cc's near points

@@ -7,14 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lidartrack.pnp as pnp
 import lidartrack.tracker as T
 from lidartrack.evaluation import Trajectory
 from lidartrack.flow import FlowNoiseModel
 from lidartrack.geometry import PerturbBounds, PoseSE3, perturb_pose, pose_error
 from lidartrack.joint import ConsistencyTerm, EnergyConfig, JointResult
 from lidartrack.mapping import CropExtents, GlobalMap, downsample
-from lidartrack.pnp import (DegenerateConfigurationError, PnPResult, RansacConfig,
-                            TooFewCorrespondencesError)
+from lidartrack.pnp import DegenerateConfigurationError, RansacConfig
 from lidartrack.rendering import FlowField
 from lidartrack.synth import (SceneConfig, TrajectoryConfig, VoOracleConfig,
                               generate_scene, generate_trajectory, vo_oracle)
@@ -405,11 +405,7 @@ class ReferenceTracker(Tracker):
     def _solve_pnp(self, corrs, T_init, frame, side):
         cfg = replace(self.config.ransac,
                       seed=T._derived_seed(self.config.ransac.seed, frame, side))
-        try:
-            return T.solve_pnp_ransac(corrs, self.config.camera, T_init, cfg)
-        except (TooFewCorrespondencesError, DegenerateConfigurationError):
-            return PnPResult(pose=T_init, inliers=np.zeros(len(corrs), dtype=bool),
-                             success=False, rmse=float("inf"), hypotheses=0)
+        return T.solve_pnp_ransac(corrs, self.config.camera, T_init, cfg)
 
     def step_multi_view(self, state, lidar_map, T_gt_cur, T_gt_next,
                         outage_cur=False, outage_next=False,
@@ -749,3 +745,34 @@ class TestFailReasons:
             assert new.diagnostics[-1]["fail_reason"] == reason
             assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
             assert reason in warnings[0].getMessage()
+
+    def test_all_outlier_flows_fail_pnp(self, K_small, small_world):
+        # every flow vector replaced by a 100 px one: no pose gathers a consensus set
+        gmap, gt, _ = small_world
+        noise = FlowNoiseModel(outlier_fraction=1.0, outlier_magnitude=100.0, seed=3)
+        config = make_config(K_small, "frame_by_frame", noise=noise)
+        scenario = Scenario(lidar_map=gmap, gt_poses=gt)
+        new = Tracker(config).run(scenario)
+        assert not new.complete and len(new.trajectory) == 0
+        row = new.diagnostics[-1]
+        assert row["fail_reason"] == "pnp_failed" and row["inliers_cur"] == 0
+        assert row["ransac_hyp_cur"] == config.ransac.max_iters
+        assert_same_run(new, ReferenceTracker(config).run(scenario))
+
+    @pytest.mark.parametrize("mode", ["frame_by_frame", "multi_view"])
+    def test_rejected_consensus_set_is_a_failed_pnp(self, K_small, small_world,
+                                                    monkeypatch, mode):
+        def reject(*args, **kwargs):
+            raise DegenerateConfigurationError("3D points are collinear")
+
+        monkeypatch.setattr(pnp, "refine_pose", reject)
+        gmap, gt, _ = small_world
+        new = Tracker(make_config(K_small, mode)).run(Scenario(lidar_map=gmap, gt_poses=gt))
+        rows = new.diagnostics
+        # RANSAC found a consensus set, so the failed result counts its hypotheses
+        assert rows[0]["ransac_hyp_cur"] > 0 and rows[0]["inliers_cur"] == 0
+        if mode == "frame_by_frame":
+            assert len(new.trajectory) == 0 and rows[0]["fail_reason"] == "pnp_failed"
+        else:  # no PnP pose on either frame: the consistency term carries every step
+            assert new.complete
+            assert {d["rescued"] for d in rows[:-1]} == {"consistency_only"}
