@@ -21,7 +21,18 @@ _FLOAT_FMT = "%.17g"
 
 class FormatError(ValueError):
     """Malformed input file (wrong field count, bad header, non-numeric or
-    non-finite value)."""
+    non-finite value, a pose whose rotation block is not a rotation)."""
+
+
+# largest |R^T R - I| entry a stored rotation may show
+_ROTATION_TOL = 1e-6
+
+
+def _line_error(path, row, what) -> FormatError:
+    """The error for the ``row``-th non-blank line of a text file."""
+    with open(path) as fh:
+        lineno = [k for k, line in enumerate(fh, start=1) if line.split()][row]
+    return FormatError(f"{path}: line {lineno}: {what}")
 
 
 def _rows(path, fields) -> np.ndarray:
@@ -42,9 +53,7 @@ def _rows(path, fields) -> np.ndarray:
     out = np.asarray(rows, dtype=float).reshape(-1, fields)
     bad = ~np.isfinite(out).all(axis=1)
     if bad.any():
-        with open(path) as fh:
-            lineno = [k for k, line in enumerate(fh, start=1) if line.split()][np.argmax(bad)]
-        raise FormatError(f"{path}: line {lineno}: non-finite value")
+        raise _line_error(path, np.argmax(bad), "non-finite value")
     return out
 
 
@@ -105,9 +114,18 @@ def save_kitti_poses(transforms, path):
 
 
 def load_kitti_poses(path) -> list[PoseSE3]:
-    """Read raw [R|t] transforms exactly as stored in the file."""
-    return [PoseSE3.from_rt(rt[:, :3], rt[:, 3])
-            for rt in _rows(path, 12).reshape(-1, 3, 4)]
+    """Read raw [R|t] transforms exactly as stored in the file.
+
+    Every R must be a rotation: no entry of R^T R - I above
+    ``_ROTATION_TOL`` and det R > 0.
+    """
+    rt = _rows(path, 12).reshape(-1, 3, 4)
+    R = rt[:, :, :3]
+    off = np.abs(np.swapaxes(R, 1, 2) @ R - np.eye(3)).max(axis=(1, 2))
+    bad = (off > _ROTATION_TOL) | (np.linalg.det(R) <= 0)
+    if bad.any():
+        raise _line_error(path, np.argmax(bad), "not a rotation")
+    return [PoseSE3.from_rt(m[:, :3], m[:, 3]) for m in rt]
 
 
 def save_trajectory_poses(extrinsics, path):

@@ -11,12 +11,19 @@ near-correct initial pose, which makes local iteration reliable.
 
 RANSAC fits and scores its hypotheses in batches, the batch scoring of
 preemptive RANSAC (Nister 2005) applied to plain RANSAC (Fischler and
-Bolles 1981): one stacked Gauss-Newton fit over B minimal samples and one
-(B, N) reprojection-error matrix per batch.  Every batched operation makes
-the same floating-point operations per hypothesis as a one-at-a-time fit,
-and the random samples are drawn in the same order, so the pose, inliers
-and counters are bit-identical to fitting and scoring one hypothesis at a
-time (``tests/test_pnp.py`` keeps that sequential loop as the reference).
+Bolles 1981).  A fit batch is one stacked Gauss-Newton fit over B minimal
+samples: ``RANSAC_BATCH`` for the first batch, whose scores set how many
+hypotheses are needed, and up to ``_FIT_BATCH`` after it, since a stacked
+fit costs little more for four times the samples.  Each fit batch is
+scored in chunks of ``RANSAC_BATCH`` rows, one (B, N) reprojection-error
+matrix per chunk, and scoring stops at the early-stop count, so memory
+grows with ``RANSAC_BATCH`` alone.  The camera-frame points of a chunk
+are one (B, 3, N) product, ``R @ P^T``, whose x, y and z rows are
+contiguous.  Every batched operation makes the same floating-point
+operations per hypothesis as a one-at-a-time fit, and the random samples
+are drawn in the same order, so the pose, inliers and counters are
+bit-identical to fitting and scoring one hypothesis at a time
+(``tests/test_pnp.py`` keeps that sequential loop as the reference).
 """
 from __future__ import annotations
 
@@ -65,9 +72,13 @@ class Correspondences:
 # beyond a few thousand points the accuracy gain is negligible
 REFINE_POINT_CAP = 4000
 
-# RANSAC fits and scores this many hypotheses per batch; the (B, N)
-# scoring temporaries, and with them peak memory, grow with it
+# RANSAC fits its first batch of hypotheses, and scores every batch, this
+# many at a time; the (B, N) scoring temporaries, and with them peak
+# memory, grow with it
 RANSAC_BATCH = 16
+
+# RANSAC fits up to this many hypotheses at a time after the first batch
+_FIT_BATCH = 64
 
 
 def _stride_cap(arr, cap: int):
@@ -382,27 +393,29 @@ def _failed(T_init, n, hypotheses) -> PnPResult:
                      rmse=float("inf"), hypotheses=hypotheses)
 
 
-def _reproj_errors(corrs, K, R, t, cam=None):
+def _reproj_errors(PT, u, v, K, R, t, cam=None):
     """Reprojection error (B, N) of every correspondence under B poses.
 
-    ``R`` (B, 3, 3) and ``t`` (B, 3) are the poses' rotations and
-    translations; points at or behind the camera plane score inf.  ``cam``
-    is an optional (B, N, 3) buffer for the camera-frame points.  Each row
-    is the float expression of projecting with one PoseSE3 and taking
+    ``PT`` (3, N) holds the world points as rows x, y, z and ``u``, ``v``
+    (N,) the pixels' columns, all contiguous.  ``R`` (B, 3, 3) and ``t``
+    (B, 3) are the poses' rotations and translations; points at or behind
+    the camera plane score inf.  ``cam`` is an optional (B, 3, N) buffer
+    for the camera-frame points.  Each row is the float expression of
+    projecting with one PoseSE3 and taking
     ``np.linalg.norm(uv - x_img, axis=1)``, bit for bit.
     """
-    cam = np.matmul(corrs.p_world, np.swapaxes(R, 1, 2), out=cam)
-    cam += t[:, None, :]
-    x, y, z = np.moveaxis(cam, -1, 0)
+    cam = np.matmul(R, PT, out=cam)
+    cam += t[:, :, None]
+    x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]
     zs = np.where(z > MIN_DEPTH, z, 1.0)
     du = K.fx * x
     du /= zs
     du += K.cx
-    du -= corrs.x_img[:, 0]
+    du -= u
     dv = K.fy * y
     dv /= zs
     dv += K.cy
-    dv -= corrs.x_img[:, 1]
+    dv -= v
     du *= du
     dv *= dv
     du += dv
@@ -415,13 +428,15 @@ def solve_pnp_ransac(corrs: Correspondences, K: CameraIntrinsics, T_init: PoseSE
                      cfg: RansacConfig) -> PnPResult:
     """RANSAC over minimal 4-point fits, then Huber refinement on inliers.
 
-    Hypotheses are fitted and scored in batches of up to ``RANSAC_BATCH``
-    (one stacked Gauss-Newton fit and one (B, N) error matrix per batch),
-    then walked in order with the sequential best-count and early-stop
-    rule.  Samples are drawn one hypothesis at a time from a generator
-    local to the call, so a batch drawn past the early stop changes
-    nothing: the samples, the pose, the inliers, ``rmse`` and
-    ``hypotheses`` are those of fitting one hypothesis at a time.
+    Hypotheses are fitted in batches: ``RANSAC_BATCH`` first, then up to
+    ``_FIT_BATCH`` (one stacked Gauss-Newton fit per batch).  Each batch
+    is scored in chunks of ``RANSAC_BATCH`` (one (B, N) error matrix per
+    chunk) and walked in order with the sequential best-count and
+    early-stop rule; no chunk past the early stop is scored.  Samples are
+    drawn one hypothesis at a time from a generator local to the call, so
+    hypotheses drawn past the early stop change nothing: the samples, the
+    pose, the inliers, ``rmse`` and ``hypotheses`` are those of fitting
+    one hypothesis at a time.
 
     Raises nothing on bad input: ``success=False``, with T_init as the
     pose and no inliers, is the one "no pose" answer.  It is returned
@@ -434,34 +449,42 @@ def solve_pnp_ransac(corrs: Correspondences, K: CameraIntrinsics, T_init: PoseSE
         return _failed(T_init, n, 0)
     rng = np.random.default_rng(cfg.seed)
 
+    PT = np.ascontiguousarray(corrs.p_world.T)
+    u = np.ascontiguousarray(corrs.x_img[:, 0])
+    v = np.ascontiguousarray(corrs.x_img[:, 1])
     best_count = 0
     best_mask = np.zeros(n, dtype=bool)
     needed = cfg.max_iters
     it = 0
-    cam = np.empty((min(RANSAC_BATCH, cfg.max_iters), n, 3))
-    while it < min(needed, cfg.max_iters):
-        b = min(RANSAC_BATCH, min(needed, cfg.max_iters) - it)
+    cam = np.empty((min(RANSAC_BATCH, cfg.max_iters), 3, n))
+    while it < needed:
+        b = min(RANSAC_BATCH if it == 0 else _FIT_BATCH, needed - it)
         samples = np.array([rng.choice(n, size=4, replace=False) for _ in range(b)])
         R, t, fitted = _fit_minimal_batch(corrs.p_world[samples], corrs.x_img[samples],
                                           K, T_init)
-        # rows that did not fit are scored too, but count no inliers
-        masks = _reproj_errors(corrs, K, R, t, cam[:b]) < cfg.inlier_threshold
-        counts = np.where(fitted, np.count_nonzero(masks, axis=1), 0)
-        for k in range(b):
-            if it >= min(needed, cfg.max_iters):
+        for lo in range(0, b, RANSAC_BATCH):
+            if it >= needed:
                 break
-            it += 1
-            count = int(counts[k])
-            if count > best_count:
-                best_count = count
-                best_mask = masks[k]
-                ratio = count / n
-                if ratio >= 1.0:
-                    needed = it
-                else:
-                    p_good = max(ratio ** 4, 1e-12)
-                    needed = math.ceil(math.log(1.0 - cfg.confidence)
-                                       / math.log(1.0 - p_good))
+            hi = min(lo + RANSAC_BATCH, b)
+            # rows that did not fit are scored too, but count no inliers
+            masks = _reproj_errors(PT, u, v, K, R[lo:hi], t[lo:hi],
+                                   cam[:hi - lo]) < cfg.inlier_threshold
+            counts = np.where(fitted[lo:hi], np.count_nonzero(masks, axis=1), 0)
+            for k in range(hi - lo):
+                if it >= needed:
+                    break
+                it += 1
+                count = int(counts[k])
+                if count > best_count:
+                    best_count = count
+                    best_mask = masks[k]
+                    ratio = count / n
+                    if ratio >= 1.0:
+                        needed = it
+                    else:
+                        p_good = max(ratio ** 4, 1e-12)
+                        needed = min(needed, math.ceil(math.log(1.0 - cfg.confidence)
+                                                       / math.log(1.0 - p_good)))
 
     if best_count < max(cfg.min_inliers, 4):
         return _failed(T_init, n, it)
@@ -471,7 +494,7 @@ def solve_pnp_ransac(corrs: Correspondences, K: CameraIntrinsics, T_init: PoseSE
         pose = refine_pose(corrs.subset(refine_idx), K, T_init).pose
     except (TooFewCorrespondencesError, DegenerateConfigurationError):
         return _failed(T_init, n, it)
-    err = _reproj_errors(corrs, K, pose.rotation_matrix()[None], pose.t[None])[0]
+    err = _reproj_errors(PT, u, v, K, pose.rotation_matrix()[None], pose.t[None])[0]
     final_mask = err < cfg.inlier_threshold
     if int(final_mask.sum()) < max(cfg.min_inliers, 4):
         final_mask = best_mask

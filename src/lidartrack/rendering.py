@@ -2,8 +2,11 @@
 
 Points rasterize to their round-to-nearest pixel with a minimum-depth
 z-buffer; ties within 1e-9 m break toward the smaller point id so the
-output is bit-identical regardless of input ordering.  Flow fields are
-anchored at integer pixel positions but store real-valued displacements.
+output is bit-identical regardless of input ordering: stable 16-bit
+radix passes group the points by pixel and keep ascending ids within a
+group, and the first point at the group's minimum quantized depth wins.
+Flow fields are anchored at integer pixel positions but store
+real-valued displacements.
 
 There is one raster format.  A ``DepthMap`` or ``FlowField`` holds only
 its valid pixels: their row-major indices ``flat`` in ascending order (the
@@ -108,10 +111,13 @@ def render_depth(points, K: CameraIntrinsics, T: PoseSE3,
     """Project a world-frame cloud into a depth map at pose T.
 
     Every point with positive depth that lands inside the image competes
-    for its nearest pixel; the minimum-depth point wins.  The lexsort's
-    primary key is the flat index, so the winners come out in ascending
-    pixel order.  A positive ``occlusion_aperture_deg`` also applies
-    ``remove_occlusions`` to the winners, with the given window.
+    for its nearest pixel; the minimum-depth point wins.  Stable radix
+    passes over the flat index, one per 16-bit digit of ``h * w - 1``,
+    order the points by pixel and keep ascending ids within a pixel; the
+    winner is the first point at its pixel's minimum quantized depth, and
+    the winners come out in ascending pixel order.  A positive
+    ``occlusion_aperture_deg`` also applies ``remove_occlusions`` to the
+    winners, with the given window.
     """
     h, w = K.height, K.width
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -121,12 +127,20 @@ def render_depth(points, K: CameraIntrinsics, T: PoseSE3,
     idx = np.nonzero(ok)[0]
     flat = px[idx, 1] * w + px[idx, 0]
     qz = np.round(z[idx] / DEPTH_TIE_EPS).astype(np.int64)
-    order = np.lexsort((idx, qz, flat))
-    flat_sorted = flat[order]
+    order = np.arange(len(idx))
+    for shift in range(0, (h * w - 1).bit_length(), 16):
+        digit = (flat[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    flat_sorted, qz_sorted = flat[order], qz[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = flat_sorted[1:] != flat_sorted[:-1]
-    win = idx[order[first]]
-    d = DepthMap((h, w), flat_sorted[first], z[win], win, K.mean_focal)
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    at_min = np.flatnonzero(qz_sorted == np.minimum.reduceat(qz_sorted, starts)[group])
+    lead = np.ones(len(at_min), dtype=bool)
+    lead[1:] = group[at_min[1:]] != group[at_min[:-1]]
+    win = idx[order[at_min[lead]]]
+    d = DepthMap((h, w), flat_sorted[starts], z[win], win, K.mean_focal)
     return remove_occlusions(d, occlusion_aperture_deg, occlusion_window)
 
 

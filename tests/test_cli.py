@@ -210,6 +210,17 @@ class TestTrack:
         assert f"ERROR lidartrack: {bad / bad_file}: line 2: non-finite value" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_pose_that_is_not_a_rotation_is_a_format_error(self, scenario_dir, tmp_path):
+        _, scen = scenario_dir
+        est = tmp_path / "est_poses.txt"
+        lines = (scen / "gt_poses.txt").read_text().splitlines()
+        lines[1] = " ".join(["0"] * 12)
+        est.write_text("\n".join(lines) + "\n")
+        proc = run_program("eval", str(est), str(scen / "gt_poses.txt"))
+        assert proc.returncode == EXIT_ERROR
+        assert f"ERROR lidartrack: {est}: line 2: not a rotation" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_scene_errors_without_outputs(self, scenario_dir, tmp_path):
         cfg, _ = scenario_dir
         out = tmp_path / "run"

@@ -138,3 +138,23 @@ class TestKittiPoses:
             with pytest.raises(FormatError) as err:
                 load(path)
             assert str(err.value) == f"{path}: line 2: non-finite value"
+
+    @pytest.mark.parametrize("rotation", [
+        "0 0 0 0 0 0 0 0 0",                       # twelve zeros: no rotation at all
+        "2 0 0 0 2 0 0 0 2",                       # a scaled rotation
+        "1 0 0 0 1 0 0 0 -1",                      # a reflection, det R = -1
+        "-1 0 0 0 -1 0 0 0 -1",                    # orthogonal, det R = -1
+        "1 0 0 0 1 0 0 0 1.00001"])                # off by 1e-5
+    def test_rotation_block_must_be_a_rotation(self, tmp_path, rotation):
+        # line 1 holds a rotation with rounding error far below the
+        # tolerance, so the error must name line 3
+        R = se3_exp([0.3, -0.2, 0.1, 0, 0, 0]).rotation_matrix() * (1.0 + 1e-9)
+        good = " ".join(repr(float(v)) for v in np.hstack([R, np.ones((3, 1))]).ravel())
+        r = rotation.split()
+        path = tmp_path / "poses.txt"
+        path.write_text(good + "\n\n"
+                        + " ".join(r[0:3] + ["4"] + r[3:6] + ["5"] + r[6:9] + ["6"]) + "\n")
+        for load in (formats.load_kitti_poses, formats.load_trajectory_poses):
+            with pytest.raises(FormatError) as err:
+                load(path)
+            assert str(err.value) == f"{path}: line 3: not a rotation"

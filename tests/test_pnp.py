@@ -11,11 +11,12 @@ from lidartrack.geometry import (MIN_DEPTH, CameraIntrinsics, PerturbBounds,
                                  project_points, reprojection_jacobian, se3_exp)
 from lidartrack.mapping import CropExtents, crop_local
 from lidartrack.joint import e_reproj
+from lidartrack import pnp
 from lidartrack.pnp import (REFINE_POINT_CAP, Correspondences,
                             DegenerateConfigurationError, PnPResult,
                             RansacConfig, TooFewCorrespondencesError,
                             _collinear, _fit_minimal_batch,
-                            _huber_cost, _huber_weights,
+                            _huber_cost, _huber_weights, _reproj_errors,
                             correspondences_from_flow, refine_pose,
                             solve_pnp_ransac)
 from lidartrack.rendering import FlowField, remove_occlusions, render_depth
@@ -250,6 +251,34 @@ def make_ransac_problem(n, outlier_frac, behind_frac, sigma, seed, K=K_RANSAC):
     out = rng.random(n) < outlier_frac
     x[out] += rng.uniform(-80.0, 80.0, (int(out.sum()), 2))
     return Correspondences.from_arrays(P, x), T_init
+
+
+def _edge_case(case):
+    """(K, corrs, T_init, RansacConfig keywords) of one named RANSAC edge case."""
+    K, n, outliers, behind, kw = K_RANSAC, 300, 0.4, 0.0, {}
+    if case == "four_inliers":
+        n, outliers = 4, 0.0
+    elif case == "all_inliers":
+        outliers = 0.0
+    elif case == "all_outliers":
+        outliers = 1.0
+    elif case.startswith("max_iters_"):
+        kw["max_iters"] = int(case.rsplit("_", 1)[1])
+        outliers = 0.8
+    elif case == "min_inliers_above_n":
+        kw["min_inliers"] = n + 1
+    elif case == "half_behind":
+        behind = 0.5
+    corrs, T_init = make_ransac_problem(n, outliers, behind, 0.5, 77)
+    if case == "nan_pixels":
+        corrs.x_img[::2] = np.nan
+    if case == "coincident_points":
+        # six correspondences, four of them one point straight ahead
+        K, T_init, kw["max_iters"] = K_LONG, PoseSE3.identity(), 40
+        P = np.array([[0.0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 1],
+                      [1, 0, 2], [0, 1, 3]])
+        corrs = Correspondences.from_arrays(P, project_points(K, P)[0])
+    return K, corrs, T_init, kw
 
 
 def make_exact_corrs(K, pose, points, n, seed, z_min=1.0):
@@ -558,31 +587,52 @@ class TestBatchedRansac:
         "four_inliers", "all_inliers", "max_iters_1", "max_iters_3", "max_iters_17",
         "min_inliers_above_n", "half_behind", "nan_pixels", "coincident_points"])
     def test_edge_cases_match_reference(self, case):
-        K, n, outliers, behind, kw = K_RANSAC, 300, 0.4, 0.0, {}
-        if case == "four_inliers":
-            n, outliers = 4, 0.0
-        elif case == "all_inliers":
-            outliers = 0.0
-        elif case.startswith("max_iters_"):
-            kw["max_iters"] = int(case.rsplit("_", 1)[1])
-            outliers = 0.8
-        elif case == "min_inliers_above_n":
-            kw["min_inliers"] = n + 1
-        elif case == "half_behind":
-            behind = 0.5
-        corrs, T_init = make_ransac_problem(n, outliers, behind, 0.5, 77)
-        if case == "nan_pixels":
-            corrs.x_img[::2] = np.nan
-        if case == "coincident_points":
-            # six correspondences, four of them one point straight ahead
-            K, T_init, kw["max_iters"] = K_LONG, PoseSE3.identity(), 40
-            P = np.array([[0.0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 1],
-                          [1, 0, 2], [0, 1, 3]])
-            corrs = Correspondences.from_arrays(P, project_points(K, P)[0])
+        K, corrs, T_init, kw = _edge_case(case)
         for ransac_seed in (3, 1234, 987654):
             cfg = RansacConfig(seed=ransac_seed, **kw)
             assert_same_result(solve_pnp_ransac(corrs, K, T_init, cfg),
                                _solve_pnp_ransac_reference(corrs, K, T_init, cfg))
+
+    @pytest.mark.parametrize("case", [
+        "max_iters_1", "max_iters_3", "max_iters_17", "all_inliers", "nan_pixels",
+        "all_outliers"])
+    def test_batch_sizes_match_reference(self, monkeypatch, case):
+        # the first fit batch and every scoring chunk are RANSAC_BATCH rows,
+        # later fit batches up to _FIT_BATCH: no size may change a result
+        K, corrs, T_init, kw = _edge_case(case)
+        for ransac_seed in (3, 1234, 987654):
+            cfg = RansacConfig(seed=ransac_seed, **kw)
+            ref = _solve_pnp_ransac_reference(corrs, K, T_init, cfg)
+            for score_batch, fit_batch in [(1, 1), (5, 7), (16, 64), (16, 1000)]:
+                monkeypatch.setattr(pnp, "RANSAC_BATCH", score_batch)
+                monkeypatch.setattr(pnp, "_FIT_BATCH", fit_batch)
+                assert_same_result(solve_pnp_ransac(corrs, K, T_init, cfg), ref)
+
+    @pytest.mark.parametrize("n", [4, 1300, 7000])
+    def test_scoring_matches_reference_rows(self, n):
+        # points behind the camera, a NaN pixel, poses from near T_init to
+        # far off it, and one pose that puts every point behind the camera
+        corrs, T_init = make_ransac_problem(n, 0.3, 0.2, 1.0, seed=n)
+        corrs.p_world[0] = T_init.inverse().apply([1.0, 1.0, -5.0])
+        corrs.x_img[n // 2, 0] = np.nan
+        rng = np.random.default_rng(n)
+        poses = [T_init.compose(se3_exp(rng.uniform(-s, s, 6)))
+                 for s in (0.0, 0.01, 0.1, 1.0, 3.0) for _ in range(4)]
+        poses.append(T_init.compose(se3_exp([0.0, 0.0, 0.0, 0.0, 0.0, -100.0])))
+        R = np.array([p.rotation_matrix() for p in poses])
+        t = np.array([p.t for p in poses])
+        PT = np.ascontiguousarray(corrs.p_world.T)
+        u = np.ascontiguousarray(corrs.x_img[:, 0])
+        v = np.ascontiguousarray(corrs.x_img[:, 1])
+        cam = np.empty((len(poses), 3, n))
+        for err in (_reproj_errors(PT, u, v, K_RANSAC, R, t),
+                    _reproj_errors(PT, u, v, K_RANSAC, R, t, cam)):
+            assert err.shape == (len(poses), n)
+            for row, pose in zip(err, poses):
+                ref = _reproj_errors_reference(corrs, K_RANSAC, pose)
+                assert np.array_equal(row, ref, equal_nan=True)
+        assert np.isinf(err[-1]).all() and np.isnan(err[0, n // 2])
+        assert np.isinf(err[0]).any() and np.isfinite(err[0]).any()
 
     def test_batched_fit_matches_reference_fit(self):
         # one stack mixing ordinary samples, samples behind the camera, a

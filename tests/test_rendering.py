@@ -44,6 +44,27 @@ def _remove_occlusions_reference(d, cone_aperture_deg=10.0, window=7):
     return out
 
 
+def _zbuffer_reference(points, K, T):
+    """The z-buffer as one three-key lexsort (flat index, quantized depth,
+    point id): (z, flat, win) with the winners in ascending pixel order.
+    Kept as the reference the radix passes must match bit for bit."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    cam = T.apply(pts)
+    z = cam[:, 2]
+    uv, in_front = project_points(K, cam)
+    px = np.rint(uv).astype(np.int64)
+    ok = (in_front & (px[:, 0] >= 0) & (px[:, 0] < K.width) & (px[:, 1] >= 0)
+          & (px[:, 1] < K.height))
+    idx = np.nonzero(ok)[0]
+    flat = px[idx, 1] * K.width + px[idx, 0]
+    qz = np.round(z[idx] / 1e-9).astype(np.int64)
+    order = np.lexsort((idx, qz, flat))
+    flat_sorted = flat[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = flat_sorted[1:] != flat_sorted[:-1]
+    return z, flat_sorted[first], idx[order[first]]
+
+
 def _render_depth_reference(points, K, T):
     """The dense z-buffer: full-image outputs written by flat index.  Kept
     as the reference the row-major winner lists must match bit for bit."""
@@ -52,25 +73,9 @@ def _render_depth_reference(points, K, T):
     valid = np.zeros((h, w), dtype=bool)
     source = np.full((h, w), -1, dtype=np.int64)
     d = DenseDepth(depth, valid, source, K.mean_focal)
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if len(pts) == 0:
+    if len(points) == 0:
         return d
-    cam = T.apply(pts)
-    z = cam[:, 2]
-    uv, in_front = project_points(K, cam)
-    px = np.rint(uv).astype(np.int64)
-    ok = in_front & (px[:, 0] >= 0) & (px[:, 0] < w) & (px[:, 1] >= 0) & (px[:, 1] < h)
-    idx = np.nonzero(ok)[0]
-    if len(idx) == 0:
-        return d
-    flat = px[idx, 1] * w + px[idx, 0]
-    qz = np.round(z[idx] / 1e-9).astype(np.int64)
-    order = np.lexsort((idx, qz, flat))
-    flat_sorted = flat[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = flat_sorted[1:] != flat_sorted[:-1]
-    win = idx[order[first]]
-    fw = flat_sorted[first]
+    z, fw, win = _zbuffer_reference(points, K, T)
     depth.reshape(-1)[fw] = z[win]
     valid.reshape(-1)[fw] = True
     source.reshape(-1)[fw] = win
@@ -176,6 +181,51 @@ class TestRenderDepth:
     def test_matches_dense_reference(self, seed, h, w, n):
         K, pts, T = _random_cloud(seed, h, w, n)
         _assert_same_depth_map(render_depth(pts, K, T), _render_depth_reference(pts, K, T))
+
+    @pytest.mark.parametrize("h,w", [(300, 300), (257, 1031), (320, 960)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_dense_reference_above_one_radix_digit(self, seed, h, w):
+        # over 2**16 pixels the flat index takes two 16-bit radix passes;
+        # repeats of some points tie exactly in pixel and depth, listed
+        # both before and after their originals
+        K, pts, T = _random_cloud(seed, h, w, 40000)
+        rep = pts[np.random.default_rng(seed).integers(0, len(pts), 4000)]
+        pts = np.vstack([rep, pts, rep])
+        d = render_depth(pts, K, T)
+        assert len(d.flat) > 1000
+        _assert_same_depth_map(d, _render_depth_reference(pts, K, T))
+
+    @pytest.mark.parametrize("where", ["behind", "outside"])
+    def test_no_point_in_a_large_image(self, where):
+        K = CameraIntrinsics(fx=100.0, fy=100.0, cx=150.0, cy=150.0, width=300, height=300)
+        pts = np.random.default_rng(3).uniform([-5.0, -5.0, 1.0], [5.0, 5.0, 30.0], (500, 3))
+        if where == "behind":
+            pts[:, 2] *= -1.0
+        else:
+            pts[:, 0] += np.where(pts[:, 0] > 0, 1.0, -1.0) * 4.0 * pts[:, 2]
+        d = render_depth(pts, K, PoseSE3.identity())
+        assert len(d.flat) == 0 and d.flat.dtype == np.int64
+        _assert_same_depth_map(d, _render_depth_reference(pts, K, PoseSE3.identity()))
+
+    def test_matches_lexsort_above_two_radix_digits(self):
+        # a 70000 x 70000 image: flat indices pass 2**32, three radix
+        # passes; pixels that share their low 16 or 32 bits, and repeats
+        side = 70000
+        K = CameraIntrinsics(fx=5e4, fy=5e4, cx=side / 2, cy=side / 2,
+                             width=side, height=side)
+        rng = np.random.default_rng(4)
+        base = rng.integers(0, side * side - 2**32 - 1, 500)
+        flat = np.concatenate([base, base + 2**16, base + 2**32, base[:100]])
+        z = np.round(rng.uniform(1.0, 20.0, len(flat)) * 2.0) / 2.0
+        uv = np.stack([flat % side, flat // side], axis=1).astype(float)
+        pts = np.column_stack([(uv - [K.cx, K.cy]) / [K.fx, K.fy] * z[:, None], z])
+        pts = np.vstack([pts, pts[rng.permutation(len(pts))[:300]]])
+        z_ref, flat_ref, win_ref = _zbuffer_reference(pts, K, PoseSE3.identity())
+        d = render_depth(pts, K, PoseSE3.identity())
+        assert flat_ref.max() >= 2**32 and len(flat_ref) == 1500
+        assert np.array_equal(d.flat, flat_ref)
+        assert np.array_equal(d.source, win_ref)
+        assert np.array_equal(d.depth, z_ref[win_ref])
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), h=st.integers(1, 40), w=st.integers(1, 60),
