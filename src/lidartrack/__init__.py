@@ -16,11 +16,10 @@ from .rendering import DepthMap, FlowField, gt_depth_flow, remove_occlusions, re
 from .flow import (EmptyMaskError, FlowNoiseModel, FlowTriplet, apply_noise,
                    consistency_residual, epe, oracle_depth_flow, oracle_flows,
                    sample_flow, warp)
-from .pnp import (Correspondences, DegenerateConfigurationError, PnPResult,
-                  RansacConfig, TooFewCorrespondencesError,
+from .pnp import (Correspondences, PnPResult, RansacConfig,
                   correspondences_from_flow, refine_pose, solve_pnp_ransac)
-from .joint import (ConsistencyTerm, EnergyConfig, JointResult, e_consist,
-                    e_reproj, optimize_next_only, optimize_pair)
+from .joint import (ConsistencyTerm, EnergyConfig, JointResult,
+                    optimize_next_only, optimize_pair)
 from .synth import (SceneConfig, TrajectoryConfig, VoOracleConfig,
                     generate_scene, generate_trajectory, integrate_relatives,
                     vo_oracle)

@@ -23,12 +23,8 @@ from .geometry import (CameraIntrinsics, PoseSE3, check_fields, project_points,
 # perfbench/tracing.py counts calls of joint.se3_exp, so the name stays importable here
 from .geometry import se3_exp  # noqa: F401
 from .flow import sample_flow
-from .pnp import Correspondences, _huber_lm, _ReprojTerm
+from .pnp import LM_MIN_DEPTH, _huber_lm, _reproj_term
 from .rendering import FlowField
-
-# points closer than this to a camera plane are dropped at setup and make
-# trial steps infeasible during iteration (keeps Jacobians bounded)
-ZMIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -85,14 +81,14 @@ class ConsistencyTerm:
         """Drop points behind (or grazing) the camera under either pose."""
         z_cur = T_cur.apply(self.pts)[:, 2]
         z_next = T_next.apply(self.pts)[:, 2]
-        keep = (z_cur > ZMIN) & (z_next > ZMIN)
+        keep = (z_cur > LM_MIN_DEPTH) & (z_next > LM_MIN_DEPTH)
         return ConsistencyTerm(self.pts[keep], self.samples[keep])
 
     def residual(self, K, T_cur, T_next):
         """(M, 2) residuals; None if any point grazes a camera plane."""
         cam_c = T_cur.apply(self.pts)
         cam_n = T_next.apply(self.pts)
-        if np.any(cam_c[:, 2] <= ZMIN) or np.any(cam_n[:, 2] <= ZMIN):
+        if np.any(cam_c[:, 2] <= LM_MIN_DEPTH) or np.any(cam_n[:, 2] <= LM_MIN_DEPTH):
             return None
         return project_points(K, cam_n)[0] - project_points(K, cam_c)[0] - self.samples
 
@@ -100,43 +96,10 @@ class ConsistencyTerm:
         """Residuals plus Jacobian blocks w.r.t. both local updates."""
         uv_c, z_c, J_c = reprojection_jacobian(K, T_cur, self.pts)
         uv_n, z_n, J_n = reprojection_jacobian(K, T_next, self.pts)
-        if np.any(z_c <= ZMIN) or np.any(z_n <= ZMIN):
+        if np.any(z_c <= LM_MIN_DEPTH) or np.any(z_n <= LM_MIN_DEPTH):
             return None
         r = uv_n - uv_c - self.samples
         return r, -J_c, J_n
-
-
-def e_consist(T_cur: PoseSE3, T_next: PoseSE3, pts, K: CameraIntrinsics,
-              f_c2n) -> np.ndarray:
-    """Cross-modal consistency residuals for a set of world points.
-
-    ``f_c2n`` is a FlowField (samples looked up at the T_cur projections)
-    or an (N, 2) array of precomputed per-point flow samples.  Points
-    losing visibility under either pose are dropped.
-    """
-    term = _make_consistency_term(pts, f_c2n, K, T_cur)
-    term = term.restrict_visible(K, T_cur, T_next)
-    if len(term) == 0:
-        raise ValueError("empty consistency residual set")
-    return term.residual(K, T_cur, T_next)
-
-
-def _make_consistency_term(pts, f_c2n, K, T_cur):
-    if isinstance(f_c2n, FlowField):
-        return ConsistencyTerm.from_field(pts, K, f_c2n, T_cur)
-    return ConsistencyTerm(pts, f_c2n)
-
-
-def e_reproj(T: PoseSE3, corrs: Correspondences, K: CameraIntrinsics):
-    """Reprojection residuals; returns (residuals, kept mask).
-
-    Points behind the camera are dropped; the mask reports which
-    correspondences contributed.
-    """
-    if len(corrs) == 0:
-        raise ValueError("empty correspondence set")
-    uv, kept = project_points(K, T.apply(corrs.p_world))
-    return uv[kept] - corrs.x_img[kept], kept
 
 
 def optimize_pair(T_cur0: PoseSE3, T_next0: PoseSE3,
@@ -149,20 +112,19 @@ def optimize_pair(T_cur0: PoseSE3, T_next0: PoseSE3,
     stage failed; the surviving terms still constrain both poses through
     the consistency residuals.  ``f_c2n`` is a FlowField (sampled at the
     T_cur0 projections, frozen) or per-point (N, 2) samples.  A rank-
-    deficient system returns the input poses with ``converged=False``.
+    deficient system, or a non-finite initial energy, returns the input
+    poses with infinite energy, 0 iterations and ``converged=False``.
     """
     terms, n_consist = [], 0
     if cfg.w_reproj > 0:
         for corrs, which, T0 in ((corrs_cur, "cur", T_cur0),
                                  (corrs_next, "next", T_next0)):
-            if corrs is None or len(corrs) == 0:
-                continue
-            # drop points behind the camera at the initial pose
-            kept = corrs.subset(T0.apply(corrs.p_world)[:, 2] > ZMIN)
-            if len(kept) >= 4:
-                terms.append((cfg.w_reproj, _ReprojTerm(kept, which, ZMIN)))
+            term = None if corrs is None else _reproj_term(corrs, which, T0)
+            if term is not None:
+                terms.append((cfg.w_reproj, term))
     if cfg.w_consist > 0 and consist_pts is not None and len(consist_pts) > 0:
-        term = _make_consistency_term(consist_pts, f_c2n, K, T_cur0)
+        term = (ConsistencyTerm.from_field(consist_pts, K, f_c2n, T_cur0)
+                if isinstance(f_c2n, FlowField) else ConsistencyTerm(consist_pts, f_c2n))
         term = term.restrict_visible(K, T_cur0, T_next0)
         if len(term) >= 3:
             terms.append((cfg.w_consist, term))
@@ -171,8 +133,7 @@ def optimize_pair(T_cur0: PoseSE3, T_next0: PoseSE3,
     # a rank-deficient system (e.g. the consistency-only gauge) is
     # reported, not optimized
     out = _huber_lm(terms, K, T_cur0, T_next0, free, cfg.huber_delta,
-                    cfg.max_iters, cfg.rel_tol, cfg.lambda0, attempts=15,
-                    grad_tol=1e-10, rank_gate=True) if terms else None
+                    cfg.max_iters, cfg.rel_tol, cfg.lambda0) if terms else None
     if out is None:
         return JointResult(T_cur_star=T_cur0, T_next_star=T_next0,
                            initial_energy=np.inf, final_energy=np.inf,

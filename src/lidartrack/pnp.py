@@ -3,7 +3,8 @@
 ``_huber_lm`` is the one Levenberg-Marquardt loop, split as in Ceres
 (Agarwal et al.): terms give residuals and Jacobians, one solver iterates.
 ``refine_pose`` runs it on one reprojection term and one free pose,
-``joint.optimize_pair`` on reprojection and consistency terms.
+``joint.optimize_pair`` on reprojection and consistency terms; both run
+it with the one set of ``LM_*`` settings below.
 
 The minimal solver inside RANSAC is damped Gauss-Newton started from the
 tracking prior rather than a closed-form P3P: tracking always supplies a
@@ -36,14 +37,6 @@ from .geometry import (MIN_DEPTH, CameraIntrinsics, PoseSE3, check_fields,
                        compose_batch, project_points, quat_to_matrix_batch,
                        reprojection_jacobian, se3_exp, se3_exp_batch)
 from .rendering import DepthMap, FlowField, lookup
-
-
-class TooFewCorrespondencesError(ValueError):
-    """PnP needs at least four 2D-3D correspondences."""
-
-
-class DegenerateConfigurationError(ValueError):
-    """All 3D points are collinear; the pose is unobservable."""
 
 
 @dataclass
@@ -79,6 +72,15 @@ RANSAC_BATCH = 16
 
 # RANSAC fits up to this many hypotheses at a time after the first batch
 _FIT_BATCH = 64
+
+# the one set of LM settings, shared by refine_pose and joint.optimize_pair:
+# dampings tried per iteration, the gradient norm that ends the iteration,
+# and the depth (m) a point must keep in front of its camera plane; points
+# within it at the initial pose are dropped, and a step that brings a kept
+# point within it is infeasible (keeps Jacobians bounded)
+LM_ATTEMPTS = 12
+LM_GRAD_TOL = 1e-12
+LM_MIN_DEPTH = 1e-3
 
 
 def _stride_cap(arr, cap: int):
@@ -156,17 +158,17 @@ def _huber_cost(norms, delta):
 
 class _ReprojTerm:
     """One frame's reprojection residuals under the pose ``which`` ("cur" or
-    "next"); a pose putting a point within ``zmin`` of its camera plane is infeasible."""
+    "next"); a pose putting a point within ``LM_MIN_DEPTH`` of its camera
+    plane is infeasible."""
 
-    def __init__(self, corrs, which, zmin):
+    def __init__(self, corrs, which):
         self.corrs = corrs
         self.which = which
-        self.zmin = zmin
 
     def residual(self, K, T_cur, T_next):
         """(N, 2) residuals, or None at an infeasible pose."""
         cam = (T_cur if self.which == "cur" else T_next).apply(self.corrs.p_world)
-        if np.any(cam[:, 2] <= self.zmin):
+        if np.any(cam[:, 2] <= LM_MIN_DEPTH):
             return None
         return project_points(K, cam)[0] - self.corrs.x_img
 
@@ -174,10 +176,17 @@ class _ReprojTerm:
         """Residuals plus the (N, 2, 6) Jacobian of the term's own pose."""
         T = T_cur if self.which == "cur" else T_next
         uv, z, J = reprojection_jacobian(K, T, self.corrs.p_world)
-        if np.any(z <= self.zmin):
+        if np.any(z <= LM_MIN_DEPTH):
             return None
         r = uv - self.corrs.x_img
         return (r, J, None) if self.which == "cur" else (r, None, J)
+
+
+def _reproj_term(corrs, which, T0):
+    """The ``_ReprojTerm`` of the points beyond ``LM_MIN_DEPTH`` at T0, or
+    None when fewer than four are."""
+    kept = corrs.subset(T0.apply(corrs.p_world)[:, 2] > LM_MIN_DEPTH)
+    return _ReprojTerm(kept, which) if len(kept) >= 4 else None
 
 
 def _huber_energy(terms, K, T_cur, T_next, delta):
@@ -219,30 +228,32 @@ def _normal_equations(terms, K, T_cur, T_next, free, delta):
     return H, g
 
 
-def _huber_lm(terms, K, T_cur, T_next, free, delta, max_iters, rel_tol, lambda0,
-              attempts, grad_tol, rank_gate):
+def _huber_lm(terms, K, T_cur, T_next, free, delta, max_iters, rel_tol, lambda0):
     """Levenberg-Marquardt on the weighted Huber energy of ``terms``.
 
     ``terms`` are ``(weight, term)`` pairs; a term gives ``residual`` and
     ``residual_jacobians`` -> ``(r, J_cur, J_next)`` (None for a pose it
     does not depend on), or None at an infeasible pose.  The poses named
     in ``free`` move by right-multiplicative steps that strictly lower the
-    energy; each iteration tries up to ``attempts`` dampings.  Returns
+    energy; each iteration tries up to ``LM_ATTEMPTS`` dampings, and a
+    gradient below ``LM_GRAD_TOL`` ends the iteration.  Returns
     ``(T_cur, T_next, energy_trace, iterations, converged)``, or None when
-    the initial poses are infeasible or ``rank_gate`` finds the initial
-    system rank-deficient.
+    the initial poses are infeasible, the initial energy is not finite (a
+    non-finite pixel, point or flow sample) or the initial system is
+    rank-deficient (an unobservable pose direction).
     """
     built = _normal_equations(terms, K, T_cur, T_next, free, delta)
     if built is None:
         return None
+    energy = _huber_energy(terms, K, T_cur, T_next, delta)
+    if not np.isfinite(energy):
+        return None  # no step could lower it
     H, g = built
     n = len(H)
-    if rank_gate:
-        # rank of J equals rank of H = J^T J
-        s = np.linalg.svd(H, compute_uv=False)
-        if s[0] <= 0 or int(np.sum(s > s[0] * 1e-12)) < n:
-            return None
-    energy = _huber_energy(terms, K, T_cur, T_next, delta)
+    # rank of J equals rank of H = J^T J
+    s = np.linalg.svd(H, compute_uv=False)
+    if s[0] <= 0 or int(np.sum(s > s[0] * 1e-12)) < n:
+        return None
     trace = [energy]
     lam = lambda0
     converged = False
@@ -253,11 +264,11 @@ def _huber_lm(terms, K, T_cur, T_next, free, delta, max_iters, rel_tol, lambda0,
             if built is None:
                 break
             H, g = built
-        if np.linalg.norm(g, ord=np.inf) < grad_tol:
+        if np.linalg.norm(g, ord=np.inf) < LM_GRAD_TOL:
             converged = True
             break
         stepped = False
-        for _ in range(attempts):
+        for _ in range(LM_ATTEMPTS):
             D = H + lam * np.diag(np.diag(H)) + 1e-15 * np.eye(n)
             try:
                 step = np.linalg.solve(D, -g)
@@ -286,29 +297,27 @@ def _huber_lm(terms, K, T_cur, T_next, free, delta, max_iters, rel_tol, lambda0,
     return T_cur, T_next, trace, it, converged
 
 
-def refine_pose(corrs: Correspondences, K: CameraIntrinsics, T0: PoseSE3,
-                huber_delta: float = 2.0, max_iters: int = 30,
-                rel_tol: float = 1e-12, lambda0: float = 1e-4) -> RefineResult:
-    """Minimize the Huber reprojection cost from T0.
+def refine_pose(corrs: Correspondences, K: CameraIntrinsics, T0: PoseSE3) -> RefineResult:
+    """Minimize the Huber reprojection cost (delta 2 px) from T0.
 
-    ``_huber_lm`` on one reprojection term with T0 free; accepted steps
-    never increase the cost.  Points behind the camera at T0 are dropped
-    up front, and trial steps that would push a retained point behind the
-    camera are rejected.  Raises TooFewCorrespondencesError below four
-    points (in all, or in front of the camera at T0) and
-    DegenerateConfigurationError on collinear points.
+    ``_huber_lm`` on one reprojection term with T0 free, for up to 30
+    iterations; accepted steps never increase the cost.  Points within
+    ``LM_MIN_DEPTH`` of the camera plane at T0 are dropped up front, and
+    trial steps that bring a kept point within it are rejected.
+
+    Raises nothing: fewer than four kept points, a non-finite pixel or
+    point, or a rank-deficient system (collinear points, or points too
+    far for the translation to show) give ``RefineResult(pose=T0,
+    cost=inf, iterations=0, converged=False)``, the failure shape of
+    ``joint.JointResult``.
     """
-    if len(corrs) < 4:
-        raise TooFewCorrespondencesError(f"need >= 4 correspondences, got {len(corrs)}")
-    if _collinear(corrs.p_world):
-        raise DegenerateConfigurationError("3D points are collinear")
-    kept = corrs.subset(T0.apply(corrs.p_world)[:, 2] > MIN_DEPTH)
-    if len(kept) < 4:
-        raise TooFewCorrespondencesError("fewer than 4 correspondences in front of camera")
-    pose, _, trace, it, converged = _huber_lm(
-        [(1.0, _ReprojTerm(kept, "cur", MIN_DEPTH))], K, T0, None, ("cur",),
-        huber_delta, max_iters, rel_tol, lambda0,
-        attempts=12, grad_tol=1e-12, rank_gate=False)
+    term = _reproj_term(corrs, "cur", T0)
+    # Huber delta 2 px, 30 iterations, relative tolerance 1e-12, damping 1e-4
+    out = (_huber_lm([(1.0, term)], K, T0, None, ("cur",), 2.0, 30, 1e-12, 1e-4)
+           if term is not None else None)
+    if out is None:
+        return RefineResult(pose=T0, cost=np.inf, iterations=0, converged=False)
+    pose, _, trace, it, converged = out
     return RefineResult(pose=pose, cost=trace[-1], iterations=it, converged=converged)
 
 
@@ -490,10 +499,10 @@ def solve_pnp_ransac(corrs: Correspondences, K: CameraIntrinsics, T_init: PoseSE
         return _failed(T_init, n, it)
 
     refine_idx = _stride_cap(np.nonzero(best_mask)[0], REFINE_POINT_CAP)
-    try:
-        pose = refine_pose(corrs.subset(refine_idx), K, T_init).pose
-    except (TooFewCorrespondencesError, DegenerateConfigurationError):
+    refined = refine_pose(corrs.subset(refine_idx), K, T_init)
+    if refined.cost == np.inf:
         return _failed(T_init, n, it)
+    pose = refined.pose
     err = _reproj_errors(PT, u, v, K, pose.rotation_matrix()[None], pose.t[None])[0]
     final_mask = err < cfg.inlier_threshold
     if int(final_mask.sum()) < max(cfg.min_inliers, 4):

@@ -67,7 +67,7 @@ class TrackerConfig:
 
     def __post_init__(self):
         check_fields(self, positive=("consist_point_cap", "reproj_point_cap"),
-                     non_negative=("loose_reproj_threshold",))
+                     non_negative=("loose_reproj_threshold", "occlusion_window"))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {', '.join(MODES)}")
 

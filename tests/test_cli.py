@@ -242,6 +242,7 @@ class TestTrack:
         ("tracker", "consist_point_cap", 2.5),
         ("tracker", "reproj_point_cap", 2.5),
         ("tracker", "occlusion_window", 2.5),
+        ("tracker", "occlusion_window", -1),
         ("tracker", "loose_reproj_threshold", float("nan")),
         ("tracker", "occlusion_aperture_deg", float("nan")),
         (None, "outages", ["x"]),

@@ -304,7 +304,7 @@ RANGE_RULES = [
     (EnergyConfig(), "positive", ("huber_delta", "max_iters")),
     (EnergyConfig(), "non_negative", ("w_consist", "w_reproj", "lambda0", "rel_tol")),
     (TrackerConfig(camera=_K20), "positive", ("consist_point_cap", "reproj_point_cap")),
-    (TrackerConfig(camera=_K20), "non_negative", ("loose_reproj_threshold",)),
+    (TrackerConfig(camera=_K20), "non_negative", ("loose_reproj_threshold", "occlusion_window")),
 ]
 
 # per rule: its message, values out of range, and boundary values it accepts
@@ -339,8 +339,8 @@ class TestConfigFields:
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             dataclasses.replace(cfg, **{field: bad})
 
-    def test_range_rules_cover_thirty_fields(self):
-        assert sum(len(names) for _, _, names in RANGE_RULES) == 30
+    def test_range_rules_field_count(self):
+        assert sum(len(names) for _, _, names in RANGE_RULES) == 31
 
     @pytest.mark.parametrize("cfg,field,bad,text", _range_cases(accepted=False))
     def test_out_of_range_raises_naming_field(self, cfg, field, bad, text):

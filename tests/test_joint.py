@@ -6,15 +6,17 @@ from hypothesis import strategies as st
 from lidartrack.geometry import (MIN_DEPTH, PerturbBounds, PoseSE3,
                                  perturb_pose, pose_error, project_points,
                                  reprojection_jacobian, se3_exp)
-from lidartrack.joint import (ZMIN, ConsistencyTerm, EnergyConfig,
-                              JointResult, _make_consistency_term, e_consist,
-                              e_reproj, optimize_next_only, optimize_pair)
+from lidartrack.joint import (ConsistencyTerm, EnergyConfig, JointResult,
+                              optimize_next_only, optimize_pair)
 from lidartrack.mapping import CropExtents, crop_local
-from lidartrack.pnp import Correspondences, _huber_cost, _huber_weights
+from lidartrack.pnp import Correspondences, _huber_cost, _huber_weights, _ReprojTerm
 from lidartrack.rendering import FlowField
 
 from test_pnp import K_LM, make_exact_corrs, make_lm_corrs
 
+# the depth floor optimize_pair shares with refine_pose, written out rather
+# than imported, so that the reference loop below fails on a change to it
+ZMIN = 1e-3
 
 class _ReprojReference:
     def __init__(self, corrs, which):
@@ -93,7 +95,8 @@ def _energy_reference(terms, K, T_cur, T_next, delta):
 def _optimize_pair_reference(T_cur0, T_next0, corrs_cur, corrs_next, consist_pts,
                              f_c2n, K, cfg, free=("cur", "next")):
     """``optimize_pair`` as its own Levenberg-Marquardt loop: the form that
-    the shared ``_huber_lm`` core must match bit for bit."""
+    the shared ``_huber_lm`` core must match bit for bit, with 12 dampings,
+    a 1e-12 gradient tolerance, the ``ZMIN`` depth floor and the rank gate."""
     terms, n_consist = [], 0
     if cfg.w_reproj > 0:
         for corrs, which, T0 in ((corrs_cur, "cur", T_cur0),
@@ -104,7 +107,10 @@ def _optimize_pair_reference(T_cur0, T_next0, corrs_cur, corrs_next, consist_pts
             if len(kept) >= 4:
                 terms.append((cfg.w_reproj, _ReprojReference(kept, which)))
     if cfg.w_consist > 0 and consist_pts is not None and len(consist_pts) > 0:
-        term = _make_consistency_term(consist_pts, f_c2n, K, T_cur0)
+        if isinstance(f_c2n, FlowField):
+            term = ConsistencyTerm.from_field(consist_pts, K, f_c2n, T_cur0)
+        else:
+            term = ConsistencyTerm(consist_pts, f_c2n)
         term = term.restrict_visible(K, T_cur0, T_next0)
         if len(term) >= 3:
             terms.append((cfg.w_consist, _ConsistReference(term)))
@@ -147,6 +153,9 @@ def _optimize_pair_reference(T_cur0, T_next0, corrs_cur, corrs_next, consist_pts
     built = build_system(T_cur0, T_next0)
     if built is None:
         return failure
+    energy = _energy_reference(terms, K, T_cur0, T_next0, cfg.huber_delta)
+    if not np.isfinite(energy):
+        return failure
     H, g = built
     s = np.linalg.svd(H, compute_uv=False)
     rank = int(np.sum(s > s[0] * 1e-12)) if len(s) and s[0] > 0 else 0
@@ -154,7 +163,6 @@ def _optimize_pair_reference(T_cur0, T_next0, corrs_cur, corrs_next, consist_pts
         return failure
 
     T_cur, T_next = T_cur0, T_next0
-    energy = _energy_reference(terms, K, T_cur, T_next, cfg.huber_delta)
     trace = [energy]
     lam = cfg.lambda0
     converged = False
@@ -165,11 +173,11 @@ def _optimize_pair_reference(T_cur0, T_next0, corrs_cur, corrs_next, consist_pts
             if built is None:
                 break
             H, g = built
-        if np.linalg.norm(g, ord=np.inf) < 1e-10:
+        if np.linalg.norm(g, ord=np.inf) < 1e-12:
             converged = True
             break
         stepped = False
-        for _ in range(15):
+        for _ in range(12):
             D = H + lam * np.diag(np.diag(H)) + 1e-15 * np.eye(n_free)
             try:
                 delta = np.linalg.solve(D, -g)
@@ -217,15 +225,16 @@ def pair_world(K, corridor):
     return K, T_cur, T_next, crop, pts, samples
 
 
-class TestEConsist:
+class TestConsistencyResidual:
     def test_zero_at_ground_truth_with_exact_samples(self, pair_world):
         K, T_cur, T_next, _, pts, samples = pair_world
-        r = e_consist(T_cur, T_next, pts, K, samples)
+        r = ConsistencyTerm(pts, samples).residual(K, T_cur, T_next)
+        assert r.shape == (len(pts), 2)
         assert np.abs(r).max() < 1e-9
 
     def test_equal_poses_zero_flow(self, pair_world):
         K, T_cur, _, _, pts, _ = pair_world
-        r = e_consist(T_cur, T_cur, pts, K, np.zeros((len(pts), 2)))
+        r = ConsistencyTerm(pts, np.zeros((len(pts), 2))).residual(K, T_cur, T_cur)
         assert np.all(r == 0.0)
 
     def test_first_order_shift_in_next_pose(self, pair_world):
@@ -235,17 +244,43 @@ class TestEConsist:
         delta = 0.01
         bump = PoseSE3(PoseSE3.identity().q, np.array([-delta, 0.0, 0.0]))
         T_shifted = bump.compose(T_next)
-        r0 = e_consist(T_cur, T_next, pts, K, samples)
-        r1 = e_consist(T_cur, T_shifted, pts, K, samples)
+        term = ConsistencyTerm(pts, samples)
+        r0 = term.residual(K, T_cur, T_next)
+        r1 = term.residual(K, T_cur, T_shifted)
         z = T_next.apply(pts)[:, 2]
         expected = -K.fx * delta / z
         assert np.allclose(r1[:, 0] - r0[:, 0], expected, atol=1e-4)
 
-    def test_empty_set_raises(self, pair_world):
+    def test_point_within_the_floor_is_dropped_or_infeasible(self, pair_world):
+        # restrict_visible drops a point within ZMIN of either camera
+        # plane; a pose that brings a kept point there is infeasible
+        K, T_cur, T_next, _, pts, samples = pair_world
+        near = T_next.inverse().apply(np.array([[0.0, 0.0, 0.5 * ZMIN]]))
+        term = ConsistencyTerm(np.vstack([pts, near]), np.vstack([samples, [[0.0, 0.0]]]))
+        assert term.residual(K, T_cur, T_next) is None
+        assert term.residual_jacobians(K, T_cur, T_next) is None
+        kept = term.restrict_visible(K, T_cur, T_next)
+        assert len(kept) == len(pts)
+        assert np.array_equal(kept.residual(K, T_cur, T_next),
+                              ConsistencyTerm(pts, samples).residual(K, T_cur, T_next))
+
+    def test_non_finite_sample_is_a_failed_result(self, pair_world):
+        K, T_cur, T_next, crop, pts, samples = pair_world
+        cc = make_exact_corrs(K, T_cur, crop, 100, seed=3)
+        bad = samples.copy()
+        bad[5, 1] = np.nan
+        out = optimize_pair(T_cur, T_next, cc, None, pts, bad, K, EnergyConfig())
+        assert (out.iterations, out.converged, out.final_energy) == (0, False, np.inf)
+        assert out.T_cur_star is T_cur and out.T_next_star is T_next
+
+    def test_invalid_field_keeps_no_point(self, pair_world):
+        # with no flow sample the term is empty, and optimize_pair drops it
         K, T_cur, T_next, _, pts, _ = pair_world
         f = FlowField.invalid(K.height, K.width)
-        with pytest.raises(ValueError):
-            e_consist(T_cur, T_next, pts, K, f)
+        assert len(ConsistencyTerm.from_field(pts, K, f, T_cur)) == 0
+        out = optimize_pair(T_cur, T_next, None, None, pts, f, K, EnergyConfig())
+        assert (out.iterations, out.converged, out.consist_pts) == (0, False, 0)
+        assert out.final_energy == np.inf
 
     def test_field_sampling_matches_exact_at_gt(self, pair_world, K, corridor):
         # sampling a noiseless oracle optical-flow field at the GT current
@@ -268,33 +303,37 @@ class TestEConsist:
         assert np.abs(r).max() < 0.5
 
 
-class TestEReproj:
+
+class TestReprojResidual:
     def test_zero_at_fit(self, pair_world):
         K, T_cur, _, crop, _, _ = pair_world
         corrs = make_exact_corrs(K, T_cur, crop, 200, seed=0)
-        r, kept = e_reproj(T_cur, corrs, K)
-        assert kept.all()
+        r = _ReprojTerm(corrs, "cur").residual(K, T_cur, None)
+        assert r.shape == (len(corrs), 2)
         assert np.abs(r).max() < 1e-6
 
     def test_constant_offset(self, pair_world):
         K, T_cur, _, crop, _, _ = pair_world
         corrs = make_exact_corrs(K, T_cur, crop, 100, seed=1)
         shifted = Correspondences.from_arrays(corrs.p_world, corrs.x_img + [1.0, 0.0])
-        r, _ = e_reproj(T_cur, shifted, K)
+        r = _ReprojTerm(shifted, "cur").residual(K, T_cur, None)
         assert np.allclose(np.linalg.norm(r, axis=1), 1.0)
 
-    def test_behind_camera_dropped_with_count(self, K):
-        P = np.array([[0.0, 0, 10.0], [1, 0, 12.0], [0, 1, -5.0], [1, 1, 9.0]])
-        uv = np.zeros((4, 2)) + [480.0, 160.0]
-        corrs = Correspondences.from_arrays(P, uv)
-        r, kept = e_reproj(PoseSE3.identity(), corrs, K)
-        assert kept.sum() == 3
-        assert len(r) == 3
+    def test_reads_its_own_pose(self, pair_world):
+        K, T_cur, T_next, crop, _, _ = pair_world
+        corrs = make_exact_corrs(K, T_next, crop, 100, seed=2)
+        term = _ReprojTerm(corrs, "next")
+        assert np.abs(term.residual(K, T_cur, T_next)).max() < 1e-6
+        r, Jc, Jn = term.residual_jacobians(K, T_cur, T_next)
+        assert Jc is None and Jn.shape == (len(corrs), 2, 6)
+        assert np.array_equal(r, term.residual(K, T_cur, T_next))
 
-    def test_empty_raises(self, K):
-        with pytest.raises(ValueError):
-            e_reproj(PoseSE3.identity(),
-                     Correspondences.from_arrays(np.zeros((0, 3)), np.zeros((0, 2))), K)
+    def test_point_within_the_floor_is_infeasible(self, K):
+        P = np.array([[0.0, 0, 10.0], [1, 0, 12.0], [0, 1, 0.5 * ZMIN], [1, 1, 9.0]])
+        uv = np.zeros((4, 2)) + [480.0, 160.0]
+        term = _ReprojTerm(Correspondences.from_arrays(P, uv), "cur")
+        assert term.residual(K, PoseSE3.identity(), None) is None
+        assert term.residual_jacobians(K, PoseSE3.identity(), None) is None
 
 
 class TestJacobians:
@@ -370,16 +409,11 @@ class TestOptimizePair:
         out = optimize_pair(Tc0, Tn0, cc, cn, pts, samples, K, EnergyConfig())
         assert out.converged
         # gradient of the energy at the reported optimum, by central FD
-        from lidartrack.joint import _make_consistency_term
+        terms = (_ReprojTerm(cc, "cur"), _ReprojTerm(cn, "next"), ConsistencyTerm(pts, samples))
 
         def energy(Tc, Tn):
-            r1 = np.linalg.norm(e_reproj(Tc, cc, K)[0], axis=1)
-            r2 = np.linalg.norm(e_reproj(Tn, cn, K)[0], axis=1)
-            term = _make_consistency_term(pts, samples, K, Tc)
-            rc = np.linalg.norm(term.residual(K, Tc, Tn), axis=1)
-            def huber(a):
-                return np.where(a <= 2.0, a ** 2, 4.0 * a - 4.0)
-            return huber(r1).sum() + huber(r2).sum() + huber(rc).sum()
+            norms = [np.linalg.norm(term.residual(K, Tc, Tn), axis=1) for term in terms]
+            return sum(np.where(a <= 2.0, a ** 2, 4.0 * a - 4.0).sum() for a in norms)
 
         h = 1e-7
         g = []

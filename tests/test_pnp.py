@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,15 +11,12 @@ from lidartrack.geometry import (MIN_DEPTH, CameraIntrinsics, PerturbBounds,
                                  PoseSE3, perturb_pose, pose_error,
                                  project_points, reprojection_jacobian, se3_exp)
 from lidartrack.mapping import CropExtents, crop_local
-from lidartrack.joint import e_reproj
 from lidartrack import pnp
-from lidartrack.pnp import (REFINE_POINT_CAP, Correspondences,
-                            DegenerateConfigurationError, PnPResult,
-                            RansacConfig, TooFewCorrespondencesError,
-                            _collinear, _fit_minimal_batch,
-                            _huber_cost, _huber_weights, _reproj_errors,
-                            correspondences_from_flow, refine_pose,
-                            solve_pnp_ransac)
+from lidartrack.pnp import (REFINE_POINT_CAP, Correspondences, PnPResult,
+                            RansacConfig, RefineResult, _collinear,
+                            _fit_minimal_batch, _huber_cost, _huber_weights,
+                            _reproj_errors, correspondences_from_flow,
+                            refine_pose, solve_pnp_ransac)
 from lidartrack.rendering import FlowField, remove_occlusions, render_depth
 
 from conftest import DenseFlow, dense, sparse
@@ -65,7 +63,7 @@ def _reproj_errors_reference(corrs, K, pose):
 def _reproj_cost_reference(corrs, K, pose, huber_delta):
     cam = pose.apply(corrs.p_world)
     z = cam[:, 2]
-    if np.any(z <= MIN_DEPTH):
+    if np.any(z <= 1e-3):
         return np.inf
     uv = np.empty((len(corrs), 2))
     uv[:, 0] = K.fx * cam[:, 0] / z + K.cx
@@ -77,22 +75,17 @@ def _reproj_cost_reference(corrs, K, pose, huber_delta):
 def _refine_pose_reference(corrs, K, T0, huber_delta=2.0, max_iters=30,
                            rel_tol=1e-12, lambda0=1e-4):
     """``refine_pose`` as its own Levenberg-Marquardt loop: the form that
-    the shared ``_huber_lm`` core must match bit for bit."""
-    if len(corrs) < 4:
-        raise TooFewCorrespondencesError(f"need >= 4 correspondences, got {len(corrs)}")
-    if _collinear(corrs.p_world):
-        raise DegenerateConfigurationError("3D points are collinear")
+    the shared ``_huber_lm`` core must match bit for bit.  The settings
+    shared with ``joint.optimize_pair`` are literals here (12 dampings, a
+    1e-12 gradient tolerance, a 1e-3 m depth floor, the rank gate on), so
+    that a change to any of them fails the comparison."""
+    failed = RefineResult(pose=T0, cost=np.inf, iterations=0, converged=False)
     z0 = T0.apply(corrs.p_world)[:, 2]
-    kept = corrs.subset(z0 > MIN_DEPTH)
+    kept = corrs.subset(z0 > 1e-3)
     if len(kept) < 4:
-        raise TooFewCorrespondencesError("fewer than 4 correspondences in front of camera")
+        return failed
 
-    pose = T0
-    lam = lambda0
-    cost = _reproj_cost_reference(kept, K, pose, huber_delta)
-    converged = False
-    it = 0
-    for it in range(1, max_iters + 1):
+    def normal_equations(pose):
         uv, z, J = reprojection_jacobian(K, pose, kept.p_world)
         r = uv - kept.x_img
         norms = np.linalg.norm(r, axis=1)
@@ -100,8 +93,22 @@ def _refine_pose_reference(corrs, K, T0, huber_delta=2.0, max_iters=30,
         sw = np.sqrt(wts)[:, None]
         A = (J * sw[:, :, None]).reshape(-1, 6)
         b = (r * sw).reshape(-1)
-        H = A.T @ A
-        g = A.T @ b
+        return A.T @ A, A.T @ b
+
+    pose = T0
+    H, g = normal_equations(pose)
+    cost = _reproj_cost_reference(kept, K, pose, huber_delta)
+    if not np.isfinite(cost):
+        return failed
+    s = np.linalg.svd(H, compute_uv=False)
+    if s[0] <= 0 or int(np.sum(s > s[0] * 1e-12)) < 6:
+        return failed
+    lam = lambda0
+    converged = False
+    it = 0
+    for it in range(1, max_iters + 1):
+        if it > 1:
+            H, g = normal_equations(pose)
         if np.linalg.norm(g, ord=np.inf) < 1e-12:
             converged = True
             break
@@ -129,7 +136,7 @@ def _refine_pose_reference(corrs, K, T0, huber_delta=2.0, max_iters=30,
             break
         if converged:
             break
-    return pose, cost, it, converged
+    return RefineResult(pose=pose, cost=cost, iterations=it, converged=converged)
 
 
 def _solve_pnp_ransac_reference(corrs, K, T_init, cfg):
@@ -176,9 +183,8 @@ def _solve_pnp_ransac_reference(corrs, K, T_init, cfg):
     if len(refine_idx) > REFINE_POINT_CAP:
         stride = -(-len(refine_idx) // REFINE_POINT_CAP)
         refine_idx = refine_idx[::stride]
-    try:
-        refined = refine_pose(corrs.subset(refine_idx), K, T_init)
-    except (TooFewCorrespondencesError, DegenerateConfigurationError):
+    refined = refine_pose(corrs.subset(refine_idx), K, T_init)
+    if refined.cost == np.inf:
         return failed(it)
     err = _reproj_errors_reference(corrs, K, refined.pose)
     final_mask = err < cfg.inlier_threshold
@@ -189,11 +195,28 @@ def _solve_pnp_ransac_reference(corrs, K, T_init, cfg):
                      rmse=rmse, hypotheses=it)
 
 
-def _outcome(solve, *args):
-    try:
-        return solve(*args)
-    except Exception as exc:  # compared by type and message
-        return exc
+def _refine_pose_with(corrs, K, T0, huber_delta, max_iters, rel_tol, lambda0):
+    """``refine_pose`` with its fixed Huber delta, iteration cap, relative
+    tolerance and initial damping replaced in its ``_huber_lm`` call."""
+    lm = pnp._huber_lm
+
+    def with_settings(terms, K, T_cur, T_next, free, *_):
+        return lm(terms, K, T_cur, T_next, free, huber_delta, max_iters, rel_tol, lambda0)
+
+    with mock.patch.object(pnp, "_huber_lm", with_settings):
+        return refine_pose(corrs, K, T0)
+
+
+def assert_same_refine(a, b):
+    assert np.array_equal(a.pose.q, b.pose.q)
+    assert np.array_equal(a.pose.t, b.pose.t)
+    assert (a.cost, a.iterations, a.converged) == (b.cost, b.iterations, b.converged)
+
+
+def assert_refine_failed(res, T0):
+    """The one failed refinement: T0, infinite cost, no iteration."""
+    assert res.pose is T0
+    assert res == RefineResult(pose=T0, cost=np.inf, iterations=0, converged=False)
 
 
 def assert_same_result(a, b):
@@ -387,7 +410,7 @@ class TestRefinePose:
         noisy = Correspondences.from_arrays(
             corrs.p_world, corrs.x_img + rng.normal(0, 1.0, corrs.x_img.shape))
         T0 = perturb_pose(T_gt, PerturbBounds(0.5, 3.0), 4)
-        a = np.linalg.norm(e_reproj(T0, noisy, K)[0], axis=1)
+        a = np.linalg.norm(pnp._ReprojTerm(noisy, "cur").residual(K, T0, None), axis=1)
         c0 = np.where(a <= 2.0, a ** 2, 4.0 * a - 4.0).sum()
         res = refine_pose(noisy, K, T0)
         assert res.cost < c0
@@ -402,36 +425,87 @@ class TestRefinePose:
            max_iters=st.sampled_from([0, 1, 2, 30]),
            lambda0=st.sampled_from([0.0, 1e-4, 1.0]),
            rel_tol=st.sampled_from([0.0, 1e-12, 1e-6]),
-           huber_delta=st.sampled_from([0.5, 2.0, 20.0]))
+           huber_delta=st.sampled_from([0.5, 2.0, 20.0]), collinear=st.booleans())
     def test_matches_reference_loop(self, seed, n, sigma, pert, near, near_exp, near_z,
-                                    max_iters, lambda0, rel_tol, huber_delta):
+                                    max_iters, lambda0, rel_tol, huber_delta, collinear):
+        # refine_pose as it is, then with the settings it passes to
+        # _huber_lm replaced by the drawn ones
         rng = np.random.default_rng(seed)
         T_true = se3_exp(rng.uniform(-0.1, 0.1, 6))
         T0 = T_true.compose(se3_exp(rng.uniform(-pert, pert, 6)))
         corrs = make_lm_corrs(rng, T_true, T0, n, sigma, near, near_exp, near_z)
+        if collinear:  # the n points on one line: rank-deficient unless near points stay
+            line = np.outer(np.linspace(0.0, 1.0, n), [2.0, 1.0, 20.0]) + [0.0, 0.0, 3.0]
+            corrs.p_world[:n] = T_true.inverse().apply(line)
+        assert_same_refine(refine_pose(corrs, K_LM, T0),
+                           _refine_pose_reference(corrs, K_LM, T0))
         kw = dict(huber_delta=huber_delta, max_iters=max_iters, rel_tol=rel_tol,
                   lambda0=lambda0)
-        ref = _outcome(_refine_pose_reference, corrs, K_LM, T0, *kw.values())
-        got = _outcome(refine_pose, corrs, K_LM, T0, *kw.values())
-        if isinstance(ref, Exception) or isinstance(got, Exception):
-            assert type(ref) is type(got) and str(ref) == str(got), (ref, got)
-            return
-        pose, cost, iterations, converged = ref
-        assert np.array_equal(got.pose.q, pose.q)
-        assert np.array_equal(got.pose.t, pose.t)
-        assert (got.cost, got.iterations, got.converged) == (cost, iterations, converged)
+        assert_same_refine(_refine_pose_with(corrs, K_LM, T0, **kw),
+                           _refine_pose_reference(corrs, K_LM, T0, **kw))
+
+
+class TestRefineFailureIsAResult:
+    """Input that gives no refinement comes back as the failed result,
+    never as an exception: ``solve_pnp_ransac`` and the benchmark's
+    tracer read the result of every call."""
 
     def test_too_few_points(self, world):
         K, T_gt, crop = world
         corrs = make_exact_corrs(K, T_gt, crop, 300, seed=0)
-        with pytest.raises(TooFewCorrespondencesError):
-            refine_pose(corrs.subset([0, 1, 2]), K, T_gt)
+        for idx in ([], [0], [0, 1, 2]):
+            assert_refine_failed(refine_pose(corrs.subset(idx), K, T_gt), T_gt)
 
-    def test_collinear_points_rejected(self, K):
+    def test_fewer_than_four_points_beyond_the_floor(self, world):
+        # ten points, seven of them 0.5 mm in front of the camera at T0
+        K, T_gt, crop = world
+        corrs = make_exact_corrs(K, T_gt, crop, 3, seed=0)
+        near = T_gt.inverse().apply(np.column_stack(
+            [np.linspace(-1e-4, 1e-4, 7), np.zeros(7), np.full(7, 5e-4)]))
+        both = Correspondences.from_arrays(np.vstack([corrs.p_world, near]),
+                                           np.vstack([corrs.x_img, np.zeros((7, 2))]))
+        assert_refine_failed(refine_pose(both, K, T_gt), T_gt)
+
+    def test_collinear_points(self, K):
         P = np.array([[0.0, 0, 10 + i] for i in range(10)])
         uv, _ = project_points(K, P)
-        with pytest.raises(DegenerateConfigurationError):
-            refine_pose(Correspondences.from_arrays(P, uv), K, PoseSE3.identity())
+        T0 = PoseSE3.identity()
+        assert_refine_failed(refine_pose(Correspondences.from_arrays(P, uv), K, T0), T0)
+
+    @pytest.mark.parametrize("what,value", [("x_img", np.nan), ("x_img", np.inf),
+                                            ("p_world", np.inf)])
+    def test_non_finite_input(self, world, what, value):
+        K, T_gt, crop = world
+        corrs = make_exact_corrs(K, T_gt, crop, 50, seed=0)
+        getattr(corrs, what)[7, 0] = value
+        assert_refine_failed(refine_pose(corrs, K, T_gt), T_gt)
+
+    def test_rank_deficient_system(self):
+        # points 10 000 km ahead, spread over the view and not collinear:
+        # the translation does not show in the pixels, so H has rank 3
+        rng = np.random.default_rng(0)
+        cam = 1e7 * np.column_stack([rng.uniform(-1, 1, 20), rng.uniform(-0.3, 0.3, 20),
+                                     rng.uniform(1, 2, 20)])
+        assert not _collinear(cam)
+        T0 = PoseSE3.identity()
+        corrs = Correspondences.from_arrays(cam, project_points(K_RANSAC, cam)[0])
+        assert_refine_failed(refine_pose(corrs, K_RANSAC, T0), T0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_point_within_the_floor_is_left_out(self, world, seed):
+        # a point 0.5 mm in front of the camera at T0 changes nothing
+        K, T_gt, crop = world
+        corrs = make_exact_corrs(K, T_gt, crop, 200, seed=seed)
+        rng = np.random.default_rng(seed)
+        noisy = Correspondences.from_arrays(
+            corrs.p_world, corrs.x_img + rng.normal(0, 1.0, corrs.x_img.shape))
+        T0 = perturb_pose(T_gt, PerturbBounds(0.3, 2.0), seed)
+        near = T0.inverse().apply(np.array([[1e-4, -1e-4, 5e-4]]))
+        with_near = Correspondences.from_arrays(np.vstack([noisy.p_world, near]),
+                                                np.vstack([noisy.x_img, [[300.0, 100.0]]]))
+        res = refine_pose(with_near, K, T0)
+        assert res.iterations > 0
+        assert_same_refine(res, refine_pose(noisy, K, T0))
 
 
 class TestRansac:
@@ -542,8 +616,8 @@ class TestNoPoseIsAResult:
         x[30:] += rng.uniform(-60, 60, (6, 2))
         corrs = Correspondences.from_arrays(P, x)
         T_init = PoseSE3.identity()
-        with pytest.raises(DegenerateConfigurationError):
-            refine_pose(corrs.subset(np.arange(30)), K_RANSAC, T_init)
+        assert_refine_failed(refine_pose(corrs.subset(np.arange(30)), K_RANSAC, T_init),
+                             T_init)
         for seed in (0, 1):
             cfg = RansacConfig(seed=seed)
             res = solve_pnp_ransac(corrs, K_RANSAC, T_init, cfg)

@@ -14,7 +14,7 @@ from lidartrack.flow import FlowNoiseModel
 from lidartrack.geometry import PerturbBounds, PoseSE3, perturb_pose, pose_error
 from lidartrack.joint import ConsistencyTerm, EnergyConfig, JointResult
 from lidartrack.mapping import CropExtents, GlobalMap, downsample
-from lidartrack.pnp import DegenerateConfigurationError, RansacConfig
+from lidartrack.pnp import RansacConfig, RefineResult
 from lidartrack.rendering import FlowField
 from lidartrack.synth import (SceneConfig, TrajectoryConfig, VoOracleConfig,
                               generate_scene, generate_trajectory, vo_oracle)
@@ -762,8 +762,8 @@ class TestFailReasons:
     @pytest.mark.parametrize("mode", ["frame_by_frame", "multi_view"])
     def test_rejected_consensus_set_is_a_failed_pnp(self, K_small, small_world,
                                                     monkeypatch, mode):
-        def reject(*args, **kwargs):
-            raise DegenerateConfigurationError("3D points are collinear")
+        def reject(corrs, K, T0):
+            return RefineResult(pose=T0, cost=np.inf, iterations=0, converged=False)
 
         monkeypatch.setattr(pnp, "refine_pose", reject)
         gmap, gt, _ = small_world
