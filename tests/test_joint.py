@@ -18,6 +18,7 @@ from test_pnp import K_LM, make_exact_corrs, make_lm_corrs
 # than imported, so that the reference loop below fails on a change to it
 ZMIN = 1e-3
 
+
 class _ReprojReference:
     def __init__(self, corrs, which):
         self.corrs = corrs
@@ -264,6 +265,7 @@ class TestConsistencyResidual:
         assert np.array_equal(kept.residual(K, T_cur, T_next),
                               ConsistencyTerm(pts, samples).residual(K, T_cur, T_next))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_sample_is_a_failed_result(self, pair_world):
         K, T_cur, T_next, crop, pts, samples = pair_world
         cc = make_exact_corrs(K, T_cur, crop, 100, seed=3)

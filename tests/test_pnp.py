@@ -472,6 +472,7 @@ class TestRefineFailureIsAResult:
         T0 = PoseSE3.identity()
         assert_refine_failed(refine_pose(Correspondences.from_arrays(P, uv), K, T0), T0)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("what,value", [("x_img", np.nan), ("x_img", np.inf),
                                             ("p_world", np.inf)])
     def test_non_finite_input(self, world, what, value):
