@@ -8,9 +8,8 @@ adjacent poses jointly under a cross-modal consistency energy.
 
 __version__ = "0.1.0"
 
-from .geometry import (BehindCameraError, CameraIntrinsics, PerturbBounds,
-                       PoseSE3, perturb_pose, pose_error, project_point,
-                       se3_exp, se3_log)
+from .geometry import (CameraIntrinsics, PerturbBounds, PoseSE3, perturb_pose,
+                       pose_error, se3_exp, se3_log)
 from .mapping import CropExtents, GlobalMap, crop_local, downsample
 from .rendering import DepthMap, FlowField, gt_depth_flow, remove_occlusions, render_depth
 from .flow import (EmptyMaskError, FlowNoiseModel, FlowTriplet, apply_noise,
@@ -18,8 +17,7 @@ from .flow import (EmptyMaskError, FlowNoiseModel, FlowTriplet, apply_noise,
                    sample_flow, warp)
 from .pnp import (Correspondences, PnPResult, RansacConfig,
                   correspondences_from_flow, refine_pose, solve_pnp_ransac)
-from .joint import (ConsistencyTerm, EnergyConfig, JointResult,
-                    optimize_next_only, optimize_pair)
+from .joint import EnergyConfig, JointResult, optimize_next_only, optimize_pair
 from .synth import (SceneConfig, TrajectoryConfig, VoOracleConfig,
                     generate_scene, generate_trajectory, integrate_relatives,
                     vo_oracle)

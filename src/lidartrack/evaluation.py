@@ -2,8 +2,8 @@
 
 All functions take trajectories of world->camera extrinsics; translation
 errors are measured between camera centers.  A frame counts as a failure
-when its translation error is strictly greater than the threshold
-(default 4 m).
+when its translation error is strictly greater than
+``FAILURE_THRESHOLD_M`` (4 m).
 """
 from __future__ import annotations
 
@@ -43,7 +43,6 @@ class MetricsReport:
     mean_transl_m: float = 0.0
     median_transl_m: float = 0.0
     failure_rate: float = 0.0
-    complete: bool = True
 
 
 def _as_poses(traj):
@@ -109,12 +108,12 @@ def rpe(est, gt, delta: int = 1):
             (float(r_errs.mean()), float(r_errs.std())))
 
 
-def pose_error_stats(est, gt, fail_threshold: float = FAILURE_THRESHOLD_M):
+def pose_error_stats(est, gt):
     """Per-frame pose errors reduced to mean/median and a failure rate.
 
     Returns (mean_rot, median_rot, mean_transl, median_transl,
     failure_rate); failures are frames with translation error strictly
-    greater than the threshold.
+    greater than ``FAILURE_THRESHOLD_M``.
     """
     est_p, gt_p = _as_poses(est), _as_poses(gt)
     if len(est_p) != len(gt_p):
@@ -123,15 +122,13 @@ def pose_error_stats(est, gt, fail_threshold: float = FAILURE_THRESHOLD_M):
         return 0.0, 0.0, 0.0, 0.0, 0.0
     errs = np.array([pose_error(a, b) for a, b in zip(est_p, gt_p)])
     rot, transl = errs[:, 0], errs[:, 1]
-    failure_rate = float(np.mean(transl > fail_threshold))
+    failure_rate = float(np.mean(transl > FAILURE_THRESHOLD_M))
     return (float(rot.mean()), float(np.median(rot)),
             float(transl.mean()), float(np.median(transl)), failure_rate)
 
 
-def build_report(est, gt, rpe_delta: int = 1, align: bool = False,
-                 fail_threshold: float = FAILURE_THRESHOLD_M,
-                 complete: bool = True) -> MetricsReport:
-    mean_rot, med_rot, mean_t, med_t, fail = pose_error_stats(est, gt, fail_threshold)
+def build_report(est, gt, rpe_delta: int = 1, align: bool = False) -> MetricsReport:
+    mean_rot, med_rot, mean_t, med_t, fail = pose_error_stats(est, gt)
     (t_mean, t_std), (r_mean, r_std) = rpe(est, gt, rpe_delta)
     return MetricsReport(
         ate_rmse=ate(est, gt, align=align),
@@ -139,19 +136,18 @@ def build_report(est, gt, rpe_delta: int = 1, align: bool = False,
         rpe_rot_mean=r_mean, rpe_rot_std=r_std,
         mean_rot_deg=mean_rot, median_rot_deg=med_rot,
         mean_transl_m=mean_t, median_transl_m=med_t,
-        failure_rate=fail, complete=complete)
+        failure_rate=fail)
 
 
 REPORT_COLUMNS = [f.name for f in fields(MetricsReport)]
 
 
 def emit_report(report: MetricsReport, path):
-    """Write the report as a one-row CSV; returns a readable text block."""
+    """Write the report as a one-row CSV."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         writer.writerow([getattr(report, c) for c in REPORT_COLUMNS])
-    return format_report(report)
 
 
 def format_report(report: MetricsReport) -> str:
@@ -163,7 +159,6 @@ def format_report(report: MetricsReport) -> str:
         f"  mean/median transl: {report.mean_transl_m * 100:10.3f} / {report.median_transl_m * 100:.3f} cm",
         f"  mean/median rot   : {report.mean_rot_deg:10.4f} / {report.median_rot_deg:.4f} deg",
         f"  failure rate      : {report.failure_rate * 100:10.2f} %",
-        f"  complete          : {report.complete}",
     ]
     return "\n".join(lines)
 

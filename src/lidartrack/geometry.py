@@ -28,10 +28,6 @@ SMALL_ANGLE = 1e-8
 MIN_DEPTH = 1e-9
 
 
-class BehindCameraError(ValueError):
-    """Projection was requested for a point with non-positive depth."""
-
-
 # ---------------------------------------------------------------------------
 # quaternion helpers (w, x, y, z)
 # ---------------------------------------------------------------------------
@@ -205,12 +201,6 @@ class CameraIntrinsics:
                 raise ValueError(f"{name} must be inside the image")
 
     @property
-    def matrix(self):
-        return np.array([[self.fx, 0.0, self.cx],
-                         [0.0, self.fy, self.cy],
-                         [0.0, 0.0, 1.0]])
-
-    @property
     def mean_focal(self):
         return 0.5 * (self.fx + self.fy)
 
@@ -301,24 +291,13 @@ class PoseSE3:
 # operations
 # ---------------------------------------------------------------------------
 
-def project_point(K: CameraIntrinsics, p_cam) -> np.ndarray:
-    """Pinhole projection of a camera-frame point; raises behind the camera.
-
-    u = fx * X / Z + cx,  v = fy * Y / Z + cy.  No bounds clamping: callers
-    mask out-of-image projections themselves.
-    """
-    uv, in_front = project_points(K, p_cam)
-    if not in_front[0]:
-        raise BehindCameraError(f"point has non-positive depth Z={p_cam[2]:g}")
-    return uv[0]
-
-
 def project_points(K: CameraIntrinsics, pts_cam):
     """Vectorized pinhole projection of points (..., 3); a 1-D input is
     read as rows of 3.
 
-    Returns (uv, in_front): uv is (..., 2) with rows undefined where
-    in_front is False.
+    u = fx * X / Z + cx,  v = fy * Y / Z + cy.  Returns (uv, in_front): uv
+    is (..., 2) with rows undefined where in_front is False.  No bounds
+    clamping: callers mask out-of-image projections themselves.
     """
     pts_cam = np.asarray(pts_cam, dtype=float)
     if pts_cam.ndim == 1:

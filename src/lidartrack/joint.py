@@ -9,8 +9,10 @@ Minimizes, over the stacked 12-dim local parameterization of
 with Huber weighting, where E_consist couples the two poses through the
 predicted image-to-image flow: per point,
 proj(T_next, P) - proj(T_cur, P) - f_c2n(P).  The f_c2n sample of each
-point is looked up once at its T_cur0 projection and frozen during the
-optimization, keeping the residuals smooth and the Jacobian analytic.
+point is looked up once at its T_cur0 projection (``consistency_samples``)
+and frozen during the optimization, keeping the residuals smooth and the
+Jacobian analytic.  All three terms are ``pnp._Term`` blocks built by
+``pnp._term``, and ``pnp._huber_lm`` minimizes their energy.
 """
 from __future__ import annotations
 
@@ -18,12 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (CameraIntrinsics, PoseSE3, check_fields, project_points,
-                       reprojection_jacobian)
-# perfbench/tracing.py counts calls of joint.se3_exp, so the name stays importable here
-from .geometry import se3_exp  # noqa: F401
+from .geometry import CameraIntrinsics, PoseSE3, check_fields, project_points
+# perfbench/tracing.py counts calls of joint.se3_exp and
+# joint.reprojection_jacobian, so both names stay importable here
+from .geometry import reprojection_jacobian, se3_exp  # noqa: F401
 from .flow import sample_flow
-from .pnp import LM_MIN_DEPTH, _huber_lm, _reproj_term
+from .pnp import _huber_lm, _term
 from .rendering import FlowField
 
 
@@ -55,51 +57,14 @@ class JointResult:
     energy_trace: list = field(default_factory=list)
 
 
-class ConsistencyTerm:
-    """Co-visible points with frozen per-point optical-flow samples."""
-
-    def __init__(self, pts, samples):
-        self.pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-        self.samples = np.asarray(samples, dtype=float).reshape(-1, 2)
-        if len(self.pts) != len(self.samples):
-            raise ValueError("points and samples length mismatch")
-
-    @classmethod
-    def from_field(cls, pts, K: CameraIntrinsics, f_c2n: FlowField,
-                   T_cur: PoseSE3) -> "ConsistencyTerm":
-        """Sample the flow field at each point's T_cur projection."""
-        pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-        uv, front = project_points(K, T_cur.apply(pts))
-        values, ok = sample_flow(f_c2n, uv)
-        keep = front & ok
-        return cls(pts[keep], values[keep])
-
-    def __len__(self):
-        return len(self.pts)
-
-    def restrict_visible(self, K, T_cur, T_next) -> "ConsistencyTerm":
-        """Drop points behind (or grazing) the camera under either pose."""
-        z_cur = T_cur.apply(self.pts)[:, 2]
-        z_next = T_next.apply(self.pts)[:, 2]
-        keep = (z_cur > LM_MIN_DEPTH) & (z_next > LM_MIN_DEPTH)
-        return ConsistencyTerm(self.pts[keep], self.samples[keep])
-
-    def residual(self, K, T_cur, T_next):
-        """(M, 2) residuals; None if any point grazes a camera plane."""
-        cam_c = T_cur.apply(self.pts)
-        cam_n = T_next.apply(self.pts)
-        if np.any(cam_c[:, 2] <= LM_MIN_DEPTH) or np.any(cam_n[:, 2] <= LM_MIN_DEPTH):
-            return None
-        return project_points(K, cam_n)[0] - project_points(K, cam_c)[0] - self.samples
-
-    def residual_jacobians(self, K, T_cur, T_next):
-        """Residuals plus Jacobian blocks w.r.t. both local updates."""
-        uv_c, z_c, J_c = reprojection_jacobian(K, T_cur, self.pts)
-        uv_n, z_n, J_n = reprojection_jacobian(K, T_next, self.pts)
-        if np.any(z_c <= LM_MIN_DEPTH) or np.any(z_n <= LM_MIN_DEPTH):
-            return None
-        r = uv_n - uv_c - self.samples
-        return r, -J_c, J_n
+def consistency_samples(pts, K: CameraIntrinsics, f_c2n: FlowField, T_cur: PoseSE3):
+    """(pts, samples): the points whose T_cur projection samples ``f_c2n``,
+    with their (M, 2) flow samples."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    uv, front = project_points(K, T_cur.apply(pts))
+    values, ok = sample_flow(f_c2n, uv)
+    keep = front & ok
+    return pts[keep], values[keep]
 
 
 def optimize_pair(T_cur0: PoseSE3, T_next0: PoseSE3,
@@ -117,16 +82,16 @@ def optimize_pair(T_cur0: PoseSE3, T_next0: PoseSE3,
     """
     terms, n_consist = [], 0
     if cfg.w_reproj > 0:
-        for corrs, which, T0 in ((corrs_cur, "cur", T_cur0),
-                                 (corrs_next, "next", T_next0)):
-            term = None if corrs is None else _reproj_term(corrs, which, T0)
+        for corrs, which in ((corrs_cur, "cur"), (corrs_next, "next")):
+            term = None if corrs is None else _term(corrs.p_world, corrs.x_img, (which,),
+                                                    T_cur0, T_next0, 4)
             if term is not None:
                 terms.append((cfg.w_reproj, term))
     if cfg.w_consist > 0 and consist_pts is not None and len(consist_pts) > 0:
-        term = (ConsistencyTerm.from_field(consist_pts, K, f_c2n, T_cur0)
-                if isinstance(f_c2n, FlowField) else ConsistencyTerm(consist_pts, f_c2n))
-        term = term.restrict_visible(K, T_cur0, T_next0)
-        if len(term) >= 3:
+        pts, samples = (consistency_samples(consist_pts, K, f_c2n, T_cur0)
+                        if isinstance(f_c2n, FlowField) else (consist_pts, f_c2n))
+        term = _term(pts, samples, ("cur", "next"), T_cur0, T_next0, 3)
+        if term is not None:
             terms.append((cfg.w_consist, term))
             n_consist = len(term)
 

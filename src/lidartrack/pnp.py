@@ -1,8 +1,11 @@
 """2D-3D correspondences from depth + flow, RANSAC PnP, and the LM core.
 
 ``_huber_lm`` is the one Levenberg-Marquardt loop, split as in Ceres
-(Agarwal et al.): terms give residuals and Jacobians, one solver iterates.
-``refine_pose`` runs it on one reprojection term and one free pose,
+(Agarwal et al.): one residual block type gives residuals and Jacobians,
+one solver iterates.  The block is ``_Term``, a projection minus a target
+under one pose or the difference of two poses' projections, and ``_term``
+builds every one with the one initial-pose depth filter.
+``refine_pose`` runs the loop on one reprojection term and one free pose,
 ``joint.optimize_pair`` on reprojection and consistency terms; both run
 it with the one set of ``LM_*`` settings below.
 
@@ -156,37 +159,66 @@ def _huber_cost(norms, delta):
     return c
 
 
-class _ReprojTerm:
-    """One frame's reprojection residuals under the pose ``which`` ("cur" or
-    "next"); a pose putting a point within ``LM_MIN_DEPTH`` of its camera
-    plane is infeasible."""
+def _poses(which, T_cur, T_next):
+    """The poses named in ``which``, in its order."""
+    return [T_cur if name == "cur" else T_next for name in which]
 
-    def __init__(self, corrs, which):
-        self.corrs = corrs
+
+class _Term:
+    """One LM residual block over ``pts`` (N, 3) and ``target`` (N, 2).
+
+    ``which`` names the poses it uses: ``("cur",)`` or ``("next",)`` gives
+    the projection under that pose minus ``target`` (a reprojection term),
+    ``("cur", "next")`` the next pose's projection minus the current pose's
+    minus ``target`` (the consistency term).  A pose putting a point within
+    ``LM_MIN_DEPTH`` of its camera plane is infeasible.
+    """
+
+    def __init__(self, pts, target, which):
+        self.pts = pts
+        self.target = target
         self.which = which
+
+    def __len__(self):
+        return len(self.pts)
 
     def residual(self, K, T_cur, T_next):
         """(N, 2) residuals, or None at an infeasible pose."""
-        cam = (T_cur if self.which == "cur" else T_next).apply(self.corrs.p_world)
-        if np.any(cam[:, 2] <= LM_MIN_DEPTH):
+        cams = [T.apply(self.pts) for T in _poses(self.which, T_cur, T_next)]
+        if any(np.any(cam[:, 2] <= LM_MIN_DEPTH) for cam in cams):
             return None
-        return project_points(K, cam)[0] - self.corrs.x_img
+        uv = [project_points(K, cam)[0] for cam in cams]
+        return (uv[1] - uv[0] if len(uv) == 2 else uv[0]) - self.target
 
     def residual_jacobians(self, K, T_cur, T_next):
-        """Residuals plus the (N, 2, 6) Jacobian of the term's own pose."""
-        T = T_cur if self.which == "cur" else T_next
-        uv, z, J = reprojection_jacobian(K, T, self.corrs.p_world)
-        if np.any(z <= LM_MIN_DEPTH):
+        """Residuals plus the (N, 2, 6) Jacobian blocks of the current and
+        the next pose (None for a pose the term does not use)."""
+        got = [reprojection_jacobian(K, T, self.pts)
+               for T in _poses(self.which, T_cur, T_next)]
+        if any(np.any(z <= LM_MIN_DEPTH) for _, z, _ in got):
             return None
-        r = uv - self.corrs.x_img
-        return (r, J, None) if self.which == "cur" else (r, None, J)
+        if len(got) == 2:
+            (uv_c, _, J_c), (uv_n, _, J_n) = got
+            return uv_n - uv_c - self.target, -J_c, J_n
+        uv, _, J = got[0]
+        r = uv - self.target
+        return (r, J, None) if self.which == ("cur",) else (r, None, J)
 
 
-def _reproj_term(corrs, which, T0):
-    """The ``_ReprojTerm`` of the points beyond ``LM_MIN_DEPTH`` at T0, or
-    None when fewer than four are."""
-    kept = corrs.subset(T0.apply(corrs.p_world)[:, 2] > LM_MIN_DEPTH)
-    return _ReprojTerm(kept, which) if len(kept) >= 4 else None
+def _term(pts, target, which, T_cur0, T_next0, min_points):
+    """The ``_Term`` of the points beyond ``LM_MIN_DEPTH`` under each of
+    its poses at (T_cur0, T_next0), or None when fewer than ``min_points``
+    are."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    target = np.asarray(target, dtype=float).reshape(-1, 2)
+    if len(pts) != len(target):
+        raise ValueError("points and targets length mismatch")
+    keep = np.ones(len(pts), dtype=bool)
+    for T in _poses(which, T_cur0, T_next0):
+        keep &= T.apply(pts)[:, 2] > LM_MIN_DEPTH
+    if np.count_nonzero(keep) < min_points:
+        return None
+    return _Term(pts[keep], target[keep], which)
 
 
 def _huber_energy(terms, K, T_cur, T_next, delta):
@@ -311,7 +343,7 @@ def refine_pose(corrs: Correspondences, K: CameraIntrinsics, T0: PoseSE3) -> Ref
     cost=inf, iterations=0, converged=False)``, the failure shape of
     ``joint.JointResult``.
     """
-    term = _reproj_term(corrs, "cur", T0)
+    term = _term(corrs.p_world, corrs.x_img, ("cur",), T0, None, 4)
     # Huber delta 2 px, 30 iterations, relative tolerance 1e-12, damping 1e-4
     out = (_huber_lm([(1.0, term)], K, T0, None, ("cur",), 2.0, 30, 1e-12, 1e-4)
            if term is not None else None)

@@ -17,9 +17,9 @@ from lidartrack.flow import (FlowNoiseModel, apply_noise, consistency_residual,
 from lidartrack.geometry import (DEFAULT_PERTURB, CameraIntrinsics,
                                  PerturbBounds, PoseSE3, perturb_pose,
                                  pose_error, project_points, se3_exp)
-from lidartrack.joint import ConsistencyTerm, EnergyConfig, optimize_pair
+from lidartrack.joint import EnergyConfig, optimize_pair
 from lidartrack.mapping import CropExtents, GlobalMap, crop_local, downsample
-from lidartrack.pnp import Correspondences, RansacConfig, solve_pnp_ransac
+from lidartrack.pnp import Correspondences, RansacConfig, _term, solve_pnp_ransac
 from lidartrack.rendering import remove_occlusions, render_depth
 from lidartrack.synth import (SceneConfig, TrajectoryConfig, VoOracleConfig,
                               generate_scene, generate_trajectory,
@@ -157,7 +157,7 @@ def test_criterion_3_jacobian_fidelity(pair_fixture, capsys):
             Tn = T_next.compose(se3_exp(rng.uniform(-0.1, 0.1, 6)))
             ok = (Tc.apply(pts)[:, 2] > 1.0) & (Tn.apply(pts)[:, 2] > 1.0)
             sub = np.nonzero(ok)[0][:25]
-            term = ConsistencyTerm(pts[sub], samples[sub])
+            term = _term(pts[sub], samples[sub], ("cur", "next"), Tc, Tn, 3)
             r, Jc, Jn = term.residual_jacobians(K_PAPER, Tc, Tn)
             for J, side in ((Jc, "cur"), (Jn, "next")):
                 J_fd = np.zeros_like(J)
@@ -349,14 +349,14 @@ def test_criterion_8_metrics_correctness(tmp_path, capsys):
 
             # brute-force failure rate
             fail_ref = np.mean([x > 4.0 for x in d])
-            assert abs(pose_error_stats(est, gt, 4.0)[4] - fail_ref) < 1e-9
+            assert abs(pose_error_stats(est, gt)[4] - fail_ref) < 1e-9
 
         # threshold boundary: exactly 4.0 m is not a failure
         base = se3_exp([0.1, 0.2, 0.3, 1, 2, 3])
         at_threshold = PoseSE3(base.q, -(base.rotation_matrix()
                                          @ (base.center() + [4.0, 0, 0])))
         frac = pose_error_stats(Trajectory(poses=[at_threshold]),
-                                Trajectory(poses=[base]), 4.0)[4]
+                                Trajectory(poses=[base]))[4]
         assert frac == 0.0
 
         # KITTI round trip

@@ -141,7 +141,39 @@ def scenario_dir(tmp_path_factory):
     return cfg, out
 
 
+# a 10 m scene and 30 frames 1 m apart: the camera drives off the map
+OFF_MAP = {"camera": {"fx": 50.0, "fy": 50.0, "cx": 120.0, "cy": 40.0,
+                      "width": 240, "height": 80},
+           "scene": {"extent": 10.0}, "trajectory": {"frame_count": 30}}
+
+
+@pytest.fixture(scope="module")
+def off_map_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("off_map")
+    cfg = write_config(base / "cfg.json", **copy.deepcopy(OFF_MAP))
+    out = base / "scen"
+    assert main(["synth", "--config", str(cfg), "--out", str(out), "--quiet"]) == EXIT_OK
+    return out
+
+
 class TestTrack:
+    @pytest.mark.parametrize("mode", ["multi_view", "frame_by_frame", "loose_coupled"])
+    def test_trajectory_that_leaves_the_map_interrupts(self, off_map_dir, tmp_path, mode):
+        cfg = write_config(tmp_path / "cfg.json", **copy.deepcopy(OFF_MAP),
+                           tracker={"mode": mode, "occlusion_window": 5})
+        out = tmp_path / "run"
+        code = main(["track", "--config", str(cfg), "--scenario", str(off_map_dir),
+                     "--out", str(out), "--quiet"])
+        assert code == EXIT_INTERRUPTED
+        rows = (out / "diagnostics.csv").read_text().splitlines()
+        reason = rows[0].split(",").index("fail_reason")
+        reasons = [r.split(",")[reason] for r in rows[1:]]
+        assert reasons[-1] in ("no_render", "pnp_failed", "next_unobservable",
+                               "consistency_degenerate")
+        assert not any(reasons[:-1])
+        poses = (out / "est_traj.txt").read_text().strip().splitlines()
+        assert 0 < len(poses) < OFF_MAP["trajectory"]["frame_count"]
+
     def test_noiseless_multi_view_completes(self, scenario_dir, tmp_path):
         cfg, scen = scenario_dir
         out = tmp_path / "run"

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from lidartrack.evaluation import (MetricsReport, Trajectory, ate, build_report,
-                                   emit_report, format_report, load_trajectory,
-                                   pose_error_stats, rpe, save_trajectory,
-                                   write_per_frame_csv)
+from lidartrack.evaluation import (REPORT_COLUMNS, MetricsReport, Trajectory, ate,
+                                   build_report, emit_report, format_report,
+                                   load_trajectory, pose_error_stats, rpe,
+                                   save_trajectory, write_per_frame_csv)
 from lidartrack.geometry import PoseSE3, pose_error, se3_exp
 
 
@@ -132,7 +132,7 @@ class TestPoseErrorStats:
         est = Trajectory(poses=[
             PoseSE3(p.q, -(p.rotation_matrix() @ (p.center() + [o, 0, 0])))
             for p, o in zip(t.poses, offsets)])
-        _, _, mean_t, med_t, fail = pose_error_stats(est, t, fail_threshold=4.0)
+        _, _, mean_t, med_t, fail = pose_error_stats(est, t)
         assert fail == 0.5
         assert abs(mean_t - np.mean(offsets)) < 1e-9
         assert abs(med_t - np.median(offsets)) < 1e-9
@@ -142,13 +142,13 @@ class TestPoseErrorStats:
         p = t.poses[0]
         est = Trajectory(poses=[
             PoseSE3(p.q, -(p.rotation_matrix() @ (p.center() + [4.0, 0, 0])))])
-        assert pose_error_stats(est, t, fail_threshold=4.0)[4] == 0.0
+        assert pose_error_stats(est, t)[4] == 0.0
         just_under = Trajectory(poses=[
             PoseSE3(p.q, -(p.rotation_matrix() @ (p.center() + [3.9, 0, 0])))])
-        assert pose_error_stats(just_under, t, fail_threshold=4.0)[4] == 0.0
+        assert pose_error_stats(just_under, t)[4] == 0.0
         over = Trajectory(poses=[
             PoseSE3(p.q, -(p.rotation_matrix() @ (p.center() + [4.0001, 0, 0])))])
-        assert pose_error_stats(over, t, fail_threshold=4.0)[4] == 1.0
+        assert pose_error_stats(over, t)[4] == 1.0
 
     def test_stats_match_sorted_brute_force(self):
         t = random_trajectory(31, 12)
@@ -226,33 +226,37 @@ class TestReport:
         gt = random_trajectory(20, 16)
         report = build_report(est, gt)
         path = tmp_path / "metrics.csv"
-        text = emit_report(report, path)
+        assert emit_report(report, path) is None
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
-        assert "ate_rmse" in lines[0]
-        assert "trajectory metrics" in text
+        assert lines[0].split(",") == REPORT_COLUMNS
+        assert float(lines[1].split(",")[0]) == report.ate_rmse
 
     def test_build_report_combines_the_metrics(self):
-        est = random_trajectory(12, 17)
+        # est's centers sit 1 to 7 m from gt's: half of the frames lie
+        # beyond the 4 m failure threshold
         gt = random_trajectory(12, 18)
-        report = build_report(est, gt, rpe_delta=2, align=True,
-                              fail_threshold=0.5, complete=False)
+        offsets = np.linspace(1.0, 7.0, 12)
+        est = Trajectory(poses=[
+            PoseSE3(r.q, -(r.rotation_matrix() @ (g.center() + [o, 0, 0])))
+            for r, g, o in zip(random_trajectory(12, 17).poses, gt.poses, offsets)])
+        report = build_report(est, gt, rpe_delta=2, align=True)
         (t_mean, t_std), (r_mean, r_std) = rpe(est, gt, delta=2)
-        stats = pose_error_stats(est, gt, fail_threshold=0.5)
+        stats = pose_error_stats(est, gt)
         assert report.ate_rmse == ate(est, gt, align=True)
         assert (report.rpe_transl_mean, report.rpe_transl_std,
                 report.rpe_rot_mean, report.rpe_rot_std) == (t_mean, t_std, r_mean, r_std)
         assert (report.mean_rot_deg, report.median_rot_deg, report.mean_transl_m,
                 report.median_transl_m, report.failure_rate) == stats
-        assert report.complete is False
+        assert report.failure_rate == 0.5
 
     def test_format_report_units(self):
         # translations print in cm, rotations in degrees, the rate in percent
         text = format_report(MetricsReport(ate_rmse=0.0123, rpe_rot_mean=1.5,
-                                           failure_rate=0.25, complete=False))
+                                           failure_rate=0.25))
         lines = text.splitlines()
+        assert len(lines) == 7
         assert lines[0] == "trajectory metrics"
         assert lines[1].split(":")[1].split() == ["1.230", "cm"]
         assert lines[3].split(":")[1].split()[0] == "1.5000"
         assert lines[6].split(":")[1].split() == ["25.00", "%"]
-        assert lines[7].endswith("False")

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidartrack.flow import FlowNoiseModel
-from lidartrack.geometry import (DEFAULT_PERTURB, BehindCameraError,
-                                 CameraIntrinsics, PerturbBounds, PoseSE3,
-                                 perturb_pose, pose_error, project_point,
-                                 SMALL_ANGLE, project_points,
+from lidartrack.geometry import (DEFAULT_PERTURB, CameraIntrinsics,
+                                 PerturbBounds, PoseSE3, perturb_pose,
+                                 pose_error, SMALL_ANGLE, project_points,
                                  reprojection_jacobian, se3_exp, se3_log)
 from lidartrack.joint import EnergyConfig
 from lidartrack.mapping import CropExtents
@@ -27,42 +26,49 @@ def rotz(deg):
                      [0.0, 0.0, 1.0]])
 
 
+def project_one(K, p_cam):
+    """(uv (2,), in_front) of one camera-frame point through project_points."""
+    uv, in_front = project_points(K, p_cam)
+    assert uv.shape == (1, 2) and in_front.shape == (1,)
+    return uv[0], bool(in_front[0])
+
+
 class TestProjection:
     def test_optical_axis_to_principal_point(self, K):
-        assert np.allclose(project_point(K, [0, 0, 10]), [480.0, 160.0])
+        uv, in_front = project_one(K, [0, 0, 10])
+        assert in_front and np.allclose(uv, [480.0, 160.0])
 
     def test_off_axis(self, K):
         # u = 100*1/10 + 480, v = 100*2/10 + 160
-        assert np.allclose(project_point(K, [1, 2, 10]), [490.0, 180.0])
+        uv, in_front = project_one(K, [1, 2, 10])
+        assert in_front and np.allclose(uv, [490.0, 180.0])
 
-    def test_behind_camera_raises(self, K):
-        with pytest.raises(BehindCameraError):
-            project_point(K, [0, 0, -1.0])
-        with pytest.raises(BehindCameraError):
-            project_point(K, [0, 0, 0.0])
+    def test_behind_camera_is_not_in_front(self, K):
+        assert not project_one(K, [0, 0, -1.0])[1]
+        assert not project_one(K, [0, 0, 0.0])[1]
 
     def test_no_bounds_clamping(self, K):
-        uv = project_point(K, [100.0, 0, 1.0])
-        assert uv[0] > K.width  # falls outside, not clamped
+        uv, in_front = project_one(K, [100.0, 0, 1.0])
+        assert in_front and uv[0] > K.width  # falls outside, not clamped
 
     # h, the full camera projection world -> pixel, is PoseSE3.apply
-    # followed by project_point
+    # followed by project_points
     def test_h_project_identity_equals_project(self, K):
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = rng.uniform(-5, 5, 3) + [0, 0, 10]
-            assert np.array_equal(project_point(K, PoseSE3.identity().apply(p)),
-                                  project_point(K, p))
+            a, b = project_one(K, PoseSE3.identity().apply(p)), project_one(K, p)
+            assert np.array_equal(a[0], b[0]) and a[1] and b[1]
 
     def test_h_project_translation(self, K):
         T = PoseSE3.identity()
         T = PoseSE3(T.q, [0, 0, -5.0])
-        assert np.allclose(project_point(K, T.apply([0, 0, 10])), [480.0, 160.0])
+        uv, in_front = project_one(K, T.apply([0, 0, 10]))
+        assert in_front and np.allclose(uv, [480.0, 160.0])
 
     def test_h_project_behind(self, K):
         T = PoseSE3(PoseSE3.identity().q, [0, 0, -20.0])
-        with pytest.raises(BehindCameraError):
-            project_point(K, T.apply([0, 0, 10.0]))
+        assert not project_one(K, T.apply([0, 0, 10.0]))[1]
 
     def test_intrinsics_validation(self):
         with pytest.raises(ValueError):

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from lidartrack.geometry import (MIN_DEPTH, PerturbBounds, PoseSE3,
                                  perturb_pose, pose_error, project_points,
                                  reprojection_jacobian, se3_exp)
-from lidartrack.joint import (ConsistencyTerm, EnergyConfig, JointResult,
+from lidartrack.flow import sample_flow
+from lidartrack.joint import (EnergyConfig, JointResult, consistency_samples,
                               optimize_next_only, optimize_pair)
 from lidartrack.mapping import CropExtents, crop_local
-from lidartrack.pnp import Correspondences, _huber_cost, _huber_weights, _ReprojTerm
+from lidartrack.pnp import Correspondences, _huber_cost, _huber_weights, _Term, _term
 from lidartrack.rendering import FlowField
 
 from test_pnp import K_LM, make_exact_corrs, make_lm_corrs
@@ -17,6 +18,14 @@ from test_pnp import K_LM, make_exact_corrs, make_lm_corrs
 # the depth floor optimize_pair shares with refine_pose, written out rather
 # than imported, so that the reference loop below fails on a change to it
 ZMIN = 1e-3
+
+# the poses a consistency term uses
+CONSIST = ("cur", "next")
+
+
+def reproj(corrs, which):
+    """The unfiltered reprojection term of ``corrs`` under the pose ``which``."""
+    return _Term(corrs.p_world, corrs.x_img, (which,))
 
 
 class _ReprojReference:
@@ -47,8 +56,8 @@ class _ReprojReference:
 
 
 class _ConsistReference:
-    def __init__(self, term):
-        self.pts, self.samples = term.pts, term.samples
+    def __init__(self, pts, samples):
+        self.pts, self.samples = pts, samples
 
     def residual_only(self, K, T_cur, T_next):
         cam_c = T_cur.apply(self.pts)
@@ -67,6 +76,24 @@ class _ConsistReference:
         if np.any(z_c <= ZMIN) or np.any(z_n <= ZMIN):
             return None
         return uv_n - uv_c - self.samples, -J_c, J_n
+
+
+def _from_field_reference(pts, K, f_c2n, T_cur):
+    """The points whose T_cur projection samples the flow field, and their
+    samples."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    uv, front = project_points(K, T_cur.apply(pts))
+    values, ok = sample_flow(f_c2n, uv)
+    keep = front & ok
+    return pts[keep], values[keep]
+
+
+def _restrict_visible_reference(pts, samples, T_cur, T_next):
+    """Drop the points within ``ZMIN`` of either camera plane."""
+    z_cur = T_cur.apply(pts)[:, 2]
+    z_next = T_next.apply(pts)[:, 2]
+    keep = (z_cur > ZMIN) & (z_next > ZMIN)
+    return pts[keep], samples[keep]
 
 
 def _assemble_reference(terms, K, T_cur, T_next, delta):
@@ -109,13 +136,14 @@ def _optimize_pair_reference(T_cur0, T_next0, corrs_cur, corrs_next, consist_pts
                 terms.append((cfg.w_reproj, _ReprojReference(kept, which)))
     if cfg.w_consist > 0 and consist_pts is not None and len(consist_pts) > 0:
         if isinstance(f_c2n, FlowField):
-            term = ConsistencyTerm.from_field(consist_pts, K, f_c2n, T_cur0)
+            pts, samples = _from_field_reference(consist_pts, K, f_c2n, T_cur0)
         else:
-            term = ConsistencyTerm(consist_pts, f_c2n)
-        term = term.restrict_visible(K, T_cur0, T_next0)
-        if len(term) >= 3:
-            terms.append((cfg.w_consist, _ConsistReference(term)))
-            n_consist = len(term)
+            pts = np.asarray(consist_pts, dtype=float).reshape(-1, 3)
+            samples = np.asarray(f_c2n, dtype=float).reshape(-1, 2)
+        pts, samples = _restrict_visible_reference(pts, samples, T_cur0, T_next0)
+        if len(pts) >= 3:
+            terms.append((cfg.w_consist, _ConsistReference(pts, samples)))
+            n_consist = len(pts)
 
     n_free = 6 * len(free)
     failure = JointResult(T_cur_star=T_cur0, T_next_star=T_next0,
@@ -229,13 +257,13 @@ def pair_world(K, corridor):
 class TestConsistencyResidual:
     def test_zero_at_ground_truth_with_exact_samples(self, pair_world):
         K, T_cur, T_next, _, pts, samples = pair_world
-        r = ConsistencyTerm(pts, samples).residual(K, T_cur, T_next)
+        r = _Term(pts, samples, CONSIST).residual(K, T_cur, T_next)
         assert r.shape == (len(pts), 2)
         assert np.abs(r).max() < 1e-9
 
     def test_equal_poses_zero_flow(self, pair_world):
         K, T_cur, _, _, pts, _ = pair_world
-        r = ConsistencyTerm(pts, np.zeros((len(pts), 2))).residual(K, T_cur, T_cur)
+        r = _Term(pts, np.zeros((len(pts), 2)), CONSIST).residual(K, T_cur, T_cur)
         assert np.all(r == 0.0)
 
     def test_first_order_shift_in_next_pose(self, pair_world):
@@ -245,7 +273,7 @@ class TestConsistencyResidual:
         delta = 0.01
         bump = PoseSE3(PoseSE3.identity().q, np.array([-delta, 0.0, 0.0]))
         T_shifted = bump.compose(T_next)
-        term = ConsistencyTerm(pts, samples)
+        term = _Term(pts, samples, CONSIST)
         r0 = term.residual(K, T_cur, T_next)
         r1 = term.residual(K, T_cur, T_shifted)
         z = T_next.apply(pts)[:, 2]
@@ -253,17 +281,18 @@ class TestConsistencyResidual:
         assert np.allclose(r1[:, 0] - r0[:, 0], expected, atol=1e-4)
 
     def test_point_within_the_floor_is_dropped_or_infeasible(self, pair_world):
-        # restrict_visible drops a point within ZMIN of either camera
-        # plane; a pose that brings a kept point there is infeasible
+        # _term drops a point within ZMIN of either camera plane; a pose
+        # that brings a kept point there is infeasible
         K, T_cur, T_next, _, pts, samples = pair_world
         near = T_next.inverse().apply(np.array([[0.0, 0.0, 0.5 * ZMIN]]))
-        term = ConsistencyTerm(np.vstack([pts, near]), np.vstack([samples, [[0.0, 0.0]]]))
+        P, S = np.vstack([pts, near]), np.vstack([samples, [[0.0, 0.0]]])
+        term = _Term(P, S, CONSIST)
         assert term.residual(K, T_cur, T_next) is None
         assert term.residual_jacobians(K, T_cur, T_next) is None
-        kept = term.restrict_visible(K, T_cur, T_next)
+        kept = _term(P, S, CONSIST, T_cur, T_next, 3)
         assert len(kept) == len(pts)
         assert np.array_equal(kept.residual(K, T_cur, T_next),
-                              ConsistencyTerm(pts, samples).residual(K, T_cur, T_next))
+                              _Term(pts, samples, CONSIST).residual(K, T_cur, T_next))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_sample_is_a_failed_result(self, pair_world):
@@ -279,7 +308,7 @@ class TestConsistencyResidual:
         # with no flow sample the term is empty, and optimize_pair drops it
         K, T_cur, T_next, _, pts, _ = pair_world
         f = FlowField.invalid(K.height, K.width)
-        assert len(ConsistencyTerm.from_field(pts, K, f, T_cur)) == 0
+        assert len(consistency_samples(pts, K, f, T_cur)[0]) == 0
         out = optimize_pair(T_cur, T_next, None, None, pts, f, K, EnergyConfig())
         assert (out.iterations, out.converged, out.consist_pts) == (0, False, 0)
         assert out.final_energy == np.inf
@@ -297,11 +326,11 @@ class TestConsistencyResidual:
         # tracker's PnP inliers are
         d_cur = remove_occlusions(render_depth(crop, K, T_cur))
         pts = crop[d_cur.source][::7]
-        term = ConsistencyTerm.from_field(pts, K, t.f_c2n, T_cur)
+        kept, values = consistency_samples(pts, K, t.f_c2n, T_cur)
         # many candidates land on sparse raster regions without a full
         # 2x2 valid block; enough survive on the dense surfaces
-        assert len(term) > 50
-        r = term.restrict_visible(K, T_cur, T_next).residual(K, T_cur, T_next)
+        assert len(kept) > 50
+        r = _term(kept, values, CONSIST, T_cur, T_next, 3).residual(K, T_cur, T_next)
         assert np.abs(r).max() < 0.5
 
 
@@ -310,7 +339,7 @@ class TestReprojResidual:
     def test_zero_at_fit(self, pair_world):
         K, T_cur, _, crop, _, _ = pair_world
         corrs = make_exact_corrs(K, T_cur, crop, 200, seed=0)
-        r = _ReprojTerm(corrs, "cur").residual(K, T_cur, None)
+        r = reproj(corrs, "cur").residual(K, T_cur, None)
         assert r.shape == (len(corrs), 2)
         assert np.abs(r).max() < 1e-6
 
@@ -318,13 +347,13 @@ class TestReprojResidual:
         K, T_cur, _, crop, _, _ = pair_world
         corrs = make_exact_corrs(K, T_cur, crop, 100, seed=1)
         shifted = Correspondences.from_arrays(corrs.p_world, corrs.x_img + [1.0, 0.0])
-        r = _ReprojTerm(shifted, "cur").residual(K, T_cur, None)
+        r = reproj(shifted, "cur").residual(K, T_cur, None)
         assert np.allclose(np.linalg.norm(r, axis=1), 1.0)
 
     def test_reads_its_own_pose(self, pair_world):
         K, T_cur, T_next, crop, _, _ = pair_world
         corrs = make_exact_corrs(K, T_next, crop, 100, seed=2)
-        term = _ReprojTerm(corrs, "next")
+        term = reproj(corrs, "next")
         assert np.abs(term.residual(K, T_cur, T_next)).max() < 1e-6
         r, Jc, Jn = term.residual_jacobians(K, T_cur, T_next)
         assert Jc is None and Jn.shape == (len(corrs), 2, 6)
@@ -333,7 +362,7 @@ class TestReprojResidual:
     def test_point_within_the_floor_is_infeasible(self, K):
         P = np.array([[0.0, 0, 10.0], [1, 0, 12.0], [0, 1, 0.5 * ZMIN], [1, 1, 9.0]])
         uv = np.zeros((4, 2)) + [480.0, 160.0]
-        term = _ReprojTerm(Correspondences.from_arrays(P, uv), "cur")
+        term = reproj(Correspondences.from_arrays(P, uv), "cur")
         assert term.residual(K, PoseSE3.identity(), None) is None
         assert term.residual_jacobians(K, PoseSE3.identity(), None) is None
 
@@ -341,7 +370,7 @@ class TestReprojResidual:
 class TestJacobians:
     def test_consistency_jacobian_matches_fd(self, pair_world):
         K, T_cur, T_next, _, pts, samples = pair_world
-        term = ConsistencyTerm(pts[:40], samples[:40])
+        term = _Term(pts[:40], samples[:40], CONSIST)
         rng = np.random.default_rng(5)
         h = 1e-6
         for _ in range(10):
@@ -411,7 +440,7 @@ class TestOptimizePair:
         out = optimize_pair(Tc0, Tn0, cc, cn, pts, samples, K, EnergyConfig())
         assert out.converged
         # gradient of the energy at the reported optimum, by central FD
-        terms = (_ReprojTerm(cc, "cur"), _ReprojTerm(cn, "next"), ConsistencyTerm(pts, samples))
+        terms = (reproj(cc, "cur"), reproj(cn, "next"), _Term(pts, samples, CONSIST))
 
         def energy(Tc, Tn):
             norms = [np.linalg.norm(term.residual(K, Tc, Tn), axis=1) for term in terms]
@@ -504,13 +533,92 @@ class TestOptimizePair:
         assert cfg.lambda0 == 0.0 and cfg.rel_tol == 0.0
 
 
+def _same(a, b):
+    """Both None, or equal bit for bit."""
+    return (a is None and b is None) or (
+        a is not None and b is not None and np.array_equal(a, b))
+
+
+class TestTermMatchesReferences:
+    """``_term`` and its ``_Term`` against the reference terms and depth
+    filters above, bit for bit, for each set of poses."""
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           which=st.sampled_from([("cur",), ("next",), CONSIST]),
+           n=st.integers(0, 40), pert=st.sampled_from([0.0, 0.01, 0.2]),
+           near=st.sampled_from(["cur", "next"]),
+           near_z=st.sampled_from([0.5 * ZMIN, 0.0, -1.0]))
+    def test_matches_references(self, seed, which, n, pert, near, near_z):
+        rng = np.random.default_rng(seed)
+        Tc = se3_exp(rng.uniform(-0.1, 0.1, 6))
+        Tn = se3_exp(np.r_[rng.uniform(-0.02, 0.02, 3), 0.0, 0.0, -0.5]).compose(Tc)
+        P = Tc.inverse().apply(np.column_stack(
+            [rng.uniform(-8, 8, n), rng.uniform(-3, 3, n), rng.uniform(3, 30, n)]))
+        target = rng.normal(0.0, 5.0, (n, 2))
+
+        def reference(pts, tgt):
+            if len(which) == 2:
+                return _ConsistReference(pts, tgt)
+            return _ReprojReference(Correspondences.from_arrays(pts, tgt), which[0])
+
+        # every point is well in front of both poses: none is dropped
+        term = _term(P, target, which, Tc, Tn, 0)
+        assert np.array_equal(term.pts, P) and np.array_equal(term.target, target)
+        Tc1 = Tc.compose(se3_exp(rng.uniform(-pert, pert, 6)))
+        Tn1 = Tn.compose(se3_exp(rng.uniform(-pert, pert, 6)))
+        ref = reference(P, target)
+        assert _same(term.residual(K_LM, Tc1, Tn1), ref.residual_only(K_LM, Tc1, Tn1))
+        got = term.residual_jacobians(K_LM, Tc1, Tn1)
+        want = ref.residual_jacobians(K_LM, Tc1, Tn1)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert all(_same(a, b) for a, b in zip(got, want))
+
+        # one more point within the floor under the pose ``near``
+        T_near = Tc1 if near == "cur" else Tn1
+        P2 = np.vstack([P, T_near.inverse().apply([[0.3, -0.2, near_z]])])
+        target2 = np.vstack([target, [[1.0, 2.0]]])
+        term2, ref2 = _Term(P2, target2, which), reference(P2, target2)
+        r, r_ref = term2.residual(K_LM, Tc1, Tn1), ref2.residual_only(K_LM, Tc1, Tn1)
+        got = term2.residual_jacobians(K_LM, Tc1, Tn1)
+        want = ref2.residual_jacobians(K_LM, Tc1, Tn1)
+        assert _same(r, r_ref) and (got is None) == (want is None)
+        if near in which:
+            assert r is None and got is None
+        # the constructor keeps the points the reference filters keep
+        if len(which) == 2:
+            kept, _ = _restrict_visible_reference(P2, target2, Tc1, Tn1)
+        else:
+            kept = P2[(Tc1 if which == ("cur",) else Tn1).apply(P2)[:, 2] > ZMIN]
+        built = _term(P2, target2, which, Tc1, Tn1, n + 1)
+        assert (built is None) == (len(kept) < n + 1)
+        if built is not None:
+            assert np.array_equal(built.pts, kept) and built.which == which
+
+
+def _lm_field():
+    """A smooth flow field over ``K_LM``'s image with every fifth pixel
+    invalid, so that some samples lack a corner."""
+    flat = np.arange(K_LM.height * K_LM.width)
+    flat = flat[flat % 5 != 0]
+    rows, cols = np.divmod(flat, K_LM.width)
+    return FlowField((K_LM.height, K_LM.width), flat,
+                     -2.0 + 0.02 * cols, 1.0 - 0.03 * rows)
+
+
 class TestMatchesReferenceLoop:
     """``optimize_pair`` on the shared LM core against its own loop above."""
+
+    field = _lm_field()
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(
                ["pair", "one_sided", "next_only", "gauge", "pair_reversed_free"]),
            n=st.integers(0, 80), n_consist=st.integers(0, 80),
+           use_field=st.booleans(),
            sigma=st.sampled_from([0.0, 0.3, 3.0]), pert=st.sampled_from([0.0, 0.01, 0.2]),
            near=st.integers(0, 5), near_exp=st.integers(-16, -1),
            near_z=st.sampled_from([MIN_DEPTH, ZMIN]),
@@ -519,9 +627,9 @@ class TestMatchesReferenceLoop:
            lambda0=st.sampled_from([0.0, 1e-4, 1.0]),
            rel_tol=st.sampled_from([0.0, 1e-12, 1e-6]),
            huber_delta=st.sampled_from([0.5, 2.0, 20.0]))
-    def test_matches_reference_loop(self, seed, case, n, n_consist, sigma, pert, near,
-                                    near_exp, near_z, w, max_iters, lambda0, rel_tol,
-                                    huber_delta):
+    def test_matches_reference_loop(self, seed, case, n, n_consist, use_field, sigma,
+                                    pert, near, near_exp, near_z, w, max_iters,
+                                    lambda0, rel_tol, huber_delta):
         rng = np.random.default_rng(seed)
         Tc = se3_exp(rng.uniform(-0.1, 0.1, 6))
         Tn = se3_exp(np.r_[rng.uniform(-0.02, 0.02, 3), 0.0, 0.0, -0.5]).compose(Tc)
@@ -537,6 +645,8 @@ class TestMatchesReferenceLoop:
         samples = (project_points(K_LM, Tn.apply(pts))[0]
                    - project_points(K_LM, Tc.apply(pts))[0]
                    + rng.normal(0, sigma, (len(pts), 2)))
+        if use_field:
+            samples = self.field  # sampled at the T_cur0 projections
         cfg = EnergyConfig(w_consist=w[0], w_reproj=w[1], huber_delta=huber_delta,
                            max_iters=max_iters, rel_tol=rel_tol, lambda0=lambda0)
         call = (Tc0, Tn0, cc, cn, pts, samples, K_LM, cfg)

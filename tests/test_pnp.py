@@ -410,7 +410,7 @@ class TestRefinePose:
         noisy = Correspondences.from_arrays(
             corrs.p_world, corrs.x_img + rng.normal(0, 1.0, corrs.x_img.shape))
         T0 = perturb_pose(T_gt, PerturbBounds(0.5, 3.0), 4)
-        a = np.linalg.norm(pnp._ReprojTerm(noisy, "cur").residual(K, T0, None), axis=1)
+        a = np.linalg.norm(pnp._Term(noisy.p_world, noisy.x_img, ("cur",)).residual(K, T0, None), axis=1)
         c0 = np.where(a <= 2.0, a ** 2, 4.0 * a - 4.0).sum()
         res = refine_pose(noisy, K, T0)
         assert res.cost < c0

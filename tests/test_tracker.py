@@ -12,9 +12,9 @@ import lidartrack.tracker as T
 from lidartrack.evaluation import Trajectory
 from lidartrack.flow import FlowNoiseModel
 from lidartrack.geometry import PerturbBounds, PoseSE3, perturb_pose, pose_error
-from lidartrack.joint import ConsistencyTerm, EnergyConfig, JointResult
+from lidartrack.joint import EnergyConfig, JointResult, consistency_samples
 from lidartrack.mapping import CropExtents, GlobalMap, downsample
-from lidartrack.pnp import RansacConfig, RefineResult
+from lidartrack.pnp import RansacConfig, RefineResult, _term
 from lidartrack.rendering import FlowField
 from lidartrack.synth import (SceneConfig, TrajectoryConfig, VoOracleConfig,
                               generate_scene, generate_trajectory, vo_oracle)
@@ -143,9 +143,9 @@ class TestMultiView:
                                       energy=EnergyConfig(w_consist=w_consist)))
         _, _, diag = tracker.step_multi_view(tracker.init(gt[0]), gmap, gt[0], gt[1])
         T_cur0, T_next0, _, _, pts, f_c2n, K, _ = calls[0]
-        term = ConsistencyTerm.from_field(pts, K, f_c2n, T_cur0)
-        term = term.restrict_visible(K, T_cur0, T_next0)
-        assert len(term) >= 3
+        pts, samples = consistency_samples(pts, K, f_c2n, T_cur0)
+        term = _term(pts, samples, ("cur", "next"), T_cur0, T_next0, 3)
+        assert term is not None
         assert diag["consist_pts"] == (len(term) if w_consist else 0)
 
 
