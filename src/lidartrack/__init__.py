@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .geometry import (CameraIntrinsics, PerturbBounds, PoseSE3, perturb_pose,
                        pose_error, se3_exp, se3_log)
 from .mapping import CropExtents, GlobalMap, crop_local, downsample
-from .rendering import DepthMap, FlowField, gt_depth_flow, remove_occlusions, render_depth
+from .rendering import DepthMap, FlowField, remove_occlusions, render_depth
 from .flow import (EmptyMaskError, FlowNoiseModel, FlowTriplet, apply_noise,
                    consistency_residual, epe, oracle_depth_flow, oracle_flows,
                    sample_flow, warp)

@@ -27,9 +27,6 @@ class Trajectory:
     def __len__(self):
         return len(self.poses)
 
-    def centers(self) -> np.ndarray:
-        return np.array([p.center() for p in self.poses]).reshape(-1, 3)
-
 
 @dataclass
 class MetricsReport:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, PoseSE3, check_fields, pixel_index, project_points
 from .rendering import (DEFAULT_OCCLUSION_APERTURE_DEG, DEFAULT_OCCLUSION_WINDOW,
-                        DepthMap, FlowField, _depth_flow_lists, lookup, render_depth)
+                        DepthMap, FlowField, lookup, render_depth)
 # perfbench/tracing.py wraps flow.remove_occlusions, so the name stays importable here
 from .rendering import remove_occlusions  # noqa: F401
 
@@ -193,17 +193,26 @@ def oracle_depth_flow(points, K: CameraIntrinsics, T_init: PoseSE3, T_gt: PoseSE
                       depth=None, depth_gt=None) -> FlowField:
     """A single noisy image-to-depth flow channel of the oracle.
 
-    Pixels whose source point is occluded under the target pose are
-    masked: the true displacement of an invisible point is not something
-    a flow network could observe, and keeping it would poison the
-    cross-modal identity.
+    Renders the cloud at ``T_init`` (with occlusion removal unless the
+    aperture is <= 0, as in ``render_depth``) unless ``depth`` carries
+    that map, then stores at each valid pixel the displacement between
+    the source point's projections under ``T_gt`` and ``T_init``.  Pixels
+    whose point is behind the camera under either pose are dropped, and
+    so are those whose point is occluded under ``T_gt`` (in ``depth_gt``,
+    rendered when not given): the true displacement of an invisible
+    point is not something a flow network could observe, and keeping it
+    would poison the cross-modal identity.
     """
     if depth is None:
         depth = render_depth(points, K, T_init, occlusion_aperture_deg, occlusion_window)
     elif depth.shape != (K.height, K.width):
         raise ValueError("depth map and camera dimensions differ")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    keep, du, dv = _depth_flow_lists(pts, K, T_init, T_gt, depth.source)
+    P = pts[depth.source]
+    uv_init, front_init = project_points(K, T_init.apply(P))
+    uv_gt, front_gt = project_points(K, T_gt.apply(P))
+    keep = front_init & front_gt
+    du, dv = uv_gt[keep, 0] - uv_init[keep, 0], uv_gt[keep, 1] - uv_init[keep, 1]
     flat, ids = depth.flat[keep], depth.source[keep]
     if len(flat) and not occlusion_aperture_deg <= 0:  # a NaN aperture masks every pixel
         if depth_gt is None:

@@ -1,4 +1,4 @@
-"""Synthetic depth maps from point clouds and ground-truth depth flows.
+"""Synthetic depth maps from point clouds, and the depth and flow rasters.
 
 Points rasterize to their round-to-nearest pixel with a minimum-depth
 z-buffer; ties within 1e-9 m break toward the smaller point id so the
@@ -17,7 +17,8 @@ the same way (KITTI flow, Menze & Geiger 2015).  Every random-access read
 of a raster is one binary search over ``flat``: ``lookup``.
 ``render_depth`` takes the occlusion filter's ``occlusion_aperture_deg``/
 ``occlusion_window`` keywords and applies ``remove_occlusions`` to its
-winners.
+winners.  The ground-truth depth flow over a rendered map is built by
+``flow.oracle_depth_flow``.
 """
 from __future__ import annotations
 
@@ -94,15 +95,15 @@ def _visible(flat, z, height: int, width: int, focal: float,
     zpad = np.full((height + 2 * half) * wp, np.nan, dtype=z.dtype)
     at = (rows + half) * wp + (cols + half)
     zpad[at] = z
-    kill = np.zeros(len(z), dtype=bool)
+    hidden = np.zeros(len(z), dtype=bool)
     for di in range(-half, half + 1):
         for dj in range(-half, half + 1):
             if di == 0 and dj == 0:
                 continue
             c = math.hypot(di, dj) * scale
             zn = zpad[at - (di * wp + dj)]
-            kill |= z - zn > c * zn
-    return ~kill
+            hidden |= z - zn > c * zn
+    return ~hidden
 
 
 def render_depth(points, K: CameraIntrinsics, T: PoseSE3,
@@ -162,40 +163,3 @@ def remove_occlusions(d: DepthMap,
         return d
     keep = _visible(d.flat, d.depth, *d.shape, d.focal, cone_aperture_deg, window)
     return DepthMap(d.shape, d.flat[keep], d.depth[keep], d.source[keep], d.focal)
-
-
-def _depth_flow_lists(pts, K: CameraIntrinsics, T_init: PoseSE3, T_gt: PoseSE3, ids):
-    """Depth flow over the pixels whose source points are ``pts[ids]``.
-
-    Returns (keep, du, dv): ``keep`` drops the pixels whose point is
-    behind the camera under either pose; du, dv hold the kept pixels'
-    displacements between the point's projections under T_gt and T_init.
-    """
-    P = pts[ids]
-    uv_init, front_init = project_points(K, T_init.apply(P))
-    uv_gt, front_gt = project_points(K, T_gt.apply(P))
-    keep = front_init & front_gt
-    return keep, uv_gt[keep, 0] - uv_init[keep, 0], uv_gt[keep, 1] - uv_init[keep, 1]
-
-
-def gt_depth_flow(points, K: CameraIntrinsics, T_init: PoseSE3, T_gt: PoseSE3,
-                  occlusion_aperture_deg: float = DEFAULT_OCCLUSION_APERTURE_DEG,
-                  occlusion_window: int = DEFAULT_OCCLUSION_WINDOW,
-                  depth: DepthMap | None = None) -> FlowField:
-    """Ground-truth image-to-LiDAR depth flow between two poses.
-
-    Renders the cloud at ``T_init`` (with occlusion removal unless the
-    aperture is <= 0, as in ``render_depth``), then stores
-    at each valid pixel the displacement between the source point's
-    projections under ``T_gt`` and ``T_init``.  Pixels whose point falls
-    behind the camera under ``T_gt`` are invalidated.  ``depth`` may carry
-    a pre-rendered (already occlusion-filtered) T_init depth map to avoid
-    re-rendering.
-    """
-    if depth is None:
-        depth = render_depth(points, K, T_init, occlusion_aperture_deg, occlusion_window)
-    elif depth.shape != (K.height, K.width):
-        raise ValueError("depth map and camera dimensions differ")
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    keep, du, dv = _depth_flow_lists(pts, K, T_init, T_gt, depth.source)
-    return FlowField(depth.shape, depth.flat[keep], du, dv)

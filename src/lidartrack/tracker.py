@@ -10,13 +10,18 @@ Three modes:
   under the consistency + reprojection energy; the pair advances one
   frame per step and the next-frame estimate seeds the following step.
 
-Each step is one shared front-end and a back-end per mode.  The
-front-end (``Tracker._front_end``) crops the map at the carried initial
-pose, renders the depth map, runs the flow oracle, and turns each
-frame's image-to-depth flow into correspondences and a PnP+RANSAC pose.
-The back-ends only decide: ``multi_view`` runs the joint LM and its
-rescue routes, ``frame_by_frame`` accepts the PnP pose or fails, and
-``loose_coupled`` chooses between the PnP and VO candidates.
+Every step method takes ``(state, scenario)`` and solves the frame at
+``state.frame_index`` (with the next one, for a pair); ``Tracker.run``
+picks the mode's step once and calls it once per planned step.  Each
+step is one shared front-end and a back-end per mode.  The front-end
+(``Tracker._front_end``) crops the map at the carried initial pose,
+renders the depth map, runs the flow oracle, blanks the image-to-depth
+flow of the scenario's outage frames, and turns each frame's
+image-to-depth flow into correspondences and a PnP+RANSAC pose.  The
+back-ends only decide: ``multi_view`` runs the joint LM and its rescue
+routes, ``frame_by_frame`` accepts the PnP pose or fails, and
+``loose_coupled`` chooses between the PnP and the VO candidate built
+from the scenario's VO relative pose.
 
 Ground-truth poses enter the steps only through the flow oracle, which
 stands in for network inference.  Both frames of a pair share one crop
@@ -76,16 +81,16 @@ class TrackerConfig:
 class Scenario:
     """Everything a tracking run consumes.
 
-    ``outage_frames`` kill the image-to-depth flow channels of those
-    frames while the image-to-image flow survives (a depth-projection
-    outage); ``flow_kill_frames`` kill every channel touching the frame.
+    ``vo_relatives[i - 1]`` is the VO relative pose from frame i - 1 to
+    frame i.  ``outage_frames`` blank the image-to-depth flow channels of
+    those frames while the image-to-image flow survives (a
+    depth-projection outage).
     """
 
     lidar_map: GlobalMap
     gt_poses: list
     vo_relatives: list | None = None
     outage_frames: frozenset = frozenset()
-    flow_kill_frames: frozenset = frozenset()
 
 
 @dataclass
@@ -133,9 +138,6 @@ class Tracker:
     def __init__(self, config: TrackerConfig):
         self.config = config
 
-    def init(self, T0: PoseSE3) -> TrackerState:
-        return TrackerState(T_init_next=T0)
-
     # -- shared per-step plumbing -------------------------------------------
 
     def _frame_noise(self, frame: int) -> FlowNoiseModel:
@@ -147,19 +149,20 @@ class Tracker:
                       seed=_derived_seed(self.config.ransac.seed, frame, side))
         return solve_pnp_ransac(corrs, self.config.camera, T_init, cfg)
 
-    def _front_end(self, diag, lidar_map, state, gt_poses, outages, kills):
+    def _front_end(self, diag, state, scenario, frames: int):
         """Crop, render, flow oracle, correspondences and PnP of one step.
 
-        ``gt_poses`` holds the ground truth of each frame the step solves:
-        one pose, or the current and next pose of a pair; ``outages`` and
-        ``kills`` hold each frame's flags.  Writes the stage timings and the
+        The step solves ``frames`` frames from ``state.frame_index`` on:
+        one, or the current and next frame of a pair.  Their ground truth
+        goes to the oracle only; an outage frame's image-to-depth flow is
+        replaced by an invalid field.  Writes the stage timings and the
         ``inliers_*``/``ransac_hyp_*`` columns into ``diag``.  Returns None
         when the crop renders no pixel.
         """
         cfg, K = self.config, self.config.camera
         frame, T_init = state.frame_index, state.T_init_next
         with _stage(diag, "crop"):
-            crop = crop_local(lidar_map, T_init, cfg.crop)
+            crop = crop_local(scenario.lidar_map, T_init, cfg.crop)
         with _stage(diag, "render"):
             depth = (render_depth(crop, K, T_init, cfg.occlusion_aperture_deg,
                                   cfg.occlusion_window) if len(crop) else None)
@@ -168,20 +171,20 @@ class Tracker:
 
         with _stage(diag, "flow"):
             noise = self._frame_noise(frame)
-            dead = FlowField.invalid(K.height, K.width)
-            if len(gt_poses) == 2:
+            gt_poses = scenario.gt_poses[frame:frame + frames]
+            if frames == 2:
                 flows = oracle_flows(crop, K, T_init, *gt_poses, noise,
                                      cfg.occlusion_aperture_deg, cfg.occlusion_window,
                                      depth_init=depth)
-                to_depth = [flows.f_c2d, flows.f_n2d]
-                image_flow = dead if any(kills) else flows.f_c2n
+                to_depth, image_flow = [flows.f_c2d, flows.f_n2d], flows.f_c2n
             else:
                 # default occlusion settings: cfg's would move single-frame trajectories
                 to_depth = [oracle_depth_flow(crop, K, T_init, gt_poses[0], noise,
                                               stream=0, depth=depth)]
                 image_flow = None
-            to_depth = [dead if outage or kill else f
-                        for f, outage, kill in zip(to_depth, outages, kills)]
+            to_depth = [FlowField.invalid(K.height, K.width)
+                        if frame + k in scenario.outage_frames else f
+                        for k, f in enumerate(to_depth)]
 
         with _stage(diag, "pnp"):
             corrs = [correspondences_from_flow(depth, f, crop) for f in to_depth]
@@ -206,10 +209,7 @@ class Tracker:
 
     # -- steps ----------------------------------------------------------------
 
-    def step_multi_view(self, state: TrackerState, lidar_map: GlobalMap,
-                        T_gt_cur: PoseSE3, T_gt_next: PoseSE3,
-                        outage_cur=False, outage_next=False,
-                        kill_cur=False, kill_next=False):
+    def step_multi_view(self, state: TrackerState, scenario: Scenario):
         """One overlapping-pair step; returns (state', (T_cur*, T_next*), diag).
 
         When PnP fails on one frame, the joint optimizer runs with the
@@ -222,8 +222,7 @@ class Tracker:
         cfg = self.config
         T_init = state.T_init_next
         diag = {"frame": state.frame_index, "mode": "multi_view"}
-        fe = self._front_end(diag, lidar_map, state, (T_gt_cur, T_gt_next),
-                             (outage_cur, outage_next), (kill_cur, kill_next))
+        fe = self._front_end(diag, state, scenario, 2)
         if fe is None:
             return self._fail(state, diag, "no_render")
         (corrs_cur, corrs_next), (pnp_cur, pnp_next) = fe.corrs, fe.pnps
@@ -271,11 +270,10 @@ class Tracker:
         self._advance(state, T_cur_star, T_next_star)
         return state, (T_cur_star, T_next_star), diag
 
-    def step_frame_by_frame(self, state: TrackerState, lidar_map: GlobalMap,
-                            T_gt_cur: PoseSE3, outage=False, kill=False):
+    def step_frame_by_frame(self, state: TrackerState, scenario: Scenario):
         """Independent single-frame flow + PnP; no inter-frame constraint."""
         diag = {"frame": state.frame_index, "mode": "frame_by_frame"}
-        fe = self._front_end(diag, lidar_map, state, (T_gt_cur,), (outage,), (kill,))
+        fe = self._front_end(diag, state, scenario, 1)
         if fe is None:
             return self._fail(state, diag, "no_render")
         pnp = fe.pnps[0]
@@ -284,18 +282,18 @@ class Tracker:
         self._advance(state, pnp.pose, pnp.pose)
         return state, pnp.pose, diag
 
-    def step_loose_coupled(self, state: TrackerState, lidar_map: GlobalMap,
-                           T_gt_cur: PoseSE3, vo_relative: PoseSE3 | None,
-                           outage=False, kill=False):
+    def step_loose_coupled(self, state: TrackerState, scenario: Scenario):
         """Candidate selection between flow-PnP and VO propagation.
 
         Candidate A is the frame-by-frame flow-PnP pose, accepted when its
         inlier reprojection RMSE beats the threshold; otherwise candidate
-        B, the previous estimate composed with the VO relative pose, wins.
-        A crop that renders no pixel fails the run, as in the other modes.
+        B, the previous estimate composed with the VO relative pose into
+        this frame (none at frame 0), wins.  A crop that renders no pixel
+        fails the run, as in the other modes.
         """
-        diag = {"frame": state.frame_index, "mode": "loose_coupled"}
-        fe = self._front_end(diag, lidar_map, state, (T_gt_cur,), (outage,), (kill,))
+        i = state.frame_index
+        diag = {"frame": i, "mode": "loose_coupled"}
+        fe = self._front_end(diag, state, scenario, 1)
         if fe is None:
             return self._fail(state, diag, "no_render")
         pnp = fe.pnps[0]
@@ -304,7 +302,7 @@ class Tracker:
             pose, diag["candidate"] = pnp.pose, "pnp"
         else:
             prev = state.history[-1] if state.history else state.T_init_next
-            pose = vo_relative.compose(prev) if vo_relative is not None else prev
+            pose = scenario.vo_relatives[i - 1].compose(prev) if i else prev
             diag["candidate"] = "vo"
         self._advance(state, pose, pose)
         return state, pose, diag
@@ -318,27 +316,20 @@ class Tracker:
         diagnostic rows carry pose errors against the scenario ground
         truth, inlier counts, energies, and stage timings.
         """
-        gt = list(scenario.gt_poses)
+        gt = scenario.gt_poses
         n = len(gt)
-        state = self.init(T0 if T0 is not None else (gt[0] if n else PoseSE3.identity()))
-        mode, lidar_map = self.config.mode, scenario.lidar_map
-        outs, kills, vo = scenario.outage_frames, scenario.flow_kill_frames, scenario.vo_relatives
-        if mode == "loose_coupled" and n and vo is None:
-            raise ValueError("loose_coupled mode needs scenario.vo_relatives")
+        state = TrackerState(T0 if T0 is not None else (gt[0] if n else PoseSE3.identity()))
+        mode, vo = self.config.mode, scenario.vo_relatives
+        if mode == "loose_coupled" and n and (vo is None or len(vo) < n - 1):
+            raise ValueError("loose_coupled mode needs scenario.vo_relatives, "
+                             "one per frame after the first")
         pair = mode == "multi_view" and n >= 2
+        # frame_by_frame also serves multi_view over a single frame
+        step = (self.step_multi_view if pair else self.step_loose_coupled
+                if mode == "loose_coupled" else self.step_frame_by_frame)
         diagnostics = []
-        for i in range(n - 1 if pair else n):
-            if pair:
-                state, _, diag = self.step_multi_view(
-                    state, lidar_map, gt[i], gt[i + 1], i in outs, i + 1 in outs,
-                    i in kills, i + 1 in kills)
-            elif mode == "loose_coupled":
-                state, _, diag = self.step_loose_coupled(
-                    state, lidar_map, gt[i], vo[i - 1] if i >= 1 else None,
-                    i in outs, i in kills)
-            else:  # frame_by_frame, or multi_view over a single frame
-                state, _, diag = self.step_frame_by_frame(
-                    state, lidar_map, gt[i], i in outs, i in kills)
+        for _ in range(n - 1 if pair else n):
+            state, _, diag = step(state, scenario)
             self._note_errors(diag, state, gt)
             diagnostics.append(diag)
             if state.failed:
@@ -364,7 +355,7 @@ class Tracker:
 
 
 def scenario_from_cloud(cloud, gt, map_resolution: float = 0.1, vo_cfg=None,
-                        outage_frames=(), flow_kill_frames=()) -> Scenario:
+                        outage_frames=()) -> Scenario:
     """Downsample a cloud into the map and wrap it with ``gt`` as a scenario.
 
     With ``vo_cfg`` the scenario carries one VO relative pose per
@@ -374,8 +365,7 @@ def scenario_from_cloud(cloud, gt, map_resolution: float = 0.1, vo_cfg=None,
     lidar_map = mapping.downsample(GlobalMap.build(cloud), map_resolution)
     return Scenario(lidar_map=lidar_map, gt_poses=gt,
                     vo_relatives=vo_oracle(gt, vo_cfg) if vo_cfg is not None else None,
-                    outage_frames=frozenset(outage_frames),
-                    flow_kill_frames=frozenset(flow_kill_frames))
+                    outage_frames=frozenset(outage_frames))
 
 
 DIAGNOSTIC_COLUMNS = ["frame", "mode", "rot_err_deg", "transl_err_cm",

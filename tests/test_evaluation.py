@@ -54,7 +54,7 @@ class TestAte:
         # by the alignment, not by the unaligned RMSE
         t = random_trajectory(30, 5, scale=3.0)
         G = se3_exp([0.3, -0.5, 0.8, 2.0, -1.0, 0.5])
-        centers = G.apply(t.centers())
+        centers = G.apply(np.array([p.center() for p in t.poses]))
         moved = Trajectory(poses=[
             PoseSE3(p.q, -(p.rotation_matrix() @ c)) for p, c in zip(t.poses, centers)])
         assert ate(moved, t, align=False) > 0.5

@@ -12,8 +12,7 @@ from lidartrack.geometry import (CameraIntrinsics, PerturbBounds, PoseSE3,
                                  perturb_pose, project_points)
 from lidartrack.mapping import CropExtents, crop_local
 from lidartrack.pnp import correspondences_from_flow
-from lidartrack.rendering import (FlowField, gt_depth_flow, remove_occlusions,
-                                  render_depth)
+from lidartrack.rendering import FlowField, remove_occlusions, render_depth
 
 from conftest import DenseDepth, DenseFlow, dense, sparse
 
@@ -21,17 +20,11 @@ from conftest import DenseDepth, DenseFlow, dense, sparse
 # -- the dense oracle chain, kept as the reference the index-list oracle
 #    must match bit for bit ---------------------------------------------------
 
-def _gt_depth_flow_reference(points, K, T_init, T_gt, occlusion_aperture_deg=10.0,
-                             occlusion_window=7, apply_occlusion=True, depth=None):
-    """Dense ``gt_depth_flow``: one ``np.nonzero`` pass over the rendered
-    map and a scatter into a fresh full-image field."""
-    if depth is not None:
-        d = depth
-    else:
-        d = render_depth(points, K, T_init)
-        if apply_occlusion:
-            d = remove_occlusions(d, occlusion_aperture_deg, occlusion_window)
-    d = dense(d)
+def _depth_flow_reference(points, K, T_init, T_gt, depth):
+    """Dense clean depth flow over the map ``depth`` rendered at T_init: one
+    ``np.nonzero`` pass over the map and a scatter into a fresh full-image
+    field."""
+    d = dense(depth)
     field = DenseFlow.invalid(K.height, K.width)
     if not d.valid.any():
         return field
@@ -113,7 +106,7 @@ def _oracle_depth_flow_reference(points, K, T_init, T_gt, noise, stream=0,
     if depth is None:
         depth = remove_occlusions(render_depth(points, K, T_init),
                                   occlusion_aperture_deg, occlusion_window)
-    clean = _gt_depth_flow_reference(points, K, T_init, T_gt, depth=depth)
+    clean = _depth_flow_reference(points, K, T_init, T_gt, depth)
     if depth_gt is None:
         depth_gt = remove_occlusions(render_depth(points, K, T_gt),
                                      occlusion_aperture_deg, occlusion_window)
@@ -570,6 +563,60 @@ class TestOracle:
         assert abs(out.mean() - 0.25) < 0.02
         assert np.allclose(mags[out], 40.0)
 
+    # -- the clean depth flow, through a noiseless oracle -----------------------
+
+    def test_equal_poses_zero_flow(self, K, corridor):
+        gmap, traj = corridor
+        T = traj[0]
+        f = dense(oracle_depth_flow(gmap.points, K, T, T, FlowNoiseModel()))
+        assert f.valid.any()
+        assert np.abs(f.du[f.valid]).max() < 1e-9
+        assert np.abs(f.dv[f.valid]).max() < 1e-9
+
+    def test_lateral_translation_first_order(self, K):
+        # camera shifted by +delta along its x axis: du = -fx*delta/Z,
+        # checked against direct two-projection subtraction
+        Z, delta = 12.0, 0.05
+        pts = np.array([[x, y, Z] for x in np.linspace(-1, 1, 9)
+                        for y in np.linspace(-0.5, 0.5, 5)])
+        T_init = PoseSE3.identity()
+        T_gt = PoseSE3(T_init.q, np.array([-delta, 0.0, 0.0]))
+        f = dense(oracle_depth_flow(pts, K, T_init, T_gt, FlowNoiseModel()))
+        assert f.valid.any()
+        expected = -K.fx * delta / Z
+        got = f.du[f.valid]
+        assert np.allclose(got, expected, atol=1e-9)
+        # independent subtraction for one point
+        uv_a, _ = project_points(K, T_init.apply(pts[:1]))
+        uv_b, _ = project_points(K, T_gt.apply(pts[:1]))
+        assert abs((uv_b - uv_a)[0, 0] - expected) < 1e-12
+
+    def test_point_behind_under_gt_invalidated(self, K):
+        pts = np.array([[0.0, 0.0, 5.0]])
+        T_init = PoseSE3.identity()
+        T_gt = PoseSE3(T_init.q, np.array([0.0, 0.0, -10.0]))  # pushes it behind
+        f = oracle_depth_flow(pts, K, T_init, T_gt, FlowNoiseModel())
+        assert len(f.flat) == 0
+
+    def test_flow_warps_to_gt_projection(self, K, corridor):
+        # moving each anchored pixel by its flow lands within 0.5 px
+        # (per axis) of the same point's projection under the GT pose
+        gmap, traj = corridor
+        T_gt = traj[0]
+        T_init = perturb_pose(T_gt, PerturbBounds(1.0, 5.0), seed=3)
+        crop = gmap.points
+        d = remove_occlusions(render_depth(crop, K, T_init))
+        f = dense(oracle_depth_flow(crop, K, T_init, T_gt, FlowNoiseModel(), depth=d))
+        d = dense(d)
+        rows, cols = np.nonzero(f.valid)
+        ids = d.source[rows, cols]
+        uv_gt, front = project_points(K, T_gt.apply(crop[ids]))
+        landed_u = cols + f.du[rows, cols]
+        landed_v = rows + f.dv[rows, cols]
+        assert len(rows) and np.all(front)
+        assert np.abs(landed_u - uv_gt[:, 0]).max() <= 0.5 + 1e-9
+        assert np.abs(landed_v - uv_gt[:, 1]).max() <= 0.5 + 1e-9
+
 
 class TestIndexListOracle:
     """The index-list oracle against the dense chain it replaced."""
@@ -578,52 +625,31 @@ class TestIndexListOracle:
     @given(seed=st.integers(0, 2**31 - 1), h=st.integers(4, 40), w=st.integers(4, 60),
            n=st.sampled_from([0, 1, 5, 60, 400]),
            behind_frac=st.sampled_from([0.0, 0.2, 1.0]),
-           push_back=st.sampled_from([0.0, 5.0, 15.0]),
+           push_back=st.sampled_from([-15.0, 0.0, 5.0, 15.0]),
            aperture=st.sampled_from([0.0, -5.0, 0.5, 2.0, 10.0, 45.0]),
            window=st.sampled_from([1, 3, 7, 9, 121]),
            sigma=st.sampled_from([0.0, 0.7]),
            outlier=st.sampled_from([0.0, 0.3, 1.0]),
            dropout=st.sampled_from([0.0, 0.4, 1.0]),
-           stream=st.integers(0, 2), given_maps=st.booleans())
+           stream=st.integers(0, 2), given_map=st.sampled_from([None, "init", "gt"]))
     def test_oracle_depth_flow_matches_dense_chain(self, seed, h, w, n, behind_frac,
                                                    push_back, aperture, window, sigma,
-                                                   outlier, dropout, stream, given_maps):
+                                                   outlier, dropout, stream, given_map):
         K, pts, T_init, T_gt = _random_scene(seed, h, w, n, behind_frac, push_back)
         noise = FlowNoiseModel(gaussian_sigma=sigma, outlier_fraction=outlier,
                                outlier_magnitude=25.0, dropout_fraction=dropout,
                                seed=seed % 1000)
         maps = {}
-        if given_maps:
-            maps = {"depth": remove_occlusions(render_depth(pts, K, T_init), aperture, window),
+        if given_map:
+            # a map rendered at T_gt, with T_gt moved forward, holds points
+            # that lie behind T_init
+            T_map = T_init if given_map == "init" else T_gt
+            maps = {"depth": remove_occlusions(render_depth(pts, K, T_map), aperture, window),
                     "depth_gt": remove_occlusions(render_depth(pts, K, T_gt), aperture, window)}
         got = oracle_depth_flow(pts, K, T_init, T_gt, noise, stream, aperture, window, **maps)
         want = _oracle_depth_flow_reference(pts, K, T_init, T_gt, noise, stream,
                                             aperture, window, **maps)
         _assert_same_field(got, want)
-
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1), h=st.integers(4, 40), w=st.integers(4, 60),
-           n=st.sampled_from([0, 1, 60, 400]),
-           behind_frac=st.sampled_from([0.0, 0.2, 1.0]),
-           push_back=st.sampled_from([-15.0, 0.0, 5.0, 15.0]),
-           aperture=st.sampled_from([0.0, 10.0, 45.0]),
-           window=st.sampled_from([1, 7, 121]), apply_occlusion=st.booleans(),
-           given_map=st.sampled_from([None, "init", "gt"]))
-    def test_gt_depth_flow_matches_dense_reference(self, seed, h, w, n, behind_frac,
-                                                   push_back, aperture, window,
-                                                   apply_occlusion, given_map):
-        K, pts, T_init, T_gt = _random_scene(seed, h, w, n, behind_frac, push_back)
-        kw = dict(occlusion_aperture_deg=aperture, occlusion_window=window)
-        if given_map:
-            # a map rendered at T_gt, with T_gt moved forward, holds points
-            # that lie behind T_init
-            T_map = T_init if given_map == "init" else T_gt
-            kw["depth"] = remove_occlusions(render_depth(pts, K, T_map), aperture, window)
-        # gt_depth_flow skips the filter on an aperture <= 0
-        got = gt_depth_flow(pts, K, T_init, T_gt, **dict(
-            kw, occlusion_aperture_deg=aperture if apply_occlusion else 0.0))
-        _assert_same_field(got, _gt_depth_flow_reference(pts, K, T_init, T_gt,
-                                                         apply_occlusion=apply_occlusion, **kw))
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), h=st.integers(1, 30), w=st.integers(1, 30),
@@ -680,5 +706,3 @@ class TestIndexListOracle:
         with pytest.raises(ValueError):
             oracle_depth_flow(pts, K, PoseSE3.identity(), PoseSE3.identity(),
                               FlowNoiseModel(), depth=d)
-        with pytest.raises(ValueError):
-            gt_depth_flow(pts, K, PoseSE3.identity(), PoseSE3.identity(), depth=d)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lidartrack.geometry import (CameraIntrinsics, PerturbBounds, PoseSE3,
                                  perturb_pose, project_points)
-from lidartrack.rendering import DepthMap, gt_depth_flow, remove_occlusions, render_depth
+from lidartrack.rendering import DepthMap, remove_occlusions, render_depth
 
 from conftest import DenseDepth, dense, sparse
 
@@ -364,57 +364,3 @@ class TestRemoveOcclusions:
                                _remove_occlusions_reference(dense(d), aperture, window))
         _assert_same_depth_map(d, before)
 
-
-class TestGtDepthFlow:
-    def test_equal_poses_zero_flow(self, K, corridor):
-        gmap, traj = corridor
-        T = traj[0]
-        f = dense(gt_depth_flow(gmap.points, K, T, T))
-        assert f.valid.any()
-        assert np.abs(f.du[f.valid]).max() < 1e-9
-        assert np.abs(f.dv[f.valid]).max() < 1e-9
-
-    def test_lateral_translation_first_order(self, K):
-        # camera shifted by +delta along its x axis: du = -fx*delta/Z,
-        # checked against direct two-projection subtraction
-        Z, delta = 12.0, 0.05
-        pts = np.array([[x, y, Z] for x in np.linspace(-1, 1, 9)
-                        for y in np.linspace(-0.5, 0.5, 5)])
-        T_init = PoseSE3.identity()
-        T_gt = PoseSE3(T_init.q, np.array([-delta, 0.0, 0.0]))
-        f = dense(gt_depth_flow(pts, K, T_init, T_gt))
-        assert f.valid.any()
-        expected = -K.fx * delta / Z
-        got = f.du[f.valid]
-        assert np.allclose(got, expected, atol=1e-9)
-        # independent subtraction for one point
-        uv_a, _ = project_points(K, T_init.apply(pts[:1]))
-        uv_b, _ = project_points(K, T_gt.apply(pts[:1]))
-        assert abs((uv_b - uv_a)[0, 0] - expected) < 1e-12
-
-    def test_point_behind_under_gt_invalidated(self, K):
-        pts = np.array([[0.0, 0.0, 5.0]])
-        T_init = PoseSE3.identity()
-        T_gt = PoseSE3(T_init.q, np.array([0.0, 0.0, -10.0]))  # pushes it behind
-        f = gt_depth_flow(pts, K, T_init, T_gt)
-        assert len(f.flat) == 0
-
-    def test_flow_warps_to_gt_projection(self, K, corridor):
-        # moving each anchored pixel by its flow lands within 0.5 px
-        # (per axis) of the same point's projection under the GT pose
-        gmap, traj = corridor
-        T_gt = traj[0]
-        T_init = perturb_pose(T_gt, PerturbBounds(1.0, 5.0), seed=3)
-        crop = gmap.points
-        from lidartrack.rendering import render_depth as rd
-        d = remove_occlusions(rd(crop, K, T_init))
-        f = dense(gt_depth_flow(crop, K, T_init, T_gt, depth=d))
-        d = dense(d)
-        rows, cols = np.nonzero(f.valid)
-        ids = d.source[rows, cols]
-        uv_gt, front = project_points(K, T_gt.apply(crop[ids]))
-        landed_u = cols + f.du[rows, cols]
-        landed_v = rows + f.dv[rows, cols]
-        assert np.all(front)
-        assert np.abs(landed_u - uv_gt[:, 0]).max() <= 0.5 + 1e-9
-        assert np.abs(landed_v - uv_gt[:, 1]).max() <= 0.5 + 1e-9

@@ -10,7 +10,7 @@ import pytest
 import lidartrack.pnp as pnp
 import lidartrack.tracker as T
 from lidartrack.evaluation import Trajectory
-from lidartrack.flow import FlowNoiseModel
+from lidartrack.flow import FlowNoiseModel, FlowTriplet
 from lidartrack.geometry import PerturbBounds, PoseSE3, perturb_pose, pose_error
 from lidartrack.joint import EnergyConfig, JointResult, consistency_samples
 from lidartrack.mapping import CropExtents, GlobalMap, downsample
@@ -19,7 +19,7 @@ from lidartrack.rendering import FlowField
 from lidartrack.synth import (SceneConfig, TrajectoryConfig, VoOracleConfig,
                               generate_scene, generate_trajectory, vo_oracle)
 from lidartrack.tracker import (DIAGNOSTIC_COLUMNS, Scenario, Tracker,
-                                TrackerConfig, scenario_from_cloud,
+                                TrackerConfig, TrackerState, scenario_from_cloud,
                                 write_diagnostics_csv)
 
 
@@ -40,13 +40,34 @@ def make_config(K, mode, **kw):
     return TrackerConfig(**defaults)
 
 
+def dead_flows_from(monkeypatch, gt, first):
+    """Make the tracker's pair oracle return three invalid fields for every
+    pair whose current frame is ``first`` or a later one.  Frames are told
+    apart by the identity of their ground-truth pose."""
+    dead_ids = {id(pose) for pose in gt[first:]}
+    real = T.oracle_flows
+
+    def oracle(points, K, T_init, T_gt_cur, *args, **kwargs):
+        if id(T_gt_cur) not in dead_ids:
+            return real(points, K, T_init, T_gt_cur, *args, **kwargs)
+        dead = FlowField.invalid(K.height, K.width)
+        return FlowTriplet(dead, dead, dead)
+
+    monkeypatch.setattr(T, "oracle_flows", oracle)
+
+
 class TestInit:
-    def test_initial_state(self, K_small):
-        T0 = perturb_pose(PoseSE3.identity(), PerturbBounds(1, 5), 0)
-        state = Tracker(make_config(K_small, "multi_view")).init(T0)
-        assert state.history == []
-        assert not state.failed
-        assert np.array_equal(state.T_init_next.q, T0.q)
+    def test_initial_state(self, K_small, small_world, monkeypatch):
+        # the first step crops at T0, from an empty history
+        seen = []
+        real = T.crop_local
+        monkeypatch.setattr(T, "crop_local", lambda *args: seen.append(args[1]) or real(*args))
+        gmap, gt, _ = small_world
+        T0 = perturb_pose(gt[0], PerturbBounds(0.1, 0.5), 0)
+        res = Tracker(make_config(K_small, "frame_by_frame")).run(
+            Scenario(lidar_map=gmap, gt_poses=gt[:1]), T0=T0)
+        assert seen == [T0]
+        assert res.complete and len(res.trajectory) == 1
 
     def test_no_steps_empty_trajectory(self, K_small, small_world):
         gmap, gt, vo = small_world
@@ -70,8 +91,8 @@ class TestMultiView:
         # after a step, the carried initial pose is exactly T_next_star
         gmap, gt, _ = small_world
         tracker = Tracker(make_config(K_small, "multi_view"))
-        state = tracker.init(gt[0])
-        state, pair, _ = tracker.step_multi_view(state, gmap, gt[0], gt[1])
+        state = TrackerState(gt[0])
+        state, pair, _ = tracker.step_multi_view(state, Scenario(lidar_map=gmap, gt_poses=gt))
         assert pair is not None
         assert np.array_equal(state.T_init_next.q, pair[1].q)
         assert np.array_equal(state.T_init_next.t, pair[1].t)
@@ -90,15 +111,17 @@ class TestMultiView:
         assert max(errs) < 0.01
         assert errs[-1] < 2 * max(np.mean(errs[:3]), 0.005)  # no wander
 
-    def test_total_flow_death_fails_at_frame(self, K_small, small_world):
+    def test_total_flow_death_fails_at_frame(self, K_small, small_world, monkeypatch):
         # all channels dead from frame 5 onward: the tracker estimates
         # frames 0..4 and declares failure at frame 5
         gmap, gt, _ = small_world
-        scen = Scenario(lidar_map=gmap, gt_poses=gt,
-                        flow_kill_frames=frozenset(range(5, len(gt))))
-        res = Tracker(make_config(K_small, "multi_view")).run(scen)
+        dead_flows_from(monkeypatch, gt, 5)
+        res = Tracker(make_config(K_small, "multi_view")).run(
+            Scenario(lidar_map=gmap, gt_poses=gt))
         assert not res.complete
         assert len(res.trajectory) == 5
+        last = res.diagnostics[-1]
+        assert last["frame"] == 5 and last["fail_reason"] == "consistency_degenerate"
 
     def test_depth_outage_bridged_by_consistency(self, K_small, small_world):
         # image-to-depth channels die for three frames but the image flow
@@ -141,7 +164,8 @@ class TestMultiView:
         gmap, gt, _ = small_world
         tracker = Tracker(make_config(K_small, "multi_view",
                                       energy=EnergyConfig(w_consist=w_consist)))
-        _, _, diag = tracker.step_multi_view(tracker.init(gt[0]), gmap, gt[0], gt[1])
+        _, _, diag = tracker.step_multi_view(TrackerState(gt[0]),
+                                             Scenario(lidar_map=gmap, gt_poses=gt))
         T_cur0, T_next0, _, _, pts, f_c2n, K, _ = calls[0]
         pts, samples = consistency_samples(pts, K, f_c2n, T_cur0)
         term = _term(pts, samples, ("cur", "next"), T_cur0, T_next0, 3)
@@ -182,9 +206,9 @@ class TestFrameByFrame:
         monkeypatch.setattr(tracker_module, "oracle_depth_flow", nan_oracle)
         gmap, gt, _ = small_world
         tracker = Tracker(make_config(K_small, "frame_by_frame"))
-        state = tracker.init(gt[0])
+        state, scen = TrackerState(gt[0]), Scenario(lidar_map=gmap, gt_poses=gt)
         for i in range(3):
-            state, pose, diag = tracker.step_frame_by_frame(state, gmap, gt[i])
+            state, pose, diag = tracker.step_frame_by_frame(state, scen)
             assert pose is not None
             assert diag["inliers_cur"] > 0
         assert pose_error(pose, gt[2])[1] < 0.05
@@ -231,16 +255,29 @@ class TestLooseCoupled:
         with pytest.raises(ValueError):
             Tracker(make_config(K_small, "loose_coupled")).run(scen)
 
+    def test_short_vo_list_raises_before_any_step(self, K_small, small_world, monkeypatch):
+        # 6 frames need 5 relative poses; with 2 the run must stop up front
+        # with the field's name, not with an IndexError at the third frame
+        crops = []
+        real = T.crop_local
+        monkeypatch.setattr(T, "crop_local", lambda *args: crops.append(args) or real(*args))
+        gmap, gt, vo = small_world
+        scen = Scenario(lidar_map=gmap, gt_poses=gt[:6], vo_relatives=vo[:2])
+        with pytest.raises(ValueError, match="vo_relatives"):
+            Tracker(make_config(K_small, "loose_coupled")).run(scen)
+        assert crops == []
+
 
 class TestDiagnostics:
-    def test_every_emitted_key_is_a_csv_column(self, K_small, small_world, tmp_path):
+    def test_every_emitted_key_is_a_csv_column(self, K_small, small_world, tmp_path,
+                                               monkeypatch):
         # each mode over normal, rescued and failed frames; the CSV writer
         # drops keys that are not columns, so none may be missing
         gmap, gt, vo = small_world
+        dead_flows_from(monkeypatch, gt, 8)  # only multi_view runs the pair oracle
         runs = {
             "multi_view": Scenario(lidar_map=gmap, gt_poses=gt,
-                                   outage_frames=frozenset({3, 4}),
-                                   flow_kill_frames=frozenset(range(8, len(gt)))),
+                                   outage_frames=frozenset({3, 4})),
             "frame_by_frame": Scenario(lidar_map=gmap, gt_poses=gt,
                                        outage_frames=frozenset({4})),
             "loose_coupled": Scenario(lidar_map=gmap, gt_poses=gt, vo_relatives=vo,
@@ -338,13 +375,12 @@ class TestScenarioBuilder:
         gt = generate_trajectory(TrajectoryConfig(frame_count=5, speed=1.0))
         vo_cfg = VoOracleConfig(seed=4)
         scen = scenario_from_cloud(np.zeros((1, 3)), gt, vo_cfg=vo_cfg,
-                                   outage_frames=[2, 2, 3], flow_kill_frames=(1,))
+                                   outage_frames=[2, 2, 3])
         ref = vo_oracle(gt, vo_cfg)
         assert len(scen.vo_relatives) == 4
         for a, b in zip(scen.vo_relatives, ref):
             assert np.array_equal(a.q, b.q) and np.array_equal(a.t, b.t)
         assert scen.outage_frames == frozenset({2, 3})
-        assert scen.flow_kill_frames == frozenset({1})
         single = scenario_from_cloud(np.zeros((1, 3)), gt[:1], vo_cfg=vo_cfg)
         assert single.vo_relatives == []
 
@@ -353,7 +389,7 @@ class TestScenarioBuilder:
         cloud = rng.uniform(-2, 2, (3000, 3))
         scen = scenario_from_cloud(cloud, [PoseSE3.identity()])
         assert scen.vo_relatives is None
-        assert scen.outage_frames == frozenset() == scen.flow_kill_frames
+        assert scen.outage_frames == frozenset()
         ref = downsample(GlobalMap.build(cloud), 0.1)
         assert np.array_equal(scen.lidar_map.points, ref.points)
 
@@ -408,8 +444,7 @@ class ReferenceTracker(Tracker):
         return T.solve_pnp_ransac(corrs, self.config.camera, T_init, cfg)
 
     def step_multi_view(self, state, lidar_map, T_gt_cur, T_gt_next,
-                        outage_cur=False, outage_next=False,
-                        kill_cur=False, kill_next=False):
+                        outage_cur=False, outage_next=False):
         cfg = self.config
         K = cfg.camera
         frame = state.frame_index
@@ -428,12 +463,10 @@ class ReferenceTracker(Tracker):
                                cfg.occlusion_aperture_deg, cfg.occlusion_window,
                                depth_init=depth)
         dead = FlowField.invalid(K.height, K.width)
-        if outage_cur or kill_cur:
+        if outage_cur:
             flows = replace(flows, f_c2d=dead)
-        if outage_next or kill_next:
+        if outage_next:
             flows = replace(flows, f_n2d=dead)
-        if kill_cur or kill_next:
-            flows = replace(flows, f_c2n=dead)
         diag["ms_flow"] = 1e3 * (time.perf_counter() - t0)
 
         t0 = time.perf_counter()
@@ -508,7 +541,7 @@ class ReferenceTracker(Tracker):
         state.frame_index = frame + 1
         return state, (T_cur_star, T_next_star), diag
 
-    def step_frame_by_frame(self, state, lidar_map, T_gt_cur, outage=False, kill=False):
+    def step_frame_by_frame(self, state, lidar_map, T_gt_cur, outage=False):
         cfg = self.config
         K = cfg.camera
         frame = state.frame_index
@@ -525,7 +558,7 @@ class ReferenceTracker(Tracker):
         noise = self._frame_noise(frame)
         f_c2d = T.oracle_depth_flow(crop, K, T_init, T_gt_cur, noise, stream=0,
                                     depth=depth)
-        if outage or kill:
+        if outage:
             f_c2d = FlowField.invalid(K.height, K.width)
         diag["ms_flow"] = 1e3 * (time.perf_counter() - t0)
 
@@ -543,8 +576,7 @@ class ReferenceTracker(Tracker):
         state.frame_index = frame + 1
         return state, result.pose, diag
 
-    def step_loose_coupled(self, state, lidar_map, T_gt_cur, vo_relative,
-                           outage=False, kill=False):
+    def step_loose_coupled(self, state, lidar_map, T_gt_cur, vo_relative, outage=False):
         cfg = self.config
         K = cfg.camera
         frame = state.frame_index
@@ -566,7 +598,7 @@ class ReferenceTracker(Tracker):
         f_c2d = T.oracle_depth_flow(crop, K, T_init, T_gt_cur,
                                     self._frame_noise(frame), stream=0,
                                     depth=depth)
-        if outage or kill:
+        if outage:
             f_c2d = FlowField.invalid(K.height, K.width)
         diag["ms_flow"] = 1e3 * (time.perf_counter() - t0)
         t0 = time.perf_counter()
@@ -594,7 +626,7 @@ class ReferenceTracker(Tracker):
     def run(self, scenario, T0=None):
         gt = list(scenario.gt_poses)
         n = len(gt)
-        state = self.init(T0 if T0 is not None else (gt[0] if n else PoseSE3.identity()))
+        state = T.TrackerState(T0 if T0 is not None else (gt[0] if n else PoseSE3.identity()))
         diagnostics = []
         if n == 0:
             return T.RunResult(Trajectory(poses=[]), diagnostics, complete=True)
@@ -605,9 +637,7 @@ class ReferenceTracker(Tracker):
                 state, _, diag = self.step_multi_view(
                     state, scenario.lidar_map, gt[i], gt[i + 1],
                     outage_cur=i in scenario.outage_frames,
-                    outage_next=(i + 1) in scenario.outage_frames,
-                    kill_cur=i in scenario.flow_kill_frames,
-                    kill_next=(i + 1) in scenario.flow_kill_frames)
+                    outage_next=(i + 1) in scenario.outage_frames)
                 self._note_errors(diag, state, gt)
                 diagnostics.append(diag)
                 if state.failed:
@@ -625,8 +655,7 @@ class ReferenceTracker(Tracker):
                 rel = vo[i - 1] if i >= 1 else None
                 state, _, diag = self.step_loose_coupled(
                     state, scenario.lidar_map, gt[i], rel,
-                    outage=i in scenario.outage_frames,
-                    kill=i in scenario.flow_kill_frames)
+                    outage=i in scenario.outage_frames)
                 self._note_errors(diag, state, gt)
                 diagnostics.append(diag)
                 if state.failed:
@@ -635,8 +664,7 @@ class ReferenceTracker(Tracker):
             for i in range(n):
                 state, _, diag = self.step_frame_by_frame(
                     state, scenario.lidar_map, gt[i],
-                    outage=i in scenario.outage_frames,
-                    kill=i in scenario.flow_kill_frames)
+                    outage=i in scenario.outage_frames)
                 self._note_errors(diag, state, gt)
                 diagnostics.append(diag)
                 if state.failed:
@@ -677,7 +705,7 @@ NOISY = FlowNoiseModel(gaussian_sigma=1.5, outlier_fraction=0.1, outlier_magnitu
 
 class TestMatchesReferenceTracker:
     @pytest.mark.parametrize("mode,scen,cfg,far_start", [
-        ("multi_view", dict(outage_frames={3, 4}, flow_kill_frames=set(range(8, 12))), {}, False),
+        ("multi_view", dict(outage_frames={3, 4}, flows_dead_from=8), {}, False),
         ("frame_by_frame", dict(outage_frames={4}), {}, False),
         ("loose_coupled", dict(outage_frames={4}), {}, False),
         ("multi_view", dict(outage_frames={5, 6, 7}), dict(noise=NOISY), False),
@@ -686,11 +714,15 @@ class TestMatchesReferenceTracker:
         ("multi_view", {}, {}, True),
         ("frame_by_frame", {}, {}, True),
     ])
-    def test_matches_reference(self, K_small, small_world, mode, scen, cfg, far_start):
+    def test_matches_reference(self, K_small, small_world, monkeypatch, mode, scen, cfg,
+                               far_start):
+        # the reference looks the oracle up on the tracker module, so a
+        # patched oracle serves both trackers
         gmap, gt, vo = small_world
+        if "flows_dead_from" in scen:
+            dead_flows_from(monkeypatch, gt, scen["flows_dead_from"])
         scenario = Scenario(lidar_map=gmap, gt_poses=gt, vo_relatives=vo,
-                            outage_frames=frozenset(scen.get("outage_frames", ())),
-                            flow_kill_frames=frozenset(scen.get("flow_kill_frames", ())))
+                            outage_frames=frozenset(scen.get("outage_frames", ())))
         T0 = PoseSE3(gt[0].q, gt[0].t + FAR) if far_start else None
         config = make_config(K_small, mode, **cfg)
         new = Tracker(config).run(scenario, T0=T0)
