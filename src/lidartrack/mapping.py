@@ -1,8 +1,9 @@
 """Global LiDAR map handling: voxel downsampling and local crops.
 
 Point clouds are plain float64 arrays of shape (N, 3) in world coordinates;
-a point's id is its row index.  ``GlobalMap`` adds a 2D (x, y) cell index
-used to accelerate local crops, whose vertical extent is unbounded.
+a point's id is its row index.  ``GlobalMap`` keeps its ids sorted by x
+cell, so a local crop box-tests only the points in its x range (the maps
+built here are corridors along x).  Crops are unbounded vertically.
 """
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ import numpy as np
 
 from .geometry import PoseSE3, check_fields
 
-# Cell size of the crop-acceleration grid: max default crop dimension
-# (100 m forward + 10 m backward) divided by 32.
+# Width in x of the crop index's cells, meters.  A crop box-tests every point
+# of the cells its x range touches; the box test alone decides the output.
 DEFAULT_CELL_SIZE = 110.0 / 32.0
 
 
@@ -31,28 +32,20 @@ class CropExtents:
 
 @dataclass
 class GlobalMap:
-    """Immutable map with a uniform (x, y) cell hash."""
+    """Immutable map with its point ids in stable order of x cell."""
 
     points: np.ndarray
-    _cells: dict = field(default_factory=dict, repr=False)
+    _order: np.ndarray = field(repr=False)  # ids sorted by x cell
+    _keys: np.ndarray = field(repr=False)   # x cell of each id in _order
 
     @classmethod
     def build(cls, points) -> "GlobalMap":
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         if not np.all(np.isfinite(points)):
             raise ValueError("map points must be finite")
-        cells = {}
-        if len(points):
-            keys = np.floor(points[:, :2] / DEFAULT_CELL_SIZE).astype(np.int64)
-            order = np.lexsort((keys[:, 1], keys[:, 0]))
-            sk = keys[order]
-            breaks = np.nonzero(np.any(sk[1:] != sk[:-1], axis=1))[0] + 1
-            starts = np.concatenate([[0], breaks, [len(order)]])
-            for a, b in zip(starts[:-1], starts[1:]):
-                idx = order[a:b]
-                k = (int(keys[idx[0], 0]), int(keys[idx[0], 1]))
-                cells[k] = np.sort(idx)
-        return cls(points=points, _cells=cells)
+        keys = np.floor(points[:, 0] / DEFAULT_CELL_SIZE).astype(np.int64)
+        order = np.argsort(keys, kind="stable")
+        return cls(points, order, keys[order])
 
     def __len__(self):
         return len(self.points)
@@ -63,8 +56,6 @@ def downsample(gmap: GlobalMap, resolution: float) -> GlobalMap:
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     pts = gmap.points
-    if len(pts) == 0:
-        return GlobalMap.build(pts)
     keys = np.floor(pts / resolution).astype(np.int64)
     # np.unique sorts voxel keys, so the output order is deterministic
     # regardless of input ordering
@@ -102,44 +93,18 @@ def crop_local(gmap: GlobalMap, pose: PoseSE3, extents: CropExtents) -> np.ndarr
     heights are unrestricted.  Output preserves map order.
     """
     pts = gmap.points
-    if len(pts) == 0:
-        return np.zeros((0, 3))
     fwd, lat = _crop_axes(pose)
     center = pose.center()
-
-    cand = _candidate_indices(gmap, center, fwd, lat, extents)
-    if cand is None:
-        cand = np.arange(len(pts))
-    if len(cand) == 0:
-        return np.zeros((0, 3))
+    # the box's x range, in cells; its points are one slice of _order
+    xs = [center[0] + a * fwd[0] + b * lat[0]
+          for a in (-extents.backward, extents.forward)
+          for b in (-extents.lateral, extents.lateral)]
+    lo, hi = np.floor(np.array([min(xs), max(xs)]) / DEFAULT_CELL_SIZE).astype(np.int64)
+    start = np.searchsorted(gmap._keys, lo, side="left")
+    stop = np.searchsorted(gmap._keys, hi, side="right")
+    cand = np.sort(gmap._order[start:stop])
     d = pts[cand] - center
     a = d @ fwd
     b = d @ lat
     keep = (a >= -extents.backward) & (a <= extents.forward) & (np.abs(b) <= extents.lateral)
     return pts[cand[keep]]
-
-
-def _candidate_indices(gmap, center, fwd, lat, extents):
-    """Gather candidate point indices from cells overlapped by the box AABB."""
-    if not gmap._cells:
-        return None
-    corners = []
-    for a in (-extents.backward, extents.forward):
-        for b in (-extents.lateral, extents.lateral):
-            corners.append(center[:2] + a * fwd[:2] + b * lat[:2])
-    corners = np.array(corners)
-    lo = np.floor(corners.min(axis=0) / DEFAULT_CELL_SIZE).astype(int)
-    hi = np.floor(corners.max(axis=0) / DEFAULT_CELL_SIZE).astype(int)
-    n_cells = (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1)
-    if n_cells > 4 * len(gmap._cells):
-        # box covers most of the map; linear scan is cheaper
-        return None
-    chunks = []
-    for i in range(lo[0], hi[0] + 1):
-        for j in range(lo[1], hi[1] + 1):
-            got = gmap._cells.get((i, j))
-            if got is not None:
-                chunks.append(got)
-    if not chunks:
-        return np.zeros(0, dtype=int)
-    return np.sort(np.concatenate(chunks))

@@ -73,6 +73,8 @@ class TrackerConfig:
     def __post_init__(self):
         check_fields(self, positive=("consist_point_cap", "reproj_point_cap"),
                      non_negative=("loose_reproj_threshold", "occlusion_window"))
+        if self.occlusion_aperture_deg >= 90:  # tan flips sign: the cone hides pixels
+            raise ValueError("occlusion_aperture_deg must be below 90")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {', '.join(MODES)}")
 

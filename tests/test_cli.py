@@ -277,6 +277,7 @@ class TestTrack:
         ("tracker", "occlusion_window", -1),
         ("tracker", "loose_reproj_threshold", float("nan")),
         ("tracker", "occlusion_aperture_deg", float("nan")),
+        ("tracker", "occlusion_aperture_deg", 90.0),
         (None, "outages", ["x"]),
         (None, "outages", [[1, 2, 3]]),
         (None, "outages", "x"),

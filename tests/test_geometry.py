@@ -363,8 +363,11 @@ class TestConfigFields:
         (lambda: TrajectoryConfig(profile="zigzag"), "profile"),
         (lambda: TrackerConfig(camera=_K20, mode="warp_drive"), "mode"),
         (lambda: RansacConfig(confidence=1.0), "confidence"),
-        (lambda: EnergyConfig(w_consist=0.0, w_reproj=0.0), "w_consist")],
-        ids=["cx", "cy", "profile", "mode", "confidence", "both-weights-zero"])
+        (lambda: EnergyConfig(w_consist=0.0, w_reproj=0.0), "w_consist"),
+        (lambda: TrackerConfig(camera=_K20, occlusion_aperture_deg=90.0),
+         "occlusion_aperture_deg")],
+        ids=["cx", "cy", "profile", "mode", "confidence", "both-weights-zero",
+             "aperture-90"])
     def test_other_rules_name_their_field(self, make, field):
         with pytest.raises(ValueError, match=rf"^{field} "):
             make()

@@ -35,18 +35,18 @@ class TestGlobalMap:
         assert m.points.shape == (2, 3) and len(m) == 2
         assert np.array_equal(m.points[1], [4.0, 5.0, 6.0])
 
-    def test_cells_partition_point_ids(self):
-        # every row id sits in exactly one cell, the one its (x, y) floors to
+    def test_index_orders_ids_by_x_cell(self):
+        # the crop index is a permutation of the row ids whose keys, each
+        # point's x cell, ascend; ids that share a cell keep map order
         rng = np.random.default_rng(5)
         pts = rng.uniform(-40, 40, (2000, 3))
-        pts[:50, :2] = np.round(pts[:50, :2] / DEFAULT_CELL_SIZE) * DEFAULT_CELL_SIZE
+        pts[:50, 0] = np.round(pts[:50, 0] / DEFAULT_CELL_SIZE) * DEFAULT_CELL_SIZE
         m = GlobalMap.build(pts)
-        ids = np.concatenate(list(m._cells.values()))
-        assert np.array_equal(np.sort(ids), np.arange(2000))
-        for (i, j), idx in m._cells.items():
-            assert np.array_equal(idx, np.sort(idx))
-            keys = np.floor(pts[idx, :2] / DEFAULT_CELL_SIZE)
-            assert np.all(keys == [i, j])
+        assert np.array_equal(np.sort(m._order), np.arange(2000))
+        assert np.all(np.diff(m._keys) >= 0)
+        assert np.array_equal(m._keys, np.floor(pts[m._order, 0] / DEFAULT_CELL_SIZE))
+        same_cell = np.diff(m._keys) == 0
+        assert np.all(np.diff(m._order)[same_cell] > 0)
 
 
 class TestDownsample:
@@ -104,19 +104,33 @@ class TestCrop:
         m = GlobalMap.build(np.zeros((0, 3)))
         assert len(crop_local(m, _pose_looking_along_x(), CropExtents())) == 0
 
-    def test_matches_brute_force_on_random_maps(self):
+    @pytest.mark.parametrize("layout", ["uniform", "corridor_x_descending", "shared_x_cells"])
+    @pytest.mark.parametrize("heading", ["any", "+y", "-y"])
+    def test_matches_brute_force_on_random_maps(self, layout, heading):
+        # the crop returns map rows unchanged and in map order, so it must
+        # equal the linear scan exactly, whatever order the ids have in x
         rng = np.random.default_rng(4)
         for trial in range(12):
-            pts = rng.uniform(-120, 120, (int(rng.integers(1, 8000)), 3))
+            n = int(rng.integers(1, 8000))
+            pts = rng.uniform(-120, 120, (n, 3))
+            if layout == "corridor_x_descending":
+                pts[:, 1] *= 27.0 / 120.0
+                pts = pts[np.argsort(-pts[:, 0])]
+            elif layout == "shared_x_cells":
+                pts[:, 0] = rng.integers(-5, 5, n) * DEFAULT_CELL_SIZE
             m = GlobalMap.build(pts)
-            pose = se3_exp(rng.uniform(-1, 1, 6) * [1, 1, 1, 50, 50, 5])
+            if heading == "any":
+                pose = se3_exp(rng.uniform(-1, 1, 6) * [1, 1, 1, 50, 50, 5])
+            else:
+                yaw = np.pi / 2 if heading == "+y" else -np.pi / 2
+                yaw += rng.uniform(-0.2, 0.2) * (trial % 2)
+                pose = _pose_with_yaw(yaw, rng.uniform(-60, 60, 3))
             extents = CropExtents(float(rng.uniform(20, 110)),
                                   float(rng.uniform(5, 20)),
                                   float(rng.uniform(10, 40)))
             got = crop_local(m, pose, extents)
             ref = brute_force_crop(pts, pose, extents)
-            assert got.shape == ref.shape
-            assert np.allclose(got, ref)
+            assert np.array_equal(got, ref)
 
     def test_box_edges_on_cell_boundaries_match_brute_force(self):
         # points and box edges on multiples of the grid's cell size: the
@@ -147,3 +161,11 @@ def _pose_looking_along_x():
                      [-1.0, 0.0, 0.0],
                      [0.0, -1.0, 0.0]])
     return PoseSE3.from_rt(R_wc.T, np.zeros(3))
+
+
+def _pose_with_yaw(yaw, center):
+    # camera at center, optical axis horizontal at angle yaw from +x
+    fwd = np.array([np.cos(yaw), np.sin(yaw), 0.0])
+    down = np.array([0.0, 0.0, -1.0])
+    R_wc = np.column_stack([np.cross(down, fwd), down, fwd])
+    return PoseSE3.from_rt(R_wc.T, -R_wc.T @ center)
