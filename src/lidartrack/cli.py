@@ -202,8 +202,19 @@ def _load_scenario(cfg, scenario_dir):
         raise ConfigError(f"missing ground-truth poses: {gt_path}")
     cloud = formats.load_cloud(scene_path)
     gt = formats.load_trajectory_poses(gt_path)
-    return scenario_from_cloud(cloud, gt, cfg["map_resolution"], VoOracleConfig(**cfg["vo"]),
-                               _outage_frames(cfg["outages"], len(gt)))
+    return _scenario(cfg, cloud, gt, VoOracleConfig(**cfg["vo"]))
+
+
+def _scenario(cfg, cloud, gt, vo_cfg):
+    """``scenario_from_cloud`` under the config; a ``map_resolution`` too
+    fine for the scene's voxel grid is a ConfigError on that field."""
+    try:
+        return scenario_from_cloud(cloud, gt, cfg["map_resolution"], vo_cfg,
+                                   _outage_frames(cfg["outages"], len(gt)))
+    except ValueError as exc:
+        if not str(exc).startswith("resolution must be"):
+            raise
+        raise ConfigError(f"map_{exc}") from None
 
 
 def _initial_pose(cfg, gt, bounds: PerturbBounds):
@@ -277,8 +288,7 @@ def cmd_ablate(config_path, out_dir, seed_override=None) -> int:
 
     cloud = generate_scene(built["scene"])
     gt = generate_trajectory(built["trajectory"])
-    scenario = scenario_from_cloud(cloud, gt, cfg["map_resolution"], built["vo"],
-                                   _outage_frames(cfg["outages"], len(gt)))
+    scenario = _scenario(cfg, cloud, gt, built["vo"])
     T0 = _initial_pose(cfg, gt, built["init_perturb"])
 
     rows = []

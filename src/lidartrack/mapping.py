@@ -7,11 +7,12 @@ built here are corridors along x).  Crops are unbounded vertically.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PoseSE3, check_fields
+from .geometry import PoseSE3, check_fields, check_number
 
 # Width in x of the crop index's cells, meters.  A crop box-tests every point
 # of the cells its x range touches; the box test alone decides the output.
@@ -52,19 +53,42 @@ class GlobalMap:
 
 
 def downsample(gmap: GlobalMap, resolution: float) -> GlobalMap:
-    """Voxel-grid downsample keeping one centroid per occupied voxel."""
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    """Voxel-grid downsample keeping one centroid per occupied voxel.
+
+    Centroids come out in ascending (x, y, z) order of their voxels, so the
+    output does not depend on the input order.  Raises ``ValueError`` naming
+    ``resolution`` unless it is a finite positive number whose voxel keys,
+    and the grid they span, fit in int64.
+    """
+    check_number("resolution", resolution, float, "positive")
     pts = gmap.points
-    keys = np.floor(pts / resolution).astype(np.int64)
-    # np.unique sorts voxel keys, so the output order is deterministic
-    # regardless of input ordering
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True,
-                                   return_counts=True)
+    _, inverse, counts = np.unique(_voxel_keys(pts, resolution),
+                                   return_inverse=True, return_counts=True)
     out = np.zeros((len(counts), 3))
     for axis in range(3):
         out[:, axis] = np.bincount(inverse, weights=pts[:, axis]) / counts
     return GlobalMap.build(out)
+
+
+def _voxel_keys(points, resolution):
+    """One int64 key per point, packed from its (kx, ky, kz) voxel."""
+    # one row per axis, so the reductions and the packing run on contiguous rows
+    voxels = np.floor(np.divide(points.T, resolution, order="C"))
+    # a float outside int64 casts to garbage, so the floats are tested first
+    if np.all((voxels >= -2.0 ** 63) & (voxels < 2.0 ** 63)):
+        keys = voxels.astype(np.int64)
+        lo = keys.min(axis=1, initial=np.iinfo(np.int64).max)
+        hi = keys.max(axis=1, initial=np.iinfo(np.int64).min)
+        # exact spans; the empty map's reversed extrema give 1
+        spans = [max(int(h) - int(l) + 1, 1) for l, h in zip(lo, hi)]
+        if math.prod(spans) < 2 ** 63:
+            # each offset lies in [0, span) of its axis, so this mixed-radix
+            # key orders points as their (kx, ky, kz) rows do, lexicographically,
+            # and every partial sum stays below the grid's cell count
+            dx, dy, dz = keys - lo[:, None]
+            return (dx * spans[1] + dy) * spans[2] + dz
+    raise ValueError("resolution must be coarse enough for the voxel grid "
+                     "to fit in int64")
 
 
 def _crop_axes(pose: PoseSE3):

@@ -288,6 +288,7 @@ class TestTrack:
         (None, "map_resolution", "0.1"),
         (None, "map_resolution", float("nan")),
         (None, "map_resolution", 0.0),
+        (None, "map_resolution", 1e-15),  # the scene's voxel grid leaves int64
         (None, "ablate_modes", "multi_view"),
         (None, "ablate_modes", ["warp_drive"]),
         (None, "ablate_modes", []),
@@ -433,3 +434,13 @@ class TestAblate:
                      "--quiet"]) == EXIT_OK
         lines = (out / "ablation.csv").read_text().strip().splitlines()
         assert len(lines) == 2
+
+    def test_map_resolution_too_fine_is_a_config_error(self, tmp_path):
+        # 1e-15 m passes the range rule, but the voxel grid of the scene
+        # ablate generates has more cells than int64 counts
+        cfg = write_config(tmp_path / "cfg.json", map_resolution=1e-15)
+        proc = run_program("ablate", "--config", str(cfg), "--out", str(tmp_path / "ablate"))
+        assert proc.returncode == EXIT_ERROR
+        assert "ERROR lidartrack: map_resolution must be coarse enough" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "ablate" / "ablation.csv").exists()

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidartrack.geometry import PoseSE3, se3_exp
 from lidartrack.mapping import (DEFAULT_CELL_SIZE, CropExtents, GlobalMap,
                                 crop_local, downsample)
+from lidartrack.synth import SceneConfig, generate_scene
 
 
 def brute_force_crop(points, pose, extents):
@@ -20,6 +25,51 @@ def brute_force_crop(points, pose, extents):
     b = d @ lat
     keep = (a >= -extents.backward) & (a <= extents.forward) & (np.abs(b) <= extents.lateral)
     return points[keep]
+
+
+def reference_downsample(gmap, resolution):
+    """Reference downsample: voxel rows deduplicated by a row-wise sort."""
+    pts = gmap.points
+    keys = np.floor(pts / resolution).astype(np.int64)
+    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True,
+                                   return_counts=True)
+    out = np.zeros((len(counts), 3))
+    for axis in range(3):
+        out[:, axis] = np.bincount(inverse, weights=pts[:, axis]) / counts
+    return GlobalMap.build(out)
+
+
+def assert_same_map(got, ref):
+    assert np.array_equal(got.points, ref.points)
+    assert np.array_equal(got._order, ref._order)
+    assert np.array_equal(got._keys, ref._keys)
+
+
+def _clouds():
+    rng = np.random.default_rng(6)
+    boundary = rng.integers(-50, 50, (600, 3)) * 0.25
+    dup = rng.uniform(-3, 3, (200, 3))
+    flat = rng.uniform(-20, 20, (800, 3))
+    flat[:, 2] = 0.0
+    scene = SceneConfig(extent=30.0, ground_density=2.0, facade_density=4.0,
+                        pole_count=5, seed=2)
+    return {
+        "negative": (rng.uniform(-80, -1, (3000, 3)), 0.3),
+        "mixed_signs": (rng.normal(0, 40, (3000, 3)), 0.7),
+        "voxel_boundaries": (boundary, 0.25),
+        "duplicates": (np.repeat(dup, 3, axis=0)[rng.permutation(600)], 0.5),
+        "flat_z": (flat, 0.4),
+        "single_point": (np.array([[-1.5, 2.25, 7.0]]), 0.1),
+        "synth_corridor": (generate_scene(scene), 0.1),
+        # the largest grid that fits: 2^21 x 2^21 x (2^21 - 1) cells
+        "grid_just_fits": (np.array([[0.0, 0, 0], [2.0 ** 21 - 1, 2.0 ** 21 - 1,
+                                                   2.0 ** 21 - 2]]), 1.0),
+        "keys_far_from_zero": (np.array([[-2.0 ** 62, 2.0 ** 62, 0],
+                                         [-2.0 ** 62 + 5, 2.0 ** 62 - 3, 1]]), 1.0),
+    }
+
+
+CLOUDS = _clouds()
 
 
 class TestGlobalMap:
@@ -63,9 +113,46 @@ class TestDownsample:
     def test_empty_map(self):
         assert len(downsample(GlobalMap.build(np.zeros((0, 3))), 0.1)) == 0
 
-    def test_invalid_resolution(self):
-        with pytest.raises(ValueError):
-            downsample(GlobalMap.build(np.zeros((1, 3))), 0.0)
+    @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf, -np.inf])
+    def test_invalid_resolution(self, bad):
+        # NaN and inf keys used to cast to one int64 voxel for every point
+        pts = np.random.default_rng(1).uniform(-5, 5, (1000, 3))
+        with pytest.raises(ValueError, match="^resolution must be"):
+            downsample(GlobalMap.build(pts), bad)
+
+    @pytest.mark.parametrize("pts,resolution", [
+        # 2e18 / 0.1 leaves int64; the cast used to merge it with 1e18
+        ([[0.0, 0, 0], [1e18, 0, 0], [2e18, 0, 0]], 0.1),
+        # every key fits in int64, but the grid has 2^21 x 2^21 x 2^21 cells
+        ([[0.0, 0, 0], [2.0 ** 21 - 1] * 3], 1.0)], ids=["keys", "grid"])
+    def test_voxels_outside_int64_rejected(self, pts, resolution):
+        with pytest.raises(ValueError, match="^resolution must be coarse enough"):
+            downsample(GlobalMap.build(pts), resolution)
+
+    @pytest.mark.parametrize("name", CLOUDS)
+    def test_matches_row_wise_reference(self, name):
+        pts, resolution = CLOUDS[name]
+        m = GlobalMap.build(pts)
+        assert_same_map(downsample(m, resolution), reference_downsample(m, resolution))
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 300),
+           resolution=st.floats(1e-3, 50.0), cells=st.floats(0.0, 7.0))
+    def test_matches_row_wise_reference_on_random_clouds(self, seed, n, resolution, cells):
+        # clouds 1 to 1e7 voxels across, so some grids reach 2^63 cells
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-0.5, 0.5, (n, 3)) * 10.0 ** cells * resolution
+        # snap some points onto voxel boundaries and repeat some rows
+        snap = rng.random(n) < 0.3
+        pts[snap] = np.floor(pts[snap] / resolution) * resolution
+        pts = np.concatenate([pts, pts[: n // 4]])
+        m = GlobalMap.build(pts)
+        spans = np.ptp(np.floor(pts / resolution), axis=0) + 1 if len(pts) else [1]
+        if math.prod(int(s) for s in spans) < 2 ** 63:
+            assert_same_map(downsample(m, resolution), reference_downsample(m, resolution))
+        else:
+            with pytest.raises(ValueError, match="^resolution must be coarse enough"):
+                downsample(m, resolution)
 
     def test_idempotent_point_count(self):
         rng = np.random.default_rng(2)
