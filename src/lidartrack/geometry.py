@@ -11,6 +11,17 @@ Conventions used throughout the package:
 * The local parameterization for optimizers is right-multiplicative:
   a 6-vector ``xi = (wx, wy, wz, tx, ty, tz)`` updates a pose as
   ``T <- T * exp(xi)`` (rotation block first).
+* A ``PoseSE3`` is immutable: ``q``, ``t`` and the rotation matrix it
+  caches are read-only arrays, so a pose object stands for one value and
+  callers may key what they computed from it on its identity.
+* The least-squares code stores points component-major: a block of N
+  points is (..., 3, N), with the x, y and z rows contiguous, and
+  ``reprojection_jacobian`` writes its Jacobian as (..., 6, 2, N) rows,
+  one contiguous row per (parameter, pixel axis).  Every such product is
+  elementwise over the points, so a row of a stacked call equals the
+  single-pose call bit for bit.  The public functions still return the
+  point-major shapes, (N, 2) and (N, 2, 6), as transposed views of that
+  storage.
 """
 from __future__ import annotations
 
@@ -221,14 +232,24 @@ class PerturbBounds:
 DEFAULT_PERTURB = PerturbBounds(max_transl_per_axis=2.0, max_rot_per_axis_deg=10.0)
 
 
-class PoseSE3:
-    """Rigid transform world -> camera stored as (unit quaternion, translation)."""
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
-    __slots__ = ("q", "t")
+
+class PoseSE3:
+    """Rigid transform world -> camera stored as (unit quaternion, translation).
+
+    ``q``, ``t`` and the rotation matrix, built on first use and kept, are
+    read-only.
+    """
+
+    __slots__ = ("q", "t", "_R")
 
     def __init__(self, q, t):
-        self.q = _quat_normalize(np.asarray(q, dtype=float))
-        self.t = np.asarray(t, dtype=float).reshape(3).copy()
+        self.q = _read_only(_quat_normalize(np.asarray(q, dtype=float)))
+        self.t = _read_only(np.asarray(t, dtype=float).reshape(3).copy())
+        self._R = None
         if not np.all(np.isfinite(self.t)):
             raise ValueError("non-finite translation")
 
@@ -270,7 +291,9 @@ class PoseSE3:
     # -- views ---------------------------------------------------------------
 
     def rotation_matrix(self):
-        return _quat_to_matrix(self.q)
+        if self._R is None:
+            self._R = _read_only(_quat_to_matrix(self.q))
+        return self._R
 
     def matrix(self):
         """3x4 row-major [R|t]."""
@@ -291,24 +314,26 @@ class PoseSE3:
 # operations
 # ---------------------------------------------------------------------------
 
-def project_points(K: CameraIntrinsics, pts_cam):
+def project_points(K: CameraIntrinsics, pts_cam, axis=-1):
     """Vectorized pinhole projection of points (..., 3); a 1-D input is
     read as rows of 3.
 
     u = fx * X / Z + cx,  v = fy * Y / Z + cy.  Returns (uv, in_front): uv
     is (..., 2) with rows undefined where in_front is False.  No bounds
-    clamping: callers mask out-of-image projections themselves.
+    clamping: callers mask out-of-image projections themselves.  ``axis``
+    is the axis that holds (X, Y, Z), and uv holds (u, v) on the same
+    axis: -2 projects a component-major (..., 3, N) block to (..., 2, N).
     """
     pts_cam = np.asarray(pts_cam, dtype=float)
     if pts_cam.ndim == 1:
         pts_cam = pts_cam.reshape(-1, 3)
-    z = pts_cam[..., 2]
+    x, y, z = np.moveaxis(pts_cam, axis, 0)
     in_front = z > MIN_DEPTH
     zs = np.where(in_front, z, 1.0)
-    uv = np.empty(pts_cam.shape[:-1] + (2,))
-    uv[..., 0] = K.fx * pts_cam[..., 0] / zs + K.cx
-    uv[..., 1] = K.fy * pts_cam[..., 1] / zs + K.cy
-    return uv, in_front
+    uv = np.empty((2,) + z.shape)
+    uv[0] = K.fx * x / zs + K.cx
+    uv[1] = K.fy * y / zs + K.cy
+    return np.moveaxis(uv, 0, axis), in_front
 
 
 def pixel_index(K: CameraIntrinsics, uv, in_front):
@@ -442,20 +467,25 @@ def perturb_pose(T: PoseSE3, bounds: PerturbBounds, seed) -> PoseSE3:
     return PoseSE3(q_new, -(R_new @ c_new))
 
 
-def reprojection_jacobian(K: CameraIntrinsics, pose, pts_world):
+def reprojection_jacobian(K: CameraIntrinsics, pose, pts_world, cam=None):
     """Projection with its Jacobian w.r.t. the right-multiplicative update.
 
-    For r(xi) = project(K, pose * exp(xi), P) evaluated at xi = 0:
-    d p_cam / d xi = R @ [-[P]x | I], and the pixel Jacobian follows by
-    the chain rule through the pinhole division.
+    For r(xi) = project(K, pose * exp(xi), P) evaluated at xi = 0, let g be
+    a row of d uv / d p_cam times R.  The closed form (Blanco 2010; Sola et
+    al., "A micro Lie theory", 2018) gives g as that row's translation block
+    and the cross product P x g as its rotation block.  Both are written
+    elementwise over the points, as (..., 6, 2, N) rows.
 
     ``pose`` is a PoseSE3 with ``pts_world`` (N, 3), or a stack ``(R, t)``
     of B rotations (B, 3, 3) and translations (B, 3) with ``pts_world``
     (B, N, 3); the outputs then gain the leading B axis, and row b equals
-    the PoseSE3 form for pose b bit for bit.
+    the PoseSE3 form for pose b bit for bit.  ``cam``, when given, holds
+    the camera-frame points ``R @ P^T + t`` of these poses, (..., 3, N),
+    already computed.
 
-    Returns (uv (N,2), z (N,), J (N,2,6)).  Rows with z <= MIN_DEPTH are
-    undefined; callers discard them.
+    Returns (uv (N, 2), z (N,), J (N, 2, 6)), transposed views of the
+    component-major (..., 2, N) and (..., 6, 2, N) arrays.  Rows with
+    z <= MIN_DEPTH are undefined; callers discard them.
     """
     if isinstance(pose, PoseSE3):
         R, t = pose.rotation_matrix(), pose.t
@@ -463,23 +493,23 @@ def reprojection_jacobian(K: CameraIntrinsics, pose, pts_world):
     else:
         R, t = pose
         P = np.asarray(pts_world, dtype=float)
-    cam = P @ np.swapaxes(R, -1, -2) + t[..., None, :]
-    x, y, z = cam[..., 0], cam[..., 1], cam[..., 2]
-    uv, _ = project_points(K, cam)
+    PT = np.ascontiguousarray(np.swapaxes(P, -1, -2))
+    if cam is None:
+        cam = R @ PT
+        cam += t[..., :, None]
+    uv, _ = project_points(K, cam, axis=-2)
+    x, y, z = cam[..., 0, :], cam[..., 1, :], cam[..., 2, :]
+    px, py, pz = PT[..., 0, :], PT[..., 1, :], PT[..., 2, :]
 
-    # d p_cam / d xi: rotation block R @ (-[P]x), translation block R
-    R = R[..., None, :, :]
-    dcam = np.empty(cam.shape + (6,))
-    np.matmul(R, -_skew(P), out=dcam[..., :3])
-    dcam[..., 3:] = R
-
-    # d uv / d p_cam
-    dpi = np.zeros(cam.shape[:-1] + (2, 3))
     iz = 1.0 / z
-    dpi[..., 0, 0] = K.fx * iz
-    dpi[..., 0, 2] = -K.fx * x * iz * iz
-    dpi[..., 1, 1] = K.fy * iz
-    dpi[..., 1, 2] = -K.fy * y * iz * iz
-
-    J = dpi @ dcam
-    return uv, z, J
+    J = np.empty(cam.shape[:-2] + (6, 2, cam.shape[-1]))
+    # row of d uv / d p_cam: (f/z at column k, -f x_k/z^2 at column 2)
+    for k, (f, xk) in enumerate(((K.fx, x), (K.fy, y))):
+        g = J[..., 3:, k, :]
+        np.multiply((f * iz)[..., None, :], R[..., k, :, None], out=g)
+        g += (-f * xk * iz * iz)[..., None, :] * R[..., 2, :, None]
+        gx, gy, gz = g[..., 0, :], g[..., 1, :], g[..., 2, :]
+        np.subtract(py * gz, pz * gy, out=J[..., 0, k, :])
+        np.subtract(pz * gx, px * gz, out=J[..., 1, k, :])
+        np.subtract(px * gy, py * gx, out=J[..., 2, k, :])
+    return np.swapaxes(uv, -1, -2), z, np.swapaxes(J, -1, -3)

@@ -1,14 +1,16 @@
 """Global LiDAR map handling: voxel downsampling and local crops.
 
 Point clouds are plain float64 arrays of shape (N, 3) in world coordinates;
-a point's id is its row index.  ``GlobalMap`` keeps its ids sorted by x
-cell, so a local crop box-tests only the points in its x range (the maps
-built here are corridors along x).  Crops are unbounded vertically.
+a point's id is its row index.  ``GlobalMap`` sorts its ids by x cell on
+its first crop, so a local crop box-tests only the points in its x range
+(the maps built here are corridors along x); a map that is only
+downsampled never sorts.  Crops are unbounded vertically.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,22 +33,32 @@ class CropExtents:
         check_fields(self, positive=("forward", "backward", "lateral"))
 
 
+def _x_cells(x):
+    return np.floor(x / DEFAULT_CELL_SIZE).astype(np.int64)
+
+
 @dataclass
 class GlobalMap:
-    """Immutable map with its point ids in stable order of x cell."""
+    """Immutable map; its crop index is built on the first crop."""
 
     points: np.ndarray
-    _order: np.ndarray = field(repr=False)  # ids sorted by x cell
-    _keys: np.ndarray = field(repr=False)   # x cell of each id in _order
 
     @classmethod
     def build(cls, points) -> "GlobalMap":
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         if not np.all(np.isfinite(points)):
             raise ValueError("map points must be finite")
-        keys = np.floor(points[:, 0] / DEFAULT_CELL_SIZE).astype(np.int64)
-        order = np.argsort(keys, kind="stable")
-        return cls(points, order, keys[order])
+        return cls(points)
+
+    @cached_property
+    def _order(self):
+        """Point ids in stable order of x cell."""
+        return np.argsort(_x_cells(self.points[:, 0]), kind="stable")
+
+    @cached_property
+    def _keys(self):
+        """The x cell of each id in ``_order``."""
+        return _x_cells(self.points[self._order, 0])
 
     def __len__(self):
         return len(self.points)
@@ -123,7 +135,7 @@ def crop_local(gmap: GlobalMap, pose: PoseSE3, extents: CropExtents) -> np.ndarr
     xs = [center[0] + a * fwd[0] + b * lat[0]
           for a in (-extents.backward, extents.forward)
           for b in (-extents.lateral, extents.lateral)]
-    lo, hi = np.floor(np.array([min(xs), max(xs)]) / DEFAULT_CELL_SIZE).astype(np.int64)
+    lo, hi = _x_cells(np.array([min(xs), max(xs)]))
     start = np.searchsorted(gmap._keys, lo, side="left")
     stop = np.searchsorted(gmap._keys, hi, side="right")
     cand = np.sort(gmap._order[start:stop])

@@ -9,6 +9,16 @@ builds every one with the one initial-pose depth filter.
 ``joint.optimize_pair`` on reprojection and consistency terms; both run
 it with the one set of ``LM_*`` settings below.
 
+Every LM quantity is stored component-major, points as contiguous rows:
+a ``_Term`` holds its points as (3, N) and its targets as (2, N), its
+camera-frame points are one ``R @ P^T`` product, and the Jacobian of each
+pose is (6, 2, N) rows (see ``geometry.reprojection_jacobian``).  The
+normal equations of a term are then one product each, ``H = A A^T`` and
+``g = A b``, over the (6 k, 2 N) matrix A of its k free poses.  The loop
+evaluates the energy at a pose before it builds the system there, and a
+``_Term`` hands the camera-frame points of that energy forward to the
+system, keyed on the identity of the (immutable) pose objects.
+
 The minimal solver inside RANSAC is damped Gauss-Newton started from the
 tracking prior rather than a closed-form P3P: tracking always supplies a
 near-correct initial pose, which makes local iteration reliable.
@@ -124,6 +134,8 @@ class PnPResult:
     success: bool
     rmse: float            # inlier reprojection RMSE, px
     hypotheses: int
+    refine_iters: int = 0           # refine_pose's iterations; 0 when it did not run
+    refine_converged: bool = False  # refine_pose's convergence flag
 
 
 def correspondences_from_flow(d: DepthMap, f: FlowField, points) -> Correspondences:
@@ -172,28 +184,48 @@ class _Term:
     ``("cur", "next")`` the next pose's projection minus the current pose's
     minus ``target`` (the consistency term).  A pose putting a point within
     ``LM_MIN_DEPTH`` of its camera plane is infeasible.
+
+    Both arrays are stored component-major, ``PT`` (3, N) and ``TT``
+    (2, N); ``pts`` and ``target`` are their transposed views.  The
+    camera-frame points of the last ``residual`` call are kept with the
+    poses they belong to, so that ``residual_jacobians`` at the same pose
+    objects reuses them: in the LM loop that is the accepted trial.
     """
 
     def __init__(self, pts, target, which):
-        self.pts = pts
-        self.target = target
+        self.PT = np.ascontiguousarray(pts.T)
+        self.TT = np.ascontiguousarray(target.T)
         self.which = which
+        self._cams = []   # (pose, camera-frame points (3, N)) of the last residual
+
+    pts = property(lambda self: self.PT.T)
+    target = property(lambda self: self.TT.T)
 
     def __len__(self):
-        return len(self.pts)
+        return self.PT.shape[1]
+
+    def _cam(self, T):
+        for pose, cam in self._cams:
+            if pose is T:
+                return cam
+        cam = T.rotation_matrix() @ self.PT
+        cam += T.t[:, None]
+        return cam
 
     def residual(self, K, T_cur, T_next):
         """(N, 2) residuals, or None at an infeasible pose."""
-        cams = [T.apply(self.pts) for T in _poses(self.which, T_cur, T_next)]
-        if any(np.any(cam[:, 2] <= LM_MIN_DEPTH) for cam in cams):
+        poses = _poses(self.which, T_cur, T_next)
+        cams = [self._cam(T) for T in poses]
+        self._cams = list(zip(poses, cams))
+        if any(np.any(cam[2] <= LM_MIN_DEPTH) for cam in cams):
             return None
-        uv = [project_points(K, cam)[0] for cam in cams]
-        return (uv[1] - uv[0] if len(uv) == 2 else uv[0]) - self.target
+        uv = [project_points(K, cam, axis=-2)[0] for cam in cams]
+        return ((uv[1] - uv[0] if len(uv) == 2 else uv[0]) - self.TT).T
 
     def residual_jacobians(self, K, T_cur, T_next):
         """Residuals plus the (N, 2, 6) Jacobian blocks of the current and
         the next pose (None for a pose the term does not use)."""
-        got = [reprojection_jacobian(K, T, self.pts)
+        got = [reprojection_jacobian(K, T, self.pts, cam=self._cam(T))
                for T in _poses(self.which, T_cur, T_next)]
         if any(np.any(z <= LM_MIN_DEPTH) for _, z, _ in got):
             return None
@@ -233,30 +265,33 @@ def _huber_energy(terms, K, T_cur, T_next, delta):
 
 
 def _normal_equations(terms, K, T_cur, T_next, free, delta):
-    """Gauss-Newton system (H, g) over the poses named in ``free``, or None
-    at an infeasible pose."""
+    """Gauss-Newton system (H, g) over the poses named in ``free``, at
+    poses where every term is feasible.
+
+    Each term's weighted Jacobian is one (6 k, 2 N) matrix A, its rows the
+    component-major Jacobian rows of the k free poses (zero for a pose the
+    term does not use); H gains A A^T and g gains A b, one product each.
+    """
     n = 6 * len(free)
     H = np.zeros((n, n))
     g = np.zeros(n)
     for weight, term in terms:
-        got = term.residual_jacobians(K, T_cur, T_next)
-        if got is None:
-            return None
-        r, Jc, Jn = got
+        r, Jc, Jn = term.residual_jacobians(K, T_cur, T_next)
         blocks = {"cur": Jc, "next": Jn}
+        m = len(r)
         if len(free) == 1 and blocks[free[0]] is not None:
-            J = blocks[free[0]]  # used as is: a zero-filled copy costs time
+            A = blocks[free[0]].T  # the term's own new array: no zero-filled copy
         else:
-            J = np.zeros((len(r), 2, n))
+            A = np.zeros((n, 2, m))
             for k, name in enumerate(free):
                 if blocks[name] is not None:
-                    J[:, :, 6 * k:6 * k + 6] = blocks[name]
-        irls = _huber_weights(np.linalg.norm(r, axis=1), delta)
-        sw = np.sqrt(weight * irls)[:, None]
-        A = (J * sw[:, :, None]).reshape(-1, n)
-        b = (r * sw).reshape(-1)
-        H += A.T @ A
-        g += A.T @ b
+                    A[6 * k:6 * k + 6] = blocks[name].T
+        sw = np.sqrt(weight * _huber_weights(np.linalg.norm(r, axis=1), delta))
+        A *= sw
+        A = A.reshape(n, 2 * m)
+        b = (r.T * sw).reshape(2 * m)
+        H += A @ A.T
+        g += A @ b
     return H, g
 
 
@@ -273,14 +308,14 @@ def _huber_lm(terms, K, T_cur, T_next, free, delta, max_iters, rel_tol, lambda0)
     the initial poses are infeasible, the initial energy is not finite (a
     non-finite pixel, point or flow sample) or the initial system is
     rank-deficient (an unobservable pose direction).
+
+    Every system is built at poses whose energy was just evaluated, so the
+    terms hand their camera-frame points forward to it.
     """
-    built = _normal_equations(terms, K, T_cur, T_next, free, delta)
-    if built is None:
-        return None
     energy = _huber_energy(terms, K, T_cur, T_next, delta)
     if not np.isfinite(energy):
-        return None  # no step could lower it
-    H, g = built
+        return None  # infeasible, or no step could lower it
+    H, g = _normal_equations(terms, K, T_cur, T_next, free, delta)
     n = len(H)
     # rank of J equals rank of H = J^T J
     s = np.linalg.svd(H, compute_uv=False)
@@ -292,10 +327,7 @@ def _huber_lm(terms, K, T_cur, T_next, free, delta, max_iters, rel_tol, lambda0)
     it = 0
     for it in range(1, max_iters + 1):
         if it > 1:
-            built = _normal_equations(terms, K, T_cur, T_next, free, delta)
-            if built is None:
-                break
-            H, g = built
+            H, g = _normal_equations(terms, K, T_cur, T_next, free, delta)
         if np.linalg.norm(g, ord=np.inf) < LM_GRAD_TOL:
             converged = True
             break
@@ -384,11 +416,11 @@ def _fit_minimal_batch(P, x, K, T0):
         live, uv, J = live[front], uv[front], J[front]
         if not len(live):
             break
-        r = (uv - x[live]).reshape(len(live), -1, 1)
-        A = J.reshape(len(live), -1, 6)
-        At = A.transpose(0, 2, 1)
-        H = At @ A + 1e-9 * np.eye(6)
-        delta, solved = _solve_stack(H, -(At @ r))
+        # component-major rows: A (B, 6, 8) and r (B, 8, 1)
+        A = np.swapaxes(J, -1, -3).reshape(len(live), 6, -1)
+        r = np.swapaxes(uv - x[live], -1, -2).reshape(len(live), -1, 1)
+        H = A @ np.swapaxes(A, -1, -2) + 1e-9 * np.eye(6)
+        delta, solved = _solve_stack(H, -(A @ r))
         fitted[live[~solved]] = False
         live, delta = live[solved], delta[solved, :, 0]
 
@@ -540,5 +572,6 @@ def solve_pnp_ransac(corrs: Correspondences, K: CameraIntrinsics, T_init: PoseSE
     if int(final_mask.sum()) < max(cfg.min_inliers, 4):
         final_mask = best_mask
     rmse = float(np.sqrt(np.mean(err[final_mask] ** 2)))
-    return PnPResult(pose=pose, inliers=final_mask, success=True,
-                     rmse=rmse, hypotheses=it)
+    return PnPResult(pose=pose, inliers=final_mask, success=True, rmse=rmse,
+                     hypotheses=it, refine_iters=refined.iterations,
+                     refine_converged=refined.converged)

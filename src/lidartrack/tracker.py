@@ -158,8 +158,8 @@ class Tracker:
         one, or the current and next frame of a pair.  Their ground truth
         goes to the oracle only; an outage frame's image-to-depth flow is
         replaced by an invalid field.  Writes the stage timings and the
-        ``inliers_*``/``ransac_hyp_*`` columns into ``diag``.  Returns None
-        when the crop renders no pixel.
+        ``inliers_*``, ``ransac_hyp_*`` and ``refine_iters_*`` columns into
+        ``diag``.  Returns None when the crop renders no pixel.
         """
         cfg, K = self.config, self.config.camera
         frame, T_init = state.frame_index, state.T_init_next
@@ -194,6 +194,7 @@ class Tracker:
         for side, pnp in zip(("cur", "next"), pnps):
             diag[f"inliers_{side}"] = int(pnp.inliers.sum())
             diag[f"ransac_hyp_{side}"] = pnp.hypotheses
+            diag[f"refine_iters_{side}"] = pnp.refine_iters
         return FrontEnd(crop, depth, image_flow, corrs, pnps)
 
     @staticmethod
@@ -372,7 +373,8 @@ def scenario_from_cloud(cloud, gt, map_resolution: float = 0.1, vo_cfg=None,
 
 DIAGNOSTIC_COLUMNS = ["frame", "mode", "rot_err_deg", "transl_err_cm",
                       "inliers_cur", "inliers_next", "ransac_hyp_cur",
-                      "ransac_hyp_next", "e_initial", "e_final",
+                      "ransac_hyp_next", "refine_iters_cur", "refine_iters_next",
+                      "e_initial", "e_final",
                       "opt_iters", "opt_converged", "consist_pts", "rescued",
                       "fail_reason", "candidate", "pnp_rmse",
                       "ms_crop", "ms_render", "ms_flow", "ms_pnp", "ms_opt"]

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidartrack.flow import FlowNoiseModel
-from lidartrack.geometry import (DEFAULT_PERTURB, CameraIntrinsics,
-                                 PerturbBounds, PoseSE3, perturb_pose,
-                                 pose_error, SMALL_ANGLE, project_points,
-                                 reprojection_jacobian, se3_exp, se3_log)
+from lidartrack.geometry import (DEFAULT_PERTURB, MIN_DEPTH, CameraIntrinsics,
+                                 PerturbBounds, PoseSE3, _quat_to_matrix, _skew,
+                                 perturb_pose, pose_error, SMALL_ANGLE,
+                                 project_points, reprojection_jacobian, se3_exp,
+                                 se3_log)
 from lidartrack.joint import EnergyConfig
 from lidartrack.mapping import CropExtents
 from lidartrack.pnp import RansacConfig
@@ -104,6 +105,35 @@ class TestTransform:
     def test_rotation_90_about_z(self):
         T = PoseSE3.from_rt(rotz(90.0), [0, 0, 0])
         assert np.allclose(T.apply([1, 0, 0]), [0, 1, 0], atol=1e-12)
+
+
+class TestPoseIsImmutable:
+    """``q``, ``t`` and the cached rotation matrix are read-only, so that a
+    pose object stands for one value."""
+
+    def test_arrays_reject_in_place_writes(self):
+        T = se3_exp([0.1, -0.2, 0.3, 1.0, 2.0, -0.5])
+        for a in (T.q, T.t, T.rotation_matrix()):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1.0
+
+    def test_constructor_leaves_its_arguments_writeable(self):
+        q, t = np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 2.0, 3.0])
+        PoseSE3(q, t)
+        q[0] = 2.0
+        t[0] = 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+               lambda q: np.linalg.norm(q) > 1e-3),
+           t=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3))
+    def test_cached_rotation_is_the_quaternion_matrix(self, q, t):
+        T = PoseSE3(q, t)
+        R = T.rotation_matrix()
+        assert R is T.rotation_matrix()
+        assert np.array_equal(R, _quat_to_matrix(T.q))
 
 
 class TestGroupOps:
@@ -259,7 +289,79 @@ class TestPerturb:
         assert 182.8 * 0.85 <= mean_transl_cm <= 182.8 * 1.15
 
 
+def _reprojection_jacobian_reference(K, R, t, P):
+    """The product form of the Jacobian: d p_cam / d xi = R @ [-[P]x | I]
+    chained through d uv / d p_cam, one stacked 2x3 @ 3x6 product per
+    point.  Returns J (N, 2, 6)."""
+    cam = P @ R.T + t
+    x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]
+    dcam = np.empty((len(P), 3, 6))
+    dcam[:, :, :3] = R @ -_skew(P)
+    dcam[:, :, 3:] = R
+    dpi = np.zeros((len(P), 2, 3))
+    iz = 1.0 / z
+    dpi[:, 0, 0] = K.fx * iz
+    dpi[:, 0, 2] = -K.fx * x * iz * iz
+    dpi[:, 1, 1] = K.fy * iz
+    dpi[:, 1, 2] = -K.fy * y * iz * iz
+    return dpi @ dcam
+
+
+_K_LONG = CameraIntrinsics(fx=1e5, fy=1e5, cx=240.0, cy=80.0, width=480, height=160)
+
+
 class TestJacobian:
+    @pytest.mark.parametrize("camera", ["paper", "long"])
+    def test_matches_product_form(self, K, camera):
+        # Each entry is a short sum of products of world coordinates and of
+        # g = d uv / d p_cam . R, rounded in another order than the product
+        # form rounds it.  Per point, the two must agree to 8 eps (1 + |P|) |g|,
+        # |g| the largest translation-block entry; the largest gap over
+        # these cases is 2.4 eps (1 + |P|) |g|, and 2.5 eps of the largest
+        # |J| of a call.
+        K = K if camera == "paper" else _K_LONG
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(21)
+        for _ in range(400):
+            xi = rng.uniform(-3.0, 3.0, 6) * [1, 1, 1, 10, 10, 10]
+            T = se3_exp(xi)
+            n = int(rng.integers(1, 60))
+            cam = np.column_stack([rng.uniform(-20, 20, n), rng.uniform(-6, 6, n),
+                                   10.0 ** rng.uniform(-3, 2, n)])
+            P = T.inverse().apply(cam)
+            uv, z, J = reprojection_jacobian(K, T, P)
+            ref = _reprojection_jacobian_reference(K, T.rotation_matrix(), T.t, P)
+            uv_ref, _ = project_points(K, T.apply(P))
+            assert np.array_equal(uv, uv_ref) and np.array_equal(z, T.apply(P)[:, 2])
+            scale = (1.0 + np.abs(P).max(axis=1)) * np.abs(ref[:, :, 3:]).max(axis=(1, 2))
+            assert np.all(np.abs(J - ref).max(axis=(1, 2)) <= 8 * eps * scale)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 64), n=st.integers(1, 50))
+    def test_stacked_rows_equal_single_pose_form(self, seed, b, n):
+        # points at and behind MIN_DEPTH too: their rows are undefined, but
+        # still the same bits in both forms; an identity pose keeps the
+        # camera-frame depths exact
+        rng = np.random.default_rng(seed)
+        poses = [PoseSE3.identity() if rng.random() < 0.25
+                 else se3_exp(rng.uniform(-1.0, 1.0, 6) * [1, 1, 1, 5, 5, 5])
+                 for _ in range(b)]
+        cam = rng.uniform([-20.0, -6.0, 0.01], [20.0, 6.0, 60.0], (b, n, 3))
+        special = rng.random((b, n)) < 0.2
+        cam[special, 2] = rng.choice([MIN_DEPTH, 0.0, -MIN_DEPTH, -5.0], special.sum())
+        P = np.array([T.inverse().apply(c) for T, c in zip(poses, cam)])
+        R = np.array([T.rotation_matrix() for T in poses])
+        t = np.array([T.t for T in poses])
+        uv, z, J = reprojection_jacobian(_K_LONG, (R, t), P)
+        assert uv.shape == (b, n, 2) and z.shape == (b, n) and J.shape == (b, n, 2, 6)
+        for k, T in enumerate(poses):
+            uv1, z1, J1 = reprojection_jacobian(_K_LONG, T, P[k])
+            assert np.array_equal(uv[k], uv1, equal_nan=True)
+            assert np.array_equal(z[k], z1)
+            assert np.array_equal(J[k], J1, equal_nan=True)
+
     def test_matches_central_differences(self, K):
         rng = np.random.default_rng(12)
         h = 1e-6

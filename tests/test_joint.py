@@ -167,16 +167,17 @@ def _optimize_pair_reference(T_cur0, T_next0, corrs_cur, corrs_next, consist_pts
         g = np.zeros(n_free)
         for r, Jc, Jn, irls, weight in rows:
             m = len(r)
-            J = np.zeros((m, 2, n_free))
+            # component-major rows: A (n_free, 2m) and b (2m,)
+            J = np.zeros((n_free, 2, m))
             if Jc is not None and "cur" in cols:
-                J[:, :, cols["cur"]] = Jc
+                J[cols["cur"]] = Jc.T
             if Jn is not None and "next" in cols:
-                J[:, :, cols["next"]] = Jn
-            sw = np.sqrt(weight * irls)[:, None]
-            A = (J * sw[:, :, None]).reshape(-1, n_free)
-            b = (r * sw).reshape(-1)
-            H += A.T @ A
-            g += A.T @ b
+                J[cols["next"]] = Jn.T
+            sw = np.sqrt(weight * irls)
+            A = (J * sw).reshape(n_free, -1)
+            b = (r.T * sw).reshape(-1)
+            H += A @ A.T
+            g += A @ b
         return H, g
 
     built = build_system(T_cur0, T_next0)

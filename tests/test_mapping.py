@@ -98,6 +98,23 @@ class TestGlobalMap:
         same_cell = np.diff(m._keys) == 0
         assert np.all(np.diff(m._order)[same_cell] > 0)
 
+    def test_downsampled_map_never_sorts(self):
+        # the crop index is built on the first crop, so neither the raw
+        # cloud nor the map downsampled from it sorts one
+        raw = GlobalMap.build(generate_scene(SceneConfig(extent=30.0, seed=2)))
+        m = downsample(raw, 0.1)
+        for gmap in (raw, m):
+            assert "_order" not in vars(gmap) and "_keys" not in vars(gmap)
+
+    def test_index_built_once_on_first_crop(self):
+        rng = np.random.default_rng(6)
+        m = GlobalMap.build(rng.uniform(-40, 40, (2000, 3)))
+        pose = se3_exp([0.0, 0.3, 0.0, 1.0, 0.0, 2.0])
+        first = crop_local(m, pose, CropExtents())
+        order, keys = vars(m)["_order"], vars(m)["_keys"]
+        assert np.array_equal(crop_local(m, pose, CropExtents()), first)
+        assert vars(m)["_order"] is order and vars(m)["_keys"] is keys
+
 
 class TestDownsample:
     def test_two_points_one_voxel_to_centroid(self):

@@ -32,11 +32,12 @@ def _fit_minimal_reference(corrs, K, T0):
         uv, z, J = reprojection_jacobian(K, pose, corrs.p_world)
         if np.any(z <= MIN_DEPTH):
             return None
-        r = (uv - corrs.x_img).reshape(-1)
-        A = J.reshape(-1, 6)
-        H = A.T @ A + 1e-9 * np.eye(6)
+        # component-major rows: A (6, 2N) and r (2N,)
+        A = J.T.reshape(6, -1)
+        r = (uv - corrs.x_img).T.reshape(-1)
+        H = A @ A.T + 1e-9 * np.eye(6)
         try:
-            delta = np.linalg.solve(H, -(A.T @ r))
+            delta = np.linalg.solve(H, -(A @ r))
         except np.linalg.LinAlgError:
             return None
         try:
@@ -90,10 +91,11 @@ def _refine_pose_reference(corrs, K, T0, huber_delta=2.0, max_iters=30,
         r = uv - kept.x_img
         norms = np.linalg.norm(r, axis=1)
         wts = _huber_weights(norms, huber_delta)
-        sw = np.sqrt(wts)[:, None]
-        A = (J * sw[:, :, None]).reshape(-1, 6)
-        b = (r * sw).reshape(-1)
-        return A.T @ A, A.T @ b
+        sw = np.sqrt(wts)
+        # component-major rows: A (6, 2N) and b (2N,)
+        A = (J.T * sw).reshape(6, -1)
+        b = (r.T * sw).reshape(-1)
+        return A @ A.T, A @ b
 
     pose = T0
     H, g = normal_equations(pose)
@@ -191,8 +193,9 @@ def _solve_pnp_ransac_reference(corrs, K, T_init, cfg):
     if int(final_mask.sum()) < max(cfg.min_inliers, 4):
         final_mask = best_mask
     rmse = float(np.sqrt(np.mean(err[final_mask] ** 2)))
-    return PnPResult(pose=refined.pose, inliers=final_mask, success=True,
-                     rmse=rmse, hypotheses=it)
+    return PnPResult(pose=refined.pose, inliers=final_mask, success=True, rmse=rmse,
+                     hypotheses=it, refine_iters=refined.iterations,
+                     refine_converged=refined.converged)
 
 
 def _refine_pose_with(corrs, K, T0, huber_delta, max_iters, rel_tol, lambda0):
@@ -226,6 +229,7 @@ def assert_same_result(a, b):
     assert a.rmse == b.rmse
     assert a.hypotheses == b.hypotheses
     assert a.success == b.success
+    assert (a.refine_iters, a.refine_converged) == (b.refine_iters, b.refine_converged)
 
 
 # a 480x160 camera, and one whose focal length makes the 1e-9 damping
@@ -445,6 +449,36 @@ class TestRefinePose:
                            _refine_pose_reference(corrs, K_LM, T0, **kw))
 
 
+class TestTermHandsForward:
+    def test_residual_hands_its_points_to_the_jacobian(self, monkeypatch):
+        # residual_jacobians at the pose objects of the last residual call
+        # reuses that call's camera-frame points, with the bits of a fresh
+        # term; another object of the same pose is projected anew
+        rng = np.random.default_rng(8)
+        Tc = se3_exp(rng.uniform(-0.1, 0.1, 6))
+        Tn = se3_exp([0.01, 0.0, 0.0, 0.0, 0.0, -0.5]).compose(Tc)
+        P = Tc.inverse().apply(rng.uniform([-8, -3, 3], [8, 3, 30], (40, 3)))
+        target = rng.normal(0.0, 5.0, (40, 2))
+        term = pnp._Term(P, target, ("cur", "next"))
+        assert term.residual(K_LM, Tc, Tn) is not None
+        handed = [cam for _, cam in term._cams]
+        seen = []
+        jacobian = pnp.reprojection_jacobian
+
+        def spy(*args, cam=None):
+            seen.append(cam)
+            return jacobian(*args, cam=cam)
+
+        monkeypatch.setattr(pnp, "reprojection_jacobian", spy)
+        got = term.residual_jacobians(K_LM, Tc, Tn)
+        assert len(seen) == 2 and all(a is b for a, b in zip(seen, handed))
+        fresh = pnp._Term(P, target, ("cur", "next")).residual_jacobians(K_LM, Tc, Tn)
+        assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+        seen.clear()
+        term.residual_jacobians(K_LM, PoseSE3(Tc.q, Tc.t), Tn)
+        assert seen[0] is not handed[0] and seen[1] is handed[1]
+
+
 class TestRefineFailureIsAResult:
     """Input that gives no refinement comes back as the failed result,
     never as an exception: ``solve_pnp_ransac`` and the benchmark's
@@ -593,6 +627,7 @@ def assert_no_pose(res, T_init, n, hypotheses):
     assert res.inliers.shape == (n,) and not res.inliers.any()
     assert res.rmse == float("inf")
     assert res.hypotheses == hypotheses
+    assert (res.refine_iters, res.refine_converged) == (0, False)
 
 
 class TestNoPoseIsAResult:
@@ -709,18 +744,10 @@ class TestBatchedRansac:
         assert np.isinf(err[-1]).all() and np.isnan(err[0, n // 2])
         assert np.isinf(err[0]).any() and np.isfinite(err[0]).any()
 
-    def test_batched_fit_matches_reference_fit(self):
-        # one stack mixing ordinary samples, samples behind the camera, a
-        # sample with a NaN pixel and singular samples of coincident points
-        corrs, T_init = make_ransac_problem(400, 0.3, 0.05, 1.0, 5, K=K_LONG)
-        rng = np.random.default_rng(6)
-        idx = np.array([rng.choice(len(corrs), size=4, replace=False)
-                        for _ in range(40)])
-        P, x = corrs.p_world[idx], corrs.x_img[idx]
-        x[7, 2] = np.nan
-        singular = [3, 11, 12]
-        P[singular] = T_init.inverse().apply([0.0, 0.0, 1.0])
-        x[singular] = project_points(K_LONG, T_init.apply(P[3]))[0]
+    @staticmethod
+    def _failed_fits(P, x, T_init):
+        """Fit the stack at once and one sample at a time, require the same
+        rows bit for bit, and return the samples whose fit failed."""
         R, t, fitted = _fit_minimal_batch(P, x, K_LONG, T_init)
         failed = []
         for k in range(len(P)):
@@ -733,4 +760,29 @@ class TestBatchedRansac:
             assert fitted[k]
             assert np.array_equal(R[k], ref.rotation_matrix())
             assert np.array_equal(t[k], ref.t)
-        assert set(singular) | {7} < set(failed)
+        return set(failed)
+
+    def test_batched_fit_matches_reference_fit(self):
+        # one stack mixing ordinary samples, samples behind the camera, a
+        # sample with a NaN pixel and samples of coincident points
+        corrs, T_init = make_ransac_problem(400, 0.3, 0.05, 1.0, 5, K=K_LONG)
+        rng = np.random.default_rng(6)
+        idx = np.array([rng.choice(len(corrs), size=4, replace=False)
+                        for _ in range(40)])
+        P, x = corrs.p_world[idx], corrs.x_img[idx]
+        x[7, 2] = np.nan
+        P[[3, 11, 12]] = T_init.inverse().apply([0.0, 0.0, 1.0])
+        x[[3, 11, 12]] = project_points(K_LONG, T_init.apply(P[3]))[0]
+        assert {7} < self._failed_fits(P, x, T_init)
+
+    def test_singular_fits_fail_in_a_stack(self):
+        # four coincident points straight ahead of the identity pose give
+        # exact Jacobian entries and exactly singular normal equations; the
+        # stacked solve raises, and each system is solved on its own
+        rng = np.random.default_rng(7)
+        cam = rng.uniform([-20.0, -6.0, 2.0], [20.0, 6.0, 60.0], (12, 4, 3))
+        P, x = cam, project_points(K_LONG, cam)[0] + rng.normal(0.0, 1.0, (12, 4, 2))
+        singular = [2, 5, 6]
+        P[singular] = [0.0, 0.0, 1.0]
+        x[singular] = [K_LONG.cx, K_LONG.cy]
+        assert self._failed_fits(P, x, PoseSE3.identity()) == set(singular)

@@ -289,6 +289,8 @@ class TestDiagnostics:
             assert keys <= set(DIAGNOSTIC_COLUMNS), (mode, keys - set(DIAGNOSTIC_COLUMNS))
             hyps = [d["ransac_hyp_cur"] for d in res.diagnostics if "ransac_hyp_cur" in d]
             assert hyps[0] > 0 and hyps[4] == 0  # an outage frame runs no RANSAC
+            iters = [d["refine_iters_cur"] for d in res.diagnostics if "refine_iters_cur" in d]
+            assert iters[0] > 0 and iters[4] == 0  # nor any refinement
             if mode == "multi_view":
                 assert not res.complete
                 assert {"one_frame", "consistency_only"} & {d.get("rescued") for d in res.diagnostics}
@@ -479,6 +481,8 @@ class ReferenceTracker(Tracker):
         diag["inliers_next"] = int(pnp_next.inliers.sum())
         diag["ransac_hyp_cur"] = pnp_cur.hypotheses
         diag["ransac_hyp_next"] = pnp_next.hypotheses
+        diag["refine_iters_cur"] = pnp_cur.refine_iters
+        diag["refine_iters_next"] = pnp_next.refine_iters
 
         if pnp_cur.success:
             consist_pts = corrs_cur.p_world[pnp_cur.inliers]
@@ -568,6 +572,7 @@ class ReferenceTracker(Tracker):
         diag["ms_pnp"] = 1e3 * (time.perf_counter() - t0)
         diag["inliers_cur"] = int(result.inliers.sum())
         diag["ransac_hyp_cur"] = result.hypotheses
+        diag["refine_iters_cur"] = result.refine_iters
         if not result.success:
             state.failed = True
             return state, None, diag
@@ -607,6 +612,7 @@ class ReferenceTracker(Tracker):
         diag["ms_pnp"] = 1e3 * (time.perf_counter() - t0)
         diag["inliers_cur"] = int(result.inliers.sum())
         diag["ransac_hyp_cur"] = result.hypotheses
+        diag["refine_iters_cur"] = result.refine_iters
         if result.success:
             candidate_a = result.pose
             rmse = result.rmse
