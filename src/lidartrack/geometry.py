@@ -13,7 +13,7 @@ Conventions used throughout the package:
   ``T <- T * exp(xi)`` (rotation block first).
 * A ``PoseSE3`` is immutable: ``q``, ``t`` and the rotation matrix it
   caches are read-only arrays, so a pose object stands for one value and
-  callers may key what they computed from it on its identity.
+  its cached rotation matrix stays that of ``q``.
 * The least-squares code stores points component-major: a block of N
   points is (..., 3, N), with the x, y and z rows contiguous, and
   ``reprojection_jacobian`` writes its Jacobian as (..., 6, 2, N) rows,
@@ -467,7 +467,7 @@ def perturb_pose(T: PoseSE3, bounds: PerturbBounds, seed) -> PoseSE3:
     return PoseSE3(q_new, -(R_new @ c_new))
 
 
-def reprojection_jacobian(K: CameraIntrinsics, pose, pts_world, cam=None):
+def reprojection_jacobian(K: CameraIntrinsics, pose, pts_world):
     """Projection with its Jacobian w.r.t. the right-multiplicative update.
 
     For r(xi) = project(K, pose * exp(xi), P) evaluated at xi = 0, let g be
@@ -479,9 +479,7 @@ def reprojection_jacobian(K: CameraIntrinsics, pose, pts_world, cam=None):
     ``pose`` is a PoseSE3 with ``pts_world`` (N, 3), or a stack ``(R, t)``
     of B rotations (B, 3, 3) and translations (B, 3) with ``pts_world``
     (B, N, 3); the outputs then gain the leading B axis, and row b equals
-    the PoseSE3 form for pose b bit for bit.  ``cam``, when given, holds
-    the camera-frame points ``R @ P^T + t`` of these poses, (..., 3, N),
-    already computed.
+    the PoseSE3 form for pose b bit for bit.
 
     Returns (uv (N, 2), z (N,), J (N, 2, 6)), transposed views of the
     component-major (..., 2, N) and (..., 6, 2, N) arrays.  Rows with
@@ -494,9 +492,8 @@ def reprojection_jacobian(K: CameraIntrinsics, pose, pts_world, cam=None):
         R, t = pose
         P = np.asarray(pts_world, dtype=float)
     PT = np.ascontiguousarray(np.swapaxes(P, -1, -2))
-    if cam is None:
-        cam = R @ PT
-        cam += t[..., :, None]
+    cam = R @ PT
+    cam += t[..., :, None]
     uv, _ = project_points(K, cam, axis=-2)
     x, y, z = cam[..., 0, :], cam[..., 1, :], cam[..., 2, :]
     px, py, pz = PT[..., 0, :], PT[..., 1, :], PT[..., 2, :]

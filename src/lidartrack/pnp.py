@@ -14,10 +14,7 @@ a ``_Term`` holds its points as (3, N) and its targets as (2, N), its
 camera-frame points are one ``R @ P^T`` product, and the Jacobian of each
 pose is (6, 2, N) rows (see ``geometry.reprojection_jacobian``).  The
 normal equations of a term are then one product each, ``H = A A^T`` and
-``g = A b``, over the (6 k, 2 N) matrix A of its k free poses.  The loop
-evaluates the energy at a pose before it builds the system there, and a
-``_Term`` hands the camera-frame points of that energy forward to the
-system, keyed on the identity of the (immutable) pose objects.
+``g = A b``, over the (6 k, 2 N) matrix A of its k free poses.
 
 The minimal solver inside RANSAC is damped Gauss-Newton started from the
 tracking prior rather than a closed-form P3P: tracking always supplies a
@@ -186,17 +183,13 @@ class _Term:
     ``LM_MIN_DEPTH`` of its camera plane is infeasible.
 
     Both arrays are stored component-major, ``PT`` (3, N) and ``TT``
-    (2, N); ``pts`` and ``target`` are their transposed views.  The
-    camera-frame points of the last ``residual`` call are kept with the
-    poses they belong to, so that ``residual_jacobians`` at the same pose
-    objects reuses them: in the LM loop that is the accepted trial.
+    (2, N); ``pts`` and ``target`` are their transposed views.
     """
 
     def __init__(self, pts, target, which):
         self.PT = np.ascontiguousarray(pts.T)
         self.TT = np.ascontiguousarray(target.T)
         self.which = which
-        self._cams = []   # (pose, camera-frame points (3, N)) of the last residual
 
     pts = property(lambda self: self.PT.T)
     target = property(lambda self: self.TT.T)
@@ -204,19 +197,13 @@ class _Term:
     def __len__(self):
         return self.PT.shape[1]
 
-    def _cam(self, T):
-        for pose, cam in self._cams:
-            if pose is T:
-                return cam
-        cam = T.rotation_matrix() @ self.PT
-        cam += T.t[:, None]
-        return cam
-
     def residual(self, K, T_cur, T_next):
         """(N, 2) residuals, or None at an infeasible pose."""
-        poses = _poses(self.which, T_cur, T_next)
-        cams = [self._cam(T) for T in poses]
-        self._cams = list(zip(poses, cams))
+        cams = []
+        for T in _poses(self.which, T_cur, T_next):
+            cam = T.rotation_matrix() @ self.PT
+            cam += T.t[:, None]
+            cams.append(cam)
         if any(np.any(cam[2] <= LM_MIN_DEPTH) for cam in cams):
             return None
         uv = [project_points(K, cam, axis=-2)[0] for cam in cams]
@@ -225,7 +212,7 @@ class _Term:
     def residual_jacobians(self, K, T_cur, T_next):
         """Residuals plus the (N, 2, 6) Jacobian blocks of the current and
         the next pose (None for a pose the term does not use)."""
-        got = [reprojection_jacobian(K, T, self.pts, cam=self._cam(T))
+        got = [reprojection_jacobian(K, T, self.pts)
                for T in _poses(self.which, T_cur, T_next)]
         if any(np.any(z <= LM_MIN_DEPTH) for _, z, _ in got):
             return None
@@ -295,6 +282,20 @@ def _normal_equations(terms, K, T_cur, T_next, free, delta):
     return H, g
 
 
+def _rank(H):
+    """Numerical rank of each system of the stack H (B, n, n) = J J^T.
+
+    The count of singular values above 1e-12 times the largest, 0 for a
+    system that is not finite: the rank of J, a test that does not hang
+    on whether a solve meets an exact zero pivot.
+    """
+    rank = np.zeros(len(H), dtype=int)
+    ok = np.all(np.isfinite(H), axis=(-2, -1))
+    s = np.linalg.svd(H[ok], compute_uv=False)
+    rank[ok] = np.count_nonzero(s > 1e-12 * s[:, :1], axis=1)
+    return rank
+
+
 def _huber_lm(terms, K, T_cur, T_next, free, delta, max_iters, rel_tol, lambda0):
     """Levenberg-Marquardt on the weighted Huber energy of ``terms``.
 
@@ -308,18 +309,13 @@ def _huber_lm(terms, K, T_cur, T_next, free, delta, max_iters, rel_tol, lambda0)
     the initial poses are infeasible, the initial energy is not finite (a
     non-finite pixel, point or flow sample) or the initial system is
     rank-deficient (an unobservable pose direction).
-
-    Every system is built at poses whose energy was just evaluated, so the
-    terms hand their camera-frame points forward to it.
     """
     energy = _huber_energy(terms, K, T_cur, T_next, delta)
     if not np.isfinite(energy):
         return None  # infeasible, or no step could lower it
     H, g = _normal_equations(terms, K, T_cur, T_next, free, delta)
     n = len(H)
-    # rank of J equals rank of H = J^T J
-    s = np.linalg.svd(H, compute_uv=False)
-    if s[0] <= 0 or int(np.sum(s > s[0] * 1e-12)) < n:
+    if _rank(H[None])[0] < n:
         return None
     trace = [energy]
     lam = lambda0
@@ -396,9 +392,13 @@ def _fit_minimal_batch(P, x, K, T0):
 
     Sample b holds world points ``P[b]`` (4, 3) and pixels ``x[b]`` (4, 2);
     every fit starts from T0 and runs up to six steps.  A fit leaves the
-    batch when its step falls below 1e-8; it fails when a point lands
-    behind the camera, when its normal equations are singular or when its
-    step or new translation is not finite.
+    batch when its step falls below 1e-8.  It fails when its sample is
+    degenerate, its normal equations at T0 fixing fewer than five pose
+    directions (``_rank``): four points on one line fix five, and the
+    damping holds the sixth, the rotation about the line, at T0, while
+    coincident points fix two.  It fails too when a point lands behind
+    the camera, when a damped system is singular, or when its step or
+    new translation is not finite.
 
     Returns (R (B, 3, 3), t (B, 3), fitted (B,)): every row is a finite
     pose, the last one reached.
@@ -409,7 +409,7 @@ def _fit_minimal_batch(P, x, K, T0):
     t = np.tile(T0.t, (b, 1))
     fitted = np.ones(b, dtype=bool)
     live = np.arange(b)
-    for _ in range(6):
+    for step in range(6):
         uv, z, J = reprojection_jacobian(K, (R[live], t[live]), P[live])
         front = ~np.any(z <= MIN_DEPTH, axis=1)
         fitted[live[~front]] = False
@@ -419,8 +419,12 @@ def _fit_minimal_batch(P, x, K, T0):
         # component-major rows: A (B, 6, 8) and r (B, 8, 1)
         A = np.swapaxes(J, -1, -3).reshape(len(live), 6, -1)
         r = np.swapaxes(uv - x[live], -1, -2).reshape(len(live), -1, 1)
-        H = A @ np.swapaxes(A, -1, -2) + 1e-9 * np.eye(6)
-        delta, solved = _solve_stack(H, -(A @ r))
+        H = A @ np.swapaxes(A, -1, -2)
+        if step == 0:
+            posed = _rank(H) >= 5
+            fitted[live[~posed]] = False
+            live, A, r, H = live[posed], A[posed], r[posed], H[posed]
+        delta, solved = _solve_stack(H + 1e-9 * np.eye(6), -(A @ r))
         fitted[live[~solved]] = False
         live, delta = live[solved], delta[solved, :, 0]
 

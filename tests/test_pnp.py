@@ -25,19 +25,27 @@ from conftest import DenseFlow, dense, sparse
 def _fit_minimal_reference(corrs, K, T0):
     """One minimal Gauss-Newton fit at a time: the sequential form that
     the batched ``_fit_minimal_batch`` must match bit for bit.  None for a
-    failed fit: a point behind the camera, a singular system, or a step
-    that ``se3_exp`` or ``PoseSE3`` rejects as not finite."""
+    failed fit: a system at T0 that fixes fewer than five pose directions
+    (singular values above 1e-12 times the largest), a point behind the
+    camera, a singular damped solve, or a step that ``se3_exp`` or
+    ``PoseSE3`` rejects as not finite."""
     pose = T0
-    for _ in range(6):
+    for step in range(6):
         uv, z, J = reprojection_jacobian(K, pose, corrs.p_world)
         if np.any(z <= MIN_DEPTH):
             return None
         # component-major rows: A (6, 2N) and r (2N,)
         A = J.T.reshape(6, -1)
         r = (uv - corrs.x_img).T.reshape(-1)
-        H = A @ A.T + 1e-9 * np.eye(6)
+        H = A @ A.T
+        if step == 0:
+            if not np.all(np.isfinite(H)):
+                return None
+            s = np.linalg.svd(H, compute_uv=False)
+            if np.count_nonzero(s > 1e-12 * s[0]) < 5:
+                return None
         try:
-            delta = np.linalg.solve(H, -(A @ r))
+            delta = np.linalg.solve(H + 1e-9 * np.eye(6), -(A @ r))
         except np.linalg.LinAlgError:
             return None
         try:
@@ -449,36 +457,6 @@ class TestRefinePose:
                            _refine_pose_reference(corrs, K_LM, T0, **kw))
 
 
-class TestTermHandsForward:
-    def test_residual_hands_its_points_to_the_jacobian(self, monkeypatch):
-        # residual_jacobians at the pose objects of the last residual call
-        # reuses that call's camera-frame points, with the bits of a fresh
-        # term; another object of the same pose is projected anew
-        rng = np.random.default_rng(8)
-        Tc = se3_exp(rng.uniform(-0.1, 0.1, 6))
-        Tn = se3_exp([0.01, 0.0, 0.0, 0.0, 0.0, -0.5]).compose(Tc)
-        P = Tc.inverse().apply(rng.uniform([-8, -3, 3], [8, 3, 30], (40, 3)))
-        target = rng.normal(0.0, 5.0, (40, 2))
-        term = pnp._Term(P, target, ("cur", "next"))
-        assert term.residual(K_LM, Tc, Tn) is not None
-        handed = [cam for _, cam in term._cams]
-        seen = []
-        jacobian = pnp.reprojection_jacobian
-
-        def spy(*args, cam=None):
-            seen.append(cam)
-            return jacobian(*args, cam=cam)
-
-        monkeypatch.setattr(pnp, "reprojection_jacobian", spy)
-        got = term.residual_jacobians(K_LM, Tc, Tn)
-        assert len(seen) == 2 and all(a is b for a, b in zip(seen, handed))
-        fresh = pnp._Term(P, target, ("cur", "next")).residual_jacobians(K_LM, Tc, Tn)
-        assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
-        seen.clear()
-        term.residual_jacobians(K_LM, PoseSE3(Tc.q, Tc.t), Tn)
-        assert seen[0] is not handed[0] and seen[1] is handed[1]
-
-
 class TestRefineFailureIsAResult:
     """Input that gives no refinement comes back as the failed result,
     never as an exception: ``solve_pnp_ransac`` and the benchmark's
@@ -745,14 +723,14 @@ class TestBatchedRansac:
         assert np.isinf(err[0]).any() and np.isfinite(err[0]).any()
 
     @staticmethod
-    def _failed_fits(P, x, T_init):
+    def _failed_fits(P, x, T_init, K=K_LONG):
         """Fit the stack at once and one sample at a time, require the same
         rows bit for bit, and return the samples whose fit failed."""
-        R, t, fitted = _fit_minimal_batch(P, x, K_LONG, T_init)
+        R, t, fitted = _fit_minimal_batch(P, x, K, T_init)
         failed = []
         for k in range(len(P)):
             ref = _fit_minimal_reference(Correspondences.from_arrays(P[k], x[k]),
-                                         K_LONG, T_init)
+                                         K, T_init)
             if ref is None:
                 assert not fitted[k]
                 failed.append(k)
@@ -764,21 +742,21 @@ class TestBatchedRansac:
 
     def test_batched_fit_matches_reference_fit(self):
         # one stack mixing ordinary samples, samples behind the camera, a
-        # sample with a NaN pixel and samples of coincident points
+        # sample with a NaN pixel and singular samples of coincident points
         corrs, T_init = make_ransac_problem(400, 0.3, 0.05, 1.0, 5, K=K_LONG)
         rng = np.random.default_rng(6)
         idx = np.array([rng.choice(len(corrs), size=4, replace=False)
                         for _ in range(40)])
         P, x = corrs.p_world[idx], corrs.x_img[idx]
         x[7, 2] = np.nan
-        P[[3, 11, 12]] = T_init.inverse().apply([0.0, 0.0, 1.0])
-        x[[3, 11, 12]] = project_points(K_LONG, T_init.apply(P[3]))[0]
-        assert {7} < self._failed_fits(P, x, T_init)
+        singular = [3, 11, 12]
+        P[singular] = T_init.inverse().apply([0.0, 0.0, 1.0])
+        x[singular] = project_points(K_LONG, T_init.apply(P[3]))[0]
+        assert set(singular) | {7} < self._failed_fits(P, x, T_init)
 
     def test_singular_fits_fail_in_a_stack(self):
         # four coincident points straight ahead of the identity pose give
-        # exact Jacobian entries and exactly singular normal equations; the
-        # stacked solve raises, and each system is solved on its own
+        # exact Jacobian entries and exactly singular normal equations
         rng = np.random.default_rng(7)
         cam = rng.uniform([-20.0, -6.0, 2.0], [20.0, 6.0, 60.0], (12, 4, 3))
         P, x = cam, project_points(K_LONG, cam)[0] + rng.normal(0.0, 1.0, (12, 4, 2))
@@ -786,3 +764,29 @@ class TestBatchedRansac:
         P[singular] = [0.0, 0.0, 1.0]
         x[singular] = [K_LONG.cx, K_LONG.cy]
         assert self._failed_fits(P, x, PoseSE3.identity()) == set(singular)
+
+    def test_collinear_fits_go_on(self):
+        # four points on one line fix five pose directions and are fitted,
+        # the damping holding the sixth; coincident points fix two and fail
+        line = np.column_stack([np.linspace(-5, 5, 30), np.full(30, 1.0),
+                                np.linspace(8, 20, 30)])
+        rng = np.random.default_rng(10)
+        P = line[np.array([rng.choice(30, size=4, replace=False) for _ in range(12)])]
+        x = project_points(K_RANSAC, P)[0] + rng.normal(0.0, 0.5, (12, 4, 2))
+        P[[4, 9]] = line[0]
+        x[[4, 9]] = project_points(K_RANSAC, line[0])[0]
+        assert self._failed_fits(P, x, PoseSE3.identity(), K_RANSAC) == {4, 9}
+
+    def test_solve_stack_flags_only_the_singular_systems(self):
+        # a singular system makes the stacked solve raise; each system is
+        # then solved on its own, with the bits of a one-system solve
+        rng = np.random.default_rng(9)
+        H = rng.normal(size=(5, 6, 6))
+        H[[1, 3]] = 0.0
+        g = rng.normal(size=(5, 6, 1))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(H, g)
+        out, solved = pnp._solve_stack(H, g)
+        assert solved.tolist() == [True, False, True, False, True]
+        for i in (0, 2, 4):
+            assert np.array_equal(out[i], np.linalg.solve(H[i], g[i]))
