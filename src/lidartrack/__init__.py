@@ -9,12 +9,11 @@ adjacent poses jointly under a cross-modal consistency energy.
 __version__ = "0.1.0"
 
 from .geometry import (CameraIntrinsics, PerturbBounds, PoseSE3, perturb_pose,
-                       pose_error, se3_exp, se3_log)
+                       pose_error, se3_exp)
 from .mapping import CropExtents, GlobalMap, crop_local, downsample
 from .rendering import DepthMap, FlowField, remove_occlusions, render_depth
-from .flow import (EmptyMaskError, FlowNoiseModel, FlowTriplet, apply_noise,
-                   consistency_residual, epe, oracle_depth_flow, oracle_flows,
-                   sample_flow, warp)
+from .flow import (FlowNoiseModel, FlowTriplet, apply_noise, consistency_residual,
+                   oracle_depth_flow, oracle_flows, sample_flow, warp)
 from .pnp import (Correspondences, PnPResult, RansacConfig,
                   correspondences_from_flow, refine_pose, solve_pnp_ransac)
 from .joint import EnergyConfig, JointResult, optimize_next_only, optimize_pair

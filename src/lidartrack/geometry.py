@@ -22,6 +22,8 @@ Conventions used throughout the package:
   single-pose call bit for bit.  The public functions still return the
   point-major shapes, (N, 2) and (N, 2, 6), as transposed views of that
   storage.
+* RANSAC's stacked fits hold no ``PoseSE3``: ``se3_exp_rows`` maps each
+  twist of a (B, 6) stack to a plain rotation matrix and translation.
 """
 from __future__ import annotations
 
@@ -32,8 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Below this rotation angle (radians) exp/log switch to series expansions.
+# Below these rotation angles (radians) exp/log and se3_exp_rows switch to
+# series expansions.
 SMALL_ANGLE = 1e-8
+SERIES_ANGLE = 1e-4
 
 # Points closer than this to the camera plane count as "behind".
 MIN_DEPTH = 1e-9
@@ -109,18 +113,15 @@ def _matrix_to_quat(R):
     return _quat_normalize(q)
 
 
-def _rotvec_quat_scalars(angle):
-    """(w, s) of the quaternion (w, s * rv) of a rotation vector of this angle."""
-    if angle < SMALL_ANGLE:
-        # sin(a/2)/a ~ 1/2 - a^2/48
-        return 1.0 - angle * angle / 8.0, 0.5 - angle * angle / 48.0
-    half = 0.5 * angle
-    return math.cos(half), math.sin(half) / angle
-
-
 def _quat_from_rotvec(rv):
     rv = np.asarray(rv, dtype=float)
-    w, s = _rotvec_quat_scalars(np.linalg.norm(rv))
+    angle = np.linalg.norm(rv)
+    if angle < SMALL_ANGLE:
+        # sin(a/2)/a ~ 1/2 - a^2/48
+        w, s = 1.0 - angle * angle / 8.0, 0.5 - angle * angle / 48.0
+    else:
+        half = 0.5 * angle
+        w, s = math.cos(half), math.sin(half) / angle
     return _quat_normalize(np.array([w, rv[0] * s, rv[1] * s, rv[2] * s]))
 
 
@@ -345,80 +346,47 @@ def pixel_index(K: CameraIntrinsics, uv, in_front):
     return px, ok
 
 
-def _exp_v_scalars(theta):
-    """(A, B) of V = I + A [w]x + B [w]x^2 for a rotation of angle theta."""
-    if theta < SMALL_ANGLE:
-        return 0.5, 1.0 / 6.0
-    return ((1.0 - math.cos(theta)) / theta ** 2,
-            (theta - math.sin(theta)) / theta ** 3)
-
-
 def se3_exp(xi) -> PoseSE3:
     """Exponential map; xi = (rotation block, translation block)."""
     xi = np.asarray(xi, dtype=float).reshape(6)
     omega, rho = xi[:3], xi[3:]
     theta = np.linalg.norm(omega)
     W = _skew(omega)
-    A, B = _exp_v_scalars(theta)
+    # V = I + A [w]x + B [w]x^2
+    if theta < SMALL_ANGLE:
+        A, B = 0.5, 1.0 / 6.0
+    else:
+        A = (1.0 - math.cos(theta)) / theta ** 2
+        B = (theta - math.sin(theta)) / theta ** 3
     V = np.eye(3) + A * W + B * (W @ W)
     return PoseSE3(_quat_from_rotvec(omega), V @ rho)
 
 
-# ---------------------------------------------------------------------------
-# batched poses
-#
-# A stack of B poses is held as unit quaternions q (B, 4), rotation
-# matrices R (B, 3, 3) and translations t (B, 3).  Each row is computed
-# with the same floating-point operations as the PoseSE3 form: per-matrix
-# products go through a stacked np.matmul (one BLAS call per matrix, as
-# in the 2-D form), vector norms through a (1, k) @ (k, 1) product (the
-# dot product np.linalg.norm takes of a 1-D vector), and the
-# transcendental scalars through the same per-row math calls.  A row of
-# a batch is therefore bit-identical to the pose the scalar functions
-# give, which is what lets RANSAC fit many hypotheses per call.
-# ---------------------------------------------------------------------------
+def se3_exp_rows(xi):
+    """Exponential map of each row of xi (B, 6): (R (B, 3, 3), t (B, 3)).
 
-def _row_norms(v):
-    """Euclidean norm of each row of a contiguous (B, k) array."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
-
-def _quat_normalize_rows(q):
-    q = np.ascontiguousarray(q)
-    q = q / _row_norms(q)[:, None]
-    return np.where(q[:, :1] < 0.0, -q, q)
-
-
-def quat_to_matrix_batch(q):
-    """Rotation matrices (B, 3, 3) of unit quaternions (B, 4)."""
-    return np.ascontiguousarray(np.moveaxis(_quat_to_matrix(q.T), -1, 0))
-
-
-def se3_exp_batch(xi):
-    """Exponential map of each row of xi (B, 6): (q (B, 4), t (B, 3)).
-
-    Row i equals ``se3_exp(xi[i])`` bit for bit; rows must be finite.
+    R is Rodrigues' formula, I + a [w]x + b [w]x^2, and t = V rho with
+    V = I + b [w]x + c [w]x^2.  Below ``SERIES_ANGLE`` the scalars a, b
+    and c come from their Taylor series (Sola et al., "A micro Lie theory",
+    2018): ``(1 - cos theta) / theta^2`` cancels to ~eps / theta^2 above it.
+    Every operation is elementwise over the rows or one stacked matmul,
+    so a row does not depend on the others in the stack.
     """
     omega, rho = xi[:, :3], xi[:, 3:]
-    theta = _row_norms(omega)
+    w0, w1, w2 = omega.T
+    theta2 = w0 * w0 + w1 * w1 + w2 * w2
+    theta = np.sqrt(theta2)
+    small = theta < SERIES_ANGLE
+    th = np.where(small, 1.0, theta)
+    sin, cos = np.sin(th), np.cos(th)
+    a = np.where(small, 1.0 - theta2 / 6.0, sin / th)
+    b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - cos) / th ** 2)
+    c = np.where(small, 1.0 / 6.0 - theta2 / 120.0, (th - sin) / th ** 3)
     W = _skew(omega)
-    A, B, w, s = np.array([_exp_v_scalars(th) + _rotvec_quat_scalars(th)
-                           for th in theta]).reshape(-1, 4).T
-    V = np.eye(3) + A[:, None, None] * W + B[:, None, None] * (W @ W)
-    q = np.concatenate([w[:, None], omega * s[:, None]], axis=1)
-    # normalized twice, as _quat_from_rotvec and then PoseSE3 do
-    q = _quat_normalize_rows(_quat_normalize_rows(q))
-    return q, (V @ rho[:, :, None])[:, :, 0]
-
-
-def compose_batch(q_a, R_a, t_a, q_b, t_b):
-    """Row-wise a * b of two pose stacks; R_a are the rotations of q_a.
-
-    Returns (q, t) before any finiteness check: a row whose ``t`` is not
-    finite is one for which ``PoseSE3.compose`` raises.
-    """
-    q = _quat_normalize_rows(_quat_multiply(q_a.T, q_b.T).T)
-    return q, (R_a @ t_b[:, :, None])[:, :, 0] + t_a
+    W2 = W @ W
+    R = np.eye(3) + a[:, None, None] * W + b[:, None, None] * W2
+    V = np.eye(3) + b[:, None, None] * W + c[:, None, None] * W2
+    return R, (V @ rho[:, :, None])[:, :, 0]
 
 
 def se3_log(T: PoseSE3) -> np.ndarray:
@@ -476,10 +444,11 @@ def reprojection_jacobian(K: CameraIntrinsics, pose, pts_world):
     and the cross product P x g as its rotation block.  Both are written
     elementwise over the points, as (..., 6, 2, N) rows.
 
-    ``pose`` is a PoseSE3 with ``pts_world`` (N, 3), or a stack ``(R, t)``
-    of B rotations (B, 3, 3) and translations (B, 3) with ``pts_world``
-    (B, N, 3); the outputs then gain the leading B axis, and row b equals
-    the PoseSE3 form for pose b bit for bit.
+    ``pose`` is a PoseSE3 with ``pts_world`` (N, 3), or ``(R, t)``: one
+    rotation (3, 3) and translation (3,) with ``pts_world`` (N, 3), or a
+    stack of B of them, (B, 3, 3) and (B, 3), with ``pts_world`` (B, N, 3);
+    the outputs then gain the leading B axis, and row b equals the one-pose
+    call for pose b bit for bit.
 
     Returns (uv (N, 2), z (N,), J (N, 2, 6)), transposed views of the
     component-major (..., 2, N) and (..., 6, 2, N) arrays.  Rows with

@@ -25,16 +25,16 @@ preemptive RANSAC (Nister 2005) applied to plain RANSAC (Fischler and
 Bolles 1981).  A fit batch is one stacked Gauss-Newton fit over B minimal
 samples: ``RANSAC_BATCH`` for the first batch, whose scores set how many
 hypotheses are needed, and up to ``_FIT_BATCH`` after it, since a stacked
-fit costs little more for four times the samples.  Each fit batch is
-scored in chunks of ``RANSAC_BATCH`` rows, one (B, N) reprojection-error
-matrix per chunk, and scoring stops at the early-stop count, so memory
-grows with ``RANSAC_BATCH`` alone.  The camera-frame points of a chunk
-are one (B, 3, N) product, ``R @ P^T``, whose x, y and z rows are
-contiguous.  Every batched operation makes the same floating-point
-operations per hypothesis as a one-at-a-time fit, and the random samples
-are drawn in the same order, so the pose, inliers and counters are
-bit-identical to fitting and scoring one hypothesis at a time
-(``tests/test_pnp.py`` keeps that sequential loop as the reference).
+fit costs little more for four times the samples.  It steps plain
+rotation matrices and translations by ``geometry.se3_exp_rows`` and builds
+no quaternion, as a hypothesis is only scored.  Each fit batch is scored
+in chunks of ``RANSAC_BATCH`` rows, one (B, N) reprojection-error matrix
+of (B, 3, N) camera-frame points per chunk, up to the early-stop count,
+so memory grows with ``RANSAC_BATCH`` alone.  Rows are independent (every
+batched operation is elementwise over them or a stacked matmul) and the
+samples are drawn in sequence, so batch sizes never change a result: the
+pose, inliers and counters equal fitting and scoring one hypothesis at a
+time (``tests/test_pnp.py`` keeps that loop as the reference).
 """
 from __future__ import annotations
 
@@ -44,8 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (MIN_DEPTH, CameraIntrinsics, PoseSE3, check_fields,
-                       compose_batch, project_points, quat_to_matrix_batch,
-                       reprojection_jacobian, se3_exp, se3_exp_batch)
+                       project_points, reprojection_jacobian, se3_exp, se3_exp_rows)
 from .rendering import DepthMap, FlowField, lookup
 
 
@@ -382,6 +381,10 @@ def refine_pose(corrs: Correspondences, K: CameraIntrinsics, T0: PoseSE3) -> Ref
 
 
 def _collinear(p_world) -> bool:
+    """True for fewer than four finite points, or finite points on one line."""
+    p_world = p_world[np.isfinite(p_world).all(axis=1)]
+    if len(p_world) < 4:
+        return True
     c = p_world - p_world.mean(axis=0)
     s = np.linalg.svd(c, compute_uv=False)
     return bool(s[1] <= 1e-9 * max(s[0], 1.0))
@@ -404,7 +407,6 @@ def _fit_minimal_batch(P, x, K, T0):
     pose, the last one reached.
     """
     b = len(P)
-    q = np.tile(T0.q, (b, 1))
     R = np.tile(T0.rotation_matrix(), (b, 1, 1))
     t = np.tile(T0.t, (b, 1))
     fitted = np.ones(b, dtype=bool)
@@ -431,13 +433,13 @@ def _fit_minimal_batch(P, x, K, T0):
         finite = np.all(np.isfinite(delta), axis=1)
         fitted[live[~finite]] = False
         live, delta = live[finite], delta[finite]
-        dq, dt = se3_exp_batch(delta)
-        q_new, t_new = compose_batch(q[live], R[live], t[live], dq, dt)
+        dR, dt = se3_exp_rows(delta)
+        t_new = (R[live] @ dt[:, :, None])[:, :, 0] + t[live]
         finite = np.all(np.isfinite(t_new), axis=1)
         fitted[live[~finite]] = False
         live, delta = live[finite], delta[finite]
-        q[live], t[live] = q_new[finite], t_new[finite]
-        R[live] = quat_to_matrix_batch(q[live])
+        R[live] = R[live] @ dR[finite]
+        t[live] = t_new[finite]
         live = live[np.abs(delta).max(axis=1) >= 1e-8]
         if not len(live):
             break

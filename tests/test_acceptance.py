@@ -175,6 +175,7 @@ def test_criterion_3_jacobian_fidelity(pair_fixture, capsys):
                 assert rel < 1e-4
 
 
+@pytest.mark.slow
 def test_criterion_5_asymmetric_noise_rescue(pair_fixture, capsys):
     """Next-frame flow corrupted (sigma 4 px, 20% outliers), current frame
     clean: the joint T_next error is at most 0.7x the PnP-only error,
@@ -258,6 +259,7 @@ def _track_mode(cfg_path, scen_dir, tmp_path, mode):
                      "--quiet"])
 
 
+@pytest.mark.slow
 def test_criterion_6_tracking_completion_ordering(tmp_path, capsys, pool_map):
     """300-frame scenario with three scripted 3-frame depth-flow outages:
     frame_by_frame is interrupted; loose_coupled and multi_view finish
@@ -292,6 +294,7 @@ def _drift_ratio(gmap, gt, seed):
     return ate_vo / max(ate_mv, 1e-12)
 
 
+@pytest.mark.slow
 def test_criterion_7_drift_contrast(capsys, pool_map):
     """Integrated VO with 0.05 m/frame drift over 400 frames reaches an
     ATE at least 10x that of multi_view tracking with 1 px flow noise,

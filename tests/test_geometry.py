@@ -11,8 +11,8 @@ from lidartrack.flow import FlowNoiseModel
 from lidartrack.geometry import (DEFAULT_PERTURB, MIN_DEPTH, CameraIntrinsics,
                                  PerturbBounds, PoseSE3, _quat_to_matrix, _skew,
                                  perturb_pose, pose_error, SMALL_ANGLE,
-                                 project_points, reprojection_jacobian, se3_exp,
-                                 se3_log)
+                                 SERIES_ANGLE, project_points, reprojection_jacobian,
+                                 se3_exp, se3_exp_rows, se3_log)
 from lidartrack.joint import EnergyConfig
 from lidartrack.mapping import CropExtents
 from lidartrack.pnp import RansacConfig
@@ -170,11 +170,16 @@ AXES = st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
 TRANSLATIONS = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
 
 
-def assert_log_inverts_exp(angle, axis, rho):
+def twist(angle, axis, rho):
+    """The twist (6,) rotating by ``angle`` about the (polar, azimuth) axis."""
     polar, azimuth = axis
     u = [math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth),
          math.cos(polar)]
-    xi = np.concatenate([angle * np.array(u), rho])
+    return np.concatenate([angle * np.array(u), rho])
+
+
+def assert_log_inverts_exp(angle, axis, rho):
+    xi = twist(angle, axis, rho)
     # se3_exp's closed-form (1 - cos t) / t^2 cancels to ~eps / t^2 just
     # above SMALL_ANGLE, which moves the translation by up to ~eps |rho| / t
     tol = 1e-9 + 4 * np.finfo(float).eps * np.linalg.norm(rho) / max(angle, SMALL_ANGLE)
@@ -206,6 +211,46 @@ class TestExpLog:
     def test_small_angle_branch(self):
         xi = np.array([1e-10, -2e-10, 1e-10, 0.5, -0.5, 0.25])
         assert np.linalg.norm(se3_log(se3_exp(xi)) - xi) < 1e-15
+
+
+class TestExpRows:
+    """``se3_exp_rows``, the stacked exp of RANSAC's minimal fits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-12, math.pi),
+                                             st.floats(1e-6, 1e-3)),
+                                   AXES, TRANSLATIONS), min_size=1, max_size=64))
+    def test_rows_are_independent(self, rows):
+        xi = np.array([twist(*row) for row in rows])
+        R, t = se3_exp_rows(xi)
+        assert R.shape == (len(rows), 3, 3) and t.shape == (len(rows), 3)
+        for i in range(len(rows)):
+            R_i, t_i = se3_exp_rows(xi[i:i + 1])
+            assert np.array_equal(R[i], R_i[0]) and np.array_equal(t[i], t_i[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(angle=st.floats(SERIES_ANGLE, math.pi), axis=AXES, rho=TRANSLATIONS)
+    def test_matches_se3_exp_above_the_series(self, angle, axis, rho):
+        # the same closed forms by another route (quaternions, and libm's
+        # cos for numpy's): one ulp of cos moves (1 - cos t) / t^2 by
+        # ~eps / t^2, and the translation by ~eps |rho| / t
+        xi = twist(angle, axis, rho)
+        R, t = se3_exp_rows(xi[None])
+        T = se3_exp(xi)
+        eps = np.finfo(float).eps
+        assert np.abs(R[0] - T.rotation_matrix()).max() <= 8 * eps
+        tol = 8 * eps * (1.0 + np.linalg.norm(rho)) + 4 * eps * np.linalg.norm(rho) / angle
+        assert np.abs(t[0] - T.t).max() <= tol
+
+    @settings(max_examples=300, deadline=None)
+    @given(angle=st.floats(1e-8, SERIES_ANGLE, exclude_max=True), axis=AXES,
+           rho=TRANSLATIONS)
+    def test_series_keeps_small_angles_accurate(self, angle, axis, rho):
+        # the closed form (1 - cos t) / t^2 would cancel to ~eps / t^2 here,
+        # up to 1e-8 of error in the translation at t = 1e-8
+        xi = twist(angle, axis, rho)
+        R, t = se3_exp_rows(xi[None])
+        assert np.abs(se3_log(PoseSE3.from_rt(R[0], t[0])) - xi).max() < 1e-14
 
 
 class TestPoseError:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from lidartrack.flow import FlowNoiseModel, oracle_flows
 from lidartrack.geometry import (MIN_DEPTH, CameraIntrinsics, PerturbBounds,
                                  PoseSE3, perturb_pose, pose_error,
-                                 project_points, reprojection_jacobian, se3_exp)
+                                 project_points, reprojection_jacobian, se3_exp,
+                                 se3_exp_rows)
 from lidartrack.mapping import CropExtents, crop_local
 from lidartrack import pnp
 from lidartrack.pnp import (REFINE_POINT_CAP, Correspondences, PnPResult,
@@ -24,14 +25,15 @@ from conftest import DenseFlow, dense, sparse
 
 def _fit_minimal_reference(corrs, K, T0):
     """One minimal Gauss-Newton fit at a time: the sequential form that
-    the batched ``_fit_minimal_batch`` must match bit for bit.  None for a
-    failed fit: a system at T0 that fixes fewer than five pose directions
-    (singular values above 1e-12 times the largest), a point behind the
-    camera, a singular damped solve, or a step that ``se3_exp`` or
-    ``PoseSE3`` rejects as not finite."""
-    pose = T0
+    the batched ``_fit_minimal_batch`` must match bit for bit.  Returns
+    the (R, t) reached, stepping ``t <- R dt + t`` and ``R <- R dR`` by
+    ``se3_exp_rows``, or None for a failed fit: a system at T0 that fixes
+    fewer than five pose directions (singular values above 1e-12 times
+    the largest), a point behind the camera, a singular damped solve, or
+    a step or new translation that is not finite."""
+    R, t = T0.rotation_matrix(), T0.t
     for step in range(6):
-        uv, z, J = reprojection_jacobian(K, pose, corrs.p_world)
+        uv, z, J = reprojection_jacobian(K, (R, t), corrs.p_world)
         if np.any(z <= MIN_DEPTH):
             return None
         # component-major rows: A (6, 2N) and r (2N,)
@@ -48,17 +50,20 @@ def _fit_minimal_reference(corrs, K, T0):
             delta = np.linalg.solve(H + 1e-9 * np.eye(6), -(A @ r))
         except np.linalg.LinAlgError:
             return None
-        try:
-            pose = pose.compose(se3_exp(delta))
-        except ValueError:
+        if not np.all(np.isfinite(delta)):
             return None
+        dR, dt = se3_exp_rows(delta[None])
+        t = R @ dt[0] + t
+        if not np.all(np.isfinite(t)):
+            return None
+        R = R @ dR[0]
         if float(np.abs(delta).max()) < 1e-8:
             break
-    return pose
+    return R, t
 
 
-def _reproj_errors_reference(corrs, K, pose):
-    cam = pose.apply(corrs.p_world)
+def _reproj_errors_reference(corrs, K, R, t):
+    cam = corrs.p_world @ R.T + t
     z = cam[:, 2]
     uv = np.empty((len(corrs), 2))
     zs = np.where(z > MIN_DEPTH, z, 1.0)
@@ -172,7 +177,7 @@ def _solve_pnp_ransac_reference(corrs, K, T_init, cfg):
         hyp = _fit_minimal_reference(corrs.subset(sample), K, T_init)
         if hyp is None:
             continue
-        err = _reproj_errors_reference(corrs, K, hyp)
+        err = _reproj_errors_reference(corrs, K, *hyp)
         mask = err < cfg.inlier_threshold
         count = int(mask.sum())
         if count > best_count:
@@ -196,7 +201,8 @@ def _solve_pnp_ransac_reference(corrs, K, T_init, cfg):
     refined = refine_pose(corrs.subset(refine_idx), K, T_init)
     if refined.cost == np.inf:
         return failed(it)
-    err = _reproj_errors_reference(corrs, K, refined.pose)
+    err = _reproj_errors_reference(corrs, K, refined.pose.rotation_matrix(),
+                                   refined.pose.t)
     final_mask = err < cfg.inlier_threshold
     if int(final_mask.sum()) < max(cfg.min_inliers, 4):
         final_mask = best_mask
@@ -649,6 +655,25 @@ class TestNoPoseIsAResult:
         assert res.success and np.isfinite(res.rmse)
         assert res.inliers.any() and not res.inliers[::2].any()
 
+    @pytest.mark.parametrize("ransac_seed", [3, 1234, 987654])
+    def test_nan_world_point(self, ransac_seed):
+        # a NaN world point is no inlier, and the others still give a pose
+        corrs, T_init = make_ransac_problem(300, 0.4, 0.0, 0.5, 77)
+        cfg = RansacConfig(seed=ransac_seed)
+        k = int(np.flatnonzero(solve_pnp_ransac(corrs, K_RANSAC, T_init, cfg).inliers)[0])
+        corrs.p_world[k] = np.nan
+        res = solve_pnp_ransac(corrs, K_RANSAC, T_init, cfg)
+        assert res.success and np.isfinite(res.rmse)
+        assert res.inliers.any() and not res.inliers[k]
+        assert_same_result(res, _solve_pnp_ransac_reference(corrs, K_RANSAC, T_init, cfg))
+
+    @pytest.mark.parametrize("finite", [0, 3])
+    def test_fewer_than_four_finite_world_points(self, finite):
+        corrs, T_init = make_ransac_problem(300, 0.4, 0.0, 0.5, 77)
+        corrs.p_world[finite:] = np.nan
+        res = solve_pnp_ransac(corrs, K_RANSAC, T_init, RansacConfig())
+        assert_no_pose(res, T_init, 300, hypotheses=0)
+
 
 class TestBatchedRansac:
     """The batched RANSAC against the sequential reference above."""
@@ -717,7 +742,8 @@ class TestBatchedRansac:
                     _reproj_errors(PT, u, v, K_RANSAC, R, t, cam)):
             assert err.shape == (len(poses), n)
             for row, pose in zip(err, poses):
-                ref = _reproj_errors_reference(corrs, K_RANSAC, pose)
+                ref = _reproj_errors_reference(corrs, K_RANSAC, pose.rotation_matrix(),
+                                               pose.t)
                 assert np.array_equal(row, ref, equal_nan=True)
         assert np.isinf(err[-1]).all() and np.isnan(err[0, n // 2])
         assert np.isinf(err[0]).any() and np.isfinite(err[0]).any()
@@ -736,8 +762,8 @@ class TestBatchedRansac:
                 failed.append(k)
                 continue
             assert fitted[k]
-            assert np.array_equal(R[k], ref.rotation_matrix())
-            assert np.array_equal(t[k], ref.t)
+            assert np.array_equal(R[k], ref[0])
+            assert np.array_equal(t[k], ref[1])
         return set(failed)
 
     def test_batched_fit_matches_reference_fit(self):

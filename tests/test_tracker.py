@@ -346,6 +346,7 @@ def _final_errors(K, gmap, gt, seed):
     return errors
 
 
+@pytest.mark.slow
 class TestModeDominance:
     def test_multi_view_beats_frame_by_frame_under_episodic_noise(self, K_small,
                                                                   pool_map):
