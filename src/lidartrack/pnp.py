@@ -27,7 +27,7 @@ samples: ``RANSAC_BATCH`` for the first batch, whose scores set how many
 hypotheses are needed, and up to ``_FIT_BATCH`` after it, since a stacked
 fit costs little more for four times the samples.  It steps plain
 rotation matrices and translations by ``geometry.se3_exp_rows`` and builds
-no quaternion, as a hypothesis is only scored.  Each fit batch is scored
+no ``PoseSE3``, as a hypothesis is only scored.  Each fit batch is scored
 in chunks of ``RANSAC_BATCH`` rows, one (B, N) reprojection-error matrix
 of (B, 3, N) camera-frame points per chunk, up to the early-stop count,
 so memory grows with ``RANSAC_BATCH`` alone.  Rows are independent (every

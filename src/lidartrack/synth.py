@@ -132,7 +132,7 @@ def _pose_from_heading(center, heading_rad) -> PoseSE3:
     down = np.array([0.0, 0.0, -1.0])
     R_wc = np.column_stack([right, down, forward])
     R = R_wc.T
-    return PoseSE3.from_rt(R, -(R @ np.asarray(center, dtype=float)))
+    return PoseSE3(R, -(R @ np.asarray(center, dtype=float)))
 
 
 def generate_trajectory(cfg: TrajectoryConfig) -> list[PoseSE3]:

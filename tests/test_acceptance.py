@@ -356,8 +356,8 @@ def test_criterion_8_metrics_correctness(tmp_path, capsys):
 
         # threshold boundary: exactly 4.0 m is not a failure
         base = se3_exp([0.1, 0.2, 0.3, 1, 2, 3])
-        at_threshold = PoseSE3(base.q, -(base.rotation_matrix()
-                                         @ (base.center() + [4.0, 0, 0])))
+        at_threshold = PoseSE3(base.rotation_matrix(),
+                               -(base.rotation_matrix() @ (base.center() + [4.0, 0, 0])))
         frac = pose_error_stats(Trajectory(poses=[at_threshold]),
                                 Trajectory(poses=[base]))[4]
         assert frac == 0.0

@@ -366,7 +366,8 @@ class TestEval:
         from lidartrack.geometry import PoseSE3
         _, scen = scenario_dir
         gt = load_trajectory(scen / "gt_poses.txt")
-        shifted = [PoseSE3(p.q, -(p.rotation_matrix() @ (p.center() + [2.0, 0, 0])))
+        shifted = [PoseSE3(p.rotation_matrix(),
+                           -(p.rotation_matrix() @ (p.center() + [2.0, 0, 0])))
                    for p in gt.poses]
         est_path = tmp_path / "est.txt"
         save_trajectory(shifted, est_path)
@@ -403,7 +404,8 @@ class TestEval:
         from lidartrack.geometry import PoseSE3
         _, scen = scenario_dir
         gt = load_trajectory(scen / "gt_poses.txt")
-        shifted = [PoseSE3(p.q, -(p.rotation_matrix() @ (p.center() + [2.0, 0, 0])))
+        shifted = [PoseSE3(p.rotation_matrix(),
+                           -(p.rotation_matrix() @ (p.center() + [2.0, 0, 0])))
                    for p in gt.poses]
         est_path = tmp_path / "est.txt"
         save_trajectory(shifted, est_path)

@@ -22,7 +22,7 @@ def shift_centers(traj, offset):
     out = []
     for p in traj.poses:
         R = p.rotation_matrix()
-        out.append(PoseSE3(p.q, -(R @ (p.center() + offset))))
+        out.append(PoseSE3(R, -(R @ (p.center() + offset))))
     return Trajectory(poses=out)
 
 
@@ -56,7 +56,8 @@ class TestAte:
         G = se3_exp([0.3, -0.5, 0.8, 2.0, -1.0, 0.5])
         centers = G.apply(np.array([p.center() for p in t.poses]))
         moved = Trajectory(poses=[
-            PoseSE3(p.q, -(p.rotation_matrix() @ c)) for p, c in zip(t.poses, centers)])
+            PoseSE3(p.rotation_matrix(), -(p.rotation_matrix() @ c))
+            for p, c in zip(t.poses, centers)])
         assert ate(moved, t, align=False) > 0.5
         assert ate(moved, t, align=True) < 1e-9
 
@@ -67,7 +68,7 @@ class TestAte:
         t = random_trajectory(40, 4)
         offsets = rng.normal(0, 0.3, (40, 3))
         shifted = Trajectory(poses=[
-            PoseSE3(p.q, -(p.rotation_matrix() @ (p.center() + o)))
+            PoseSE3(p.rotation_matrix(), -(p.rotation_matrix() @ (p.center() + o)))
             for p, o in zip(t.poses, offsets)])
         expected = float(np.sqrt(np.mean(np.linalg.norm(offsets, axis=1) ** 2)))
         assert abs(ate(shifted, t) - expected) < 1e-9
@@ -130,7 +131,7 @@ class TestPoseErrorStats:
         t = random_trajectory(4, 10)
         offsets = [1.0, 5.0, 3.0, 6.0]
         est = Trajectory(poses=[
-            PoseSE3(p.q, -(p.rotation_matrix() @ (p.center() + [o, 0, 0])))
+            PoseSE3(p.rotation_matrix(), -(p.rotation_matrix() @ (p.center() + [o, 0, 0])))
             for p, o in zip(t.poses, offsets)])
         _, _, mean_t, med_t, fail = pose_error_stats(est, t)
         assert fail == 0.5
@@ -138,17 +139,20 @@ class TestPoseErrorStats:
         assert abs(med_t - np.median(offsets)) < 1e-9
 
     def test_exactly_at_threshold_is_not_failure(self):
-        t = random_trajectory(1, 11)
-        p = t.poses[0]
-        est = Trajectory(poses=[
-            PoseSE3(p.q, -(p.rotation_matrix() @ (p.center() + [4.0, 0, 0])))])
-        assert pose_error_stats(est, t)[4] == 0.0
-        just_under = Trajectory(poses=[
-            PoseSE3(p.q, -(p.rotation_matrix() @ (p.center() + [3.9, 0, 0])))])
-        assert pose_error_stats(just_under, t)[4] == 0.0
-        over = Trajectory(poses=[
-            PoseSE3(p.q, -(p.rotation_matrix() @ (p.center() + [4.0001, 0, 0])))])
-        assert pose_error_stats(over, t)[4] == 1.0
+        # a signed permutation and small integers keep every center exact,
+        # so the distance is 4.0 m by construction
+        R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        gt = Trajectory(poses=[PoseSE3(R, [1.0, -2.0, 3.0])])
+        c = gt.poses[0].center()
+
+        def shifted(dx):
+            return Trajectory(poses=[PoseSE3(R, -(R @ (c + [dx, 0, 0])))])
+
+        est = shifted(4.0)
+        assert pose_error(est.poses[0], gt.poses[0])[1] == 4.0
+        assert pose_error_stats(est, gt)[4] == 0.0
+        assert pose_error_stats(shifted(3.9), gt)[4] == 0.0
+        assert pose_error_stats(shifted(4.0001), gt)[4] == 1.0
 
     def test_stats_match_sorted_brute_force(self):
         t = random_trajectory(31, 12)
@@ -238,7 +242,7 @@ class TestReport:
         gt = random_trajectory(12, 18)
         offsets = np.linspace(1.0, 7.0, 12)
         est = Trajectory(poses=[
-            PoseSE3(r.q, -(r.rotation_matrix() @ (g.center() + [o, 0, 0])))
+            PoseSE3(r.rotation_matrix(), -(r.rotation_matrix() @ (g.center() + [o, 0, 0])))
             for r, g, o in zip(random_trajectory(12, 17).poses, gt.poses, offsets)])
         report = build_report(est, gt, rpe_delta=2, align=True)
         (t_mean, t_std), (r_mean, r_std) = rpe(est, gt, delta=2)

@@ -252,7 +252,7 @@ def _random_scene(seed, h, w, n, behind_frac, push_back):
     pts = np.stack([(u - K.cx) * np.abs(z) / K.fx, (v - K.cy) * np.abs(z) / K.fy, z], axis=1)
     T_init = perturb_pose(PoseSE3.identity(), PerturbBounds(0.2, 3.0), seed)
     T_gt = perturb_pose(T_init, PerturbBounds(0.5, 4.0), seed + 1)
-    T_gt = PoseSE3(T_gt.q, T_gt.t - np.array([0.0, 0.0, push_back]))
+    T_gt = PoseSE3(T_gt.rotation_matrix(), T_gt.t - np.array([0.0, 0.0, push_back]))
     return K, pts, T_init, T_gt
 
 
@@ -580,7 +580,7 @@ class TestOracle:
         pts = np.array([[x, y, Z] for x in np.linspace(-1, 1, 9)
                         for y in np.linspace(-0.5, 0.5, 5)])
         T_init = PoseSE3.identity()
-        T_gt = PoseSE3(T_init.q, np.array([-delta, 0.0, 0.0]))
+        T_gt = PoseSE3(T_init.rotation_matrix(), np.array([-delta, 0.0, 0.0]))
         f = dense(oracle_depth_flow(pts, K, T_init, T_gt, FlowNoiseModel()))
         assert f.valid.any()
         expected = -K.fx * delta / Z
@@ -594,7 +594,7 @@ class TestOracle:
     def test_point_behind_under_gt_invalidated(self, K):
         pts = np.array([[0.0, 0.0, 5.0]])
         T_init = PoseSE3.identity()
-        T_gt = PoseSE3(T_init.q, np.array([0.0, 0.0, -10.0]))  # pushes it behind
+        T_gt = PoseSE3(T_init.rotation_matrix(), np.array([0.0, 0.0, -10.0]))  # pushes it behind
         f = oracle_depth_flow(pts, K, T_init, T_gt, FlowNoiseModel())
         assert len(f.flat) == 0
 

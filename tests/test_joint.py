@@ -272,7 +272,7 @@ class TestConsistencyResidual:
         # residual by about -fx*delta/Z (checked against reprojection)
         K, T_cur, T_next, _, pts, samples = pair_world
         delta = 0.01
-        bump = PoseSE3(PoseSE3.identity().q, np.array([-delta, 0.0, 0.0]))
+        bump = PoseSE3(np.eye(3), np.array([-delta, 0.0, 0.0]))
         T_shifted = bump.compose(T_next)
         term = _Term(pts, samples, CONSIST)
         r0 = term.residual(K, T_cur, T_next)
@@ -471,7 +471,7 @@ class TestOptimizePair:
                             EnergyConfig(w_reproj=0.0))
         assert not out.converged
         assert out.iterations == 0
-        assert np.array_equal(out.T_cur_star.q, T0.q)
+        assert np.array_equal(out.T_cur_star.rotation_matrix(), T0.rotation_matrix())
 
     def test_rescue_one_sided_reprojection(self, pair_world):
         # reprojection for the current frame only; the next pose is still
@@ -667,7 +667,7 @@ class TestMatchesReferenceLoop:
             got = optimize_pair(*call, free=free)
         ref = _optimize_pair_reference(*call, free=free)
         for a, b in ((got.T_cur_star, ref.T_cur_star), (got.T_next_star, ref.T_next_star)):
-            assert np.array_equal(a.q, b.q) and np.array_equal(a.t, b.t)
+            assert np.array_equal(a.matrix(), b.matrix())
         assert got.initial_energy == ref.initial_energy
         assert got.final_energy == ref.final_energy
         assert got.energy_trace == ref.energy_trace

@@ -225,7 +225,7 @@ def _refine_pose_with(corrs, K, T0, huber_delta, max_iters, rel_tol, lambda0):
 
 
 def assert_same_refine(a, b):
-    assert np.array_equal(a.pose.q, b.pose.q)
+    assert np.array_equal(a.pose.rotation_matrix(), b.pose.rotation_matrix())
     assert np.array_equal(a.pose.t, b.pose.t)
     assert (a.cost, a.iterations, a.converged) == (b.cost, b.iterations, b.converged)
 
@@ -237,7 +237,7 @@ def assert_refine_failed(res, T0):
 
 
 def assert_same_result(a, b):
-    assert np.array_equal(a.pose.q, b.pose.q)
+    assert np.array_equal(a.pose.rotation_matrix(), b.pose.rotation_matrix())
     assert np.array_equal(a.pose.t, b.pose.t)
     assert np.array_equal(a.inliers, b.inliers)
     assert a.rmse == b.rmse
@@ -584,7 +584,7 @@ class TestRansac:
         T0 = perturb_pose(T_gt, PerturbBounds(1.0, 5.0), 14)
         a = solve_pnp_ransac(noisy, K, T0, RansacConfig(seed=42))
         b = solve_pnp_ransac(noisy, K, T0, RansacConfig(seed=42))
-        assert np.array_equal(a.pose.q, b.pose.q)
+        assert np.array_equal(a.pose.rotation_matrix(), b.pose.rotation_matrix())
         assert np.array_equal(a.pose.t, b.pose.t)
         assert np.array_equal(a.inliers, b.inliers)
 

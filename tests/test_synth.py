@@ -95,7 +95,7 @@ class TestVoOracle:
         a = vo_oracle(gt, VoOracleConfig(transl_drift_sigma=0.1, seed=3))
         b = vo_oracle(gt, VoOracleConfig(transl_drift_sigma=0.1, seed=3))
         for ra, rb in zip(a, b):
-            assert np.array_equal(ra.q, rb.q) and np.array_equal(ra.t, rb.t)
+            assert np.array_equal(ra.matrix(), rb.matrix())
 
     def test_drift_grows_like_sqrt_n(self):
         # random-walk accumulation: mean endpoint error at frame 400 over

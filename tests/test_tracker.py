@@ -94,7 +94,7 @@ class TestMultiView:
         state = TrackerState(gt[0])
         state, pair, _ = tracker.step_multi_view(state, Scenario(lidar_map=gmap, gt_poses=gt))
         assert pair is not None
-        assert np.array_equal(state.T_init_next.q, pair[1].q)
+        assert np.array_equal(state.T_init_next.rotation_matrix(), pair[1].rotation_matrix())
         assert np.array_equal(state.T_init_next.t, pair[1].t)
         assert len(state.history) == 1
 
@@ -144,7 +144,7 @@ class TestMultiView:
         b = Tracker(cfg).run(scen)
         assert a.complete == b.complete
         for pa, pb in zip(a.trajectory.poses, b.trajectory.poses):
-            assert np.array_equal(pa.q, pb.q)
+            assert np.array_equal(pa.rotation_matrix(), pb.rotation_matrix())
             assert np.array_equal(pa.t, pb.t)
 
     @pytest.mark.parametrize("w_consist", [1.0, 0.0])
@@ -215,7 +215,7 @@ class TestFrameByFrame:
 
     def test_empty_crop_fails(self, K_small, small_world):
         gmap, gt, _ = small_world
-        far = PoseSE3(gt[0].q, gt[0].t + np.array([0.0, 0.0, 5000.0]))
+        far = PoseSE3(gt[0].rotation_matrix(), gt[0].t + np.array([0.0, 0.0, 5000.0]))
         scen = Scenario(lidar_map=gmap, gt_poses=gt)
         res = Tracker(make_config(K_small, "frame_by_frame")).run(scen, T0=far)
         assert not res.complete
@@ -382,7 +382,7 @@ class TestScenarioBuilder:
         ref = vo_oracle(gt, vo_cfg)
         assert len(scen.vo_relatives) == 4
         for a, b in zip(scen.vo_relatives, ref):
-            assert np.array_equal(a.q, b.q) and np.array_equal(a.t, b.t)
+            assert np.array_equal(a.matrix(), b.matrix())
         assert scen.outage_frames == frozenset({2, 3})
         single = scenario_from_cloud(np.zeros((1, 3)), gt[:1], vo_cfg=vo_cfg)
         assert single.vo_relatives == []
@@ -692,7 +692,7 @@ def assert_same_run(new, ref):
     assert new.complete == ref.complete
     assert len(new.trajectory) == len(ref.trajectory)
     for a, b in zip(new.trajectory.poses, ref.trajectory.poses):
-        assert np.array_equal(a.q, b.q) and np.array_equal(a.t, b.t)
+        assert np.array_equal(a.matrix(), b.matrix())
     assert len(new.diagnostics) == len(ref.diagnostics)
     for d_new, d_ref in zip(new.diagnostics, ref.diagnostics):
         plain = {k: v for k, v in d_new.items() if not k.startswith("ms_") and k != "fail_reason"}
@@ -730,7 +730,7 @@ class TestMatchesReferenceTracker:
             dead_flows_from(monkeypatch, gt, scen["flows_dead_from"])
         scenario = Scenario(lidar_map=gmap, gt_poses=gt, vo_relatives=vo,
                             outage_frames=frozenset(scen.get("outage_frames", ())))
-        T0 = PoseSE3(gt[0].q, gt[0].t + FAR) if far_start else None
+        T0 = PoseSE3(gt[0].rotation_matrix(), gt[0].t + FAR) if far_start else None
         config = make_config(K_small, mode, **cfg)
         new = Tracker(config).run(scenario, T0=T0)
         assert_same_run(new, ReferenceTracker(config).run(scenario, T0=T0))
@@ -769,7 +769,7 @@ class TestFailReasons:
         gmap, gt, vo = small_world
         scenario = Scenario(lidar_map=gmap, gt_poses=gt, vo_relatives=vo,
                             outage_frames=frozenset(outages))
-        T0 = PoseSE3(gt[0].q, gt[0].t + FAR) if far_start else None
+        T0 = PoseSE3(gt[0].rotation_matrix(), gt[0].t + FAR) if far_start else None
         config = make_config(K_small, mode)
         with caplog.at_level(logging.WARNING, logger="lidartrack.tracker"):
             new = Tracker(config).run(scenario, T0=T0)
